@@ -94,11 +94,14 @@ def _root_path(path: str) -> str:
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            cfg = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
 
 
 def _require(cfg: dict, field: str):
@@ -123,34 +126,75 @@ def _workers(requested: int) -> int:
     return max(1, requested)
 
 
-def _backbone_config(raw: dict) -> model.BackboneConfig:
+_NUMBER = (int, float)
+_KIND_NAMES = {int: "an integer", _NUMBER: "a number", bool: "true or false", str: "a string"}
+
+
+def _typed(value, kind, where: str):
+    """value if it is of `kind`; a JSON boolean is never a number here."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ConfigError(f"config field {where!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _typed_list(value, kind, where: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"config field {where!r} must be a list, got {value!r}")
+    return tuple(_typed(v, kind, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _optional(cfg: dict, key: str, check, kind):
+    """cfg[key] passed through check(value, kind, key); absent or null is None."""
+    value = cfg.get(key)
+    return None if value is None else check(value, kind, key)
+
+
+def _section(raw, name: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config field {name!r} must be an object, got {raw!r}")
+    return raw
+
+
+def _backbone_config(raw) -> model.BackboneConfig:
+    raw = _section(raw, "model")
     return model.BackboneConfig(
-        input_size=_require(raw, "input_size"),
-        stage_channels=tuple(raw.get("stage_channels", (8, 16, 32))),
-        stage_strides=tuple(raw.get("stage_strides", (2, 2, 2))),
-        num_classes_per_task=tuple(raw.get("num_classes_per_task", (8,))),
+        input_size=_typed(_require(raw, "input_size"), int, "model.input_size"),
+        stage_channels=_typed_list(raw.get("stage_channels", (8, 16, 32)), int, "model.stage_channels"),
+        stage_strides=_typed_list(raw.get("stage_strides", (2, 2, 2)), int, "model.stage_strides"),
+        num_classes_per_task=_typed_list(raw.get("num_classes_per_task", (8,)), int, "model.num_classes_per_task"),
     )
 
 
-def _train_config(raw: dict, lr_default: float = 0.01, epochs_default: int = 50) -> model.TrainConfig:
+def _schedule(value) -> tuple:
+    if not isinstance(value, (list, tuple)) or any(not isinstance(st, (list, tuple)) or len(st) != 2 for st in value):
+        raise ConfigError(f"config field 'train.schedule' must be a list of [epoch, divisor] pairs, got {value!r}")
+    return tuple(
+        (_typed(e, int, f"train.schedule[{i}][0]"), _typed(d, _NUMBER, f"train.schedule[{i}][1]"))
+        for i, (e, d) in enumerate(value)
+    )
+
+
+def _train_config(raw, lr_default: float = 0.01, epochs_default: int = 50) -> model.TrainConfig:
+    raw = _section(raw, "train")
     return model.TrainConfig(
-        epochs=raw.get("epochs", epochs_default),
-        batch_size=raw.get("batch_size", 32),
-        lr=raw.get("lr", lr_default),
-        momentum=raw.get("momentum", 0.9),
-        weight_decay=raw.get("weight_decay", 0.005),
-        schedule=tuple(tuple(x) for x in raw.get("schedule", ((20, 10.0), (40, 10.0)))),
-        seed=raw.get("seed", 0),
-        augment=raw.get("augment", True),
+        epochs=_typed(raw.get("epochs", epochs_default), int, "train.epochs"),
+        batch_size=_typed(raw.get("batch_size", 32), int, "train.batch_size"),
+        lr=_typed(raw.get("lr", lr_default), _NUMBER, "train.lr"),
+        momentum=_typed(raw.get("momentum", 0.9), _NUMBER, "train.momentum"),
+        weight_decay=_typed(raw.get("weight_decay", 0.005), _NUMBER, "train.weight_decay"),
+        schedule=_schedule(raw.get("schedule", ((20, 10.0), (40, 10.0)))),
+        seed=_typed(raw.get("seed", 0), int, "train.seed"),
+        augment=_typed(raw.get("augment", True), bool, "train.augment"),
     )
 
 
-def _msc_config(raw: dict, n_tasks: int) -> model.MSCConfig:
+def _msc_config(raw, n_tasks: int) -> model.MSCConfig:
+    raw = _section(raw, "msc")
     if raw:
         return model.MSCConfig(
-            stream_weights=tuple(raw.get("stream_weights", DEFAULT_SCALE_WEIGHTS)),
-            mu_g=raw.get("mu_g", 0.5 if n_tasks == 2 else 1.0),
-            mu_m=raw.get("mu_m", 0.5 if n_tasks == 2 else 0.0),
+            stream_weights=_typed_list(raw.get("stream_weights", DEFAULT_SCALE_WEIGHTS), _NUMBER, "msc.stream_weights"),
+            mu_g=_typed(raw.get("mu_g", 0.5 if n_tasks == 2 else 1.0), _NUMBER, "msc.mu_g"),
+            mu_m=_typed(raw.get("mu_m", 0.5 if n_tasks == 2 else 0.0), _NUMBER, "msc.mu_m"),
         )
     if n_tasks == 2:
         return model.MSCConfig()
@@ -201,7 +245,7 @@ def cmd_finetune(args) -> int:
     base = model.load_checkpoint(_root_path(_require(cfg, "base_checkpoint")))
     manifest_paths = [_root_path(p) for p in _require(cfg, "manifests")]
     manifests = [taxonomy.load_manifest(p) for p in manifest_paths]
-    new_classes = tuple(_require(cfg, "num_classes_per_task"))
+    new_classes = _typed_list(_require(cfg, "num_classes_per_task"), int, "num_classes_per_task")
     hyper = _train_config(cfg.get("train", {}), lr_default=model.FINE_TUNE_LR)
     if "schedule" not in cfg.get("train", {}):
         hyper = model.TrainConfig(
@@ -300,28 +344,24 @@ def cmd_parse(args) -> int:
     if args.config:
         cfg = _load_config(args.config)
     pcfg = parser.ParseConfig(
-        window_sizes=tuple(cfg["window_sizes"]) if "window_sizes" in cfg else None,
-        stride=cfg.get("stride"),
-        scale_weights=tuple(cfg["scale_weights"]) if "scale_weights" in cfg else None,
-        k=cfg.get("k", segmentation.DEFAULT_K),
-        min_size=cfg.get("min_size", segmentation.DEFAULT_MIN_SIZE),
-        target_count=cfg.get("target_count"),
-        workers=_workers(cfg.get("workers", 1)),
+        window_sizes=_optional(cfg, "window_sizes", _typed_list, int),
+        stride=_optional(cfg, "stride", _typed, int),
+        scale_weights=_optional(cfg, "scale_weights", _typed_list, _NUMBER),
+        k=_typed(cfg.get("k", segmentation.DEFAULT_K), _NUMBER, "k"),
+        min_size=_typed(cfg.get("min_size", segmentation.DEFAULT_MIN_SIZE), int, "min_size"),
+        target_count=_optional(cfg, "target_count", _typed, int),
+        workers=_workers(_typed(cfg.get("workers", 1), int, "workers")),
         keep_probs=args.dump_grid is not None,
-        expected_labels=tuple(cfg["expected_labels"]) if "expected_labels" in cfg else None,
+        expected_labels=_optional(cfg, "expected_labels", _typed_list, str),
     )
-    window_sizes = pcfg.window_sizes or (
-        parser.windows_for_classifier(classifier.input_size).sizes
-        if hasattr(classifier, "input_size")
-        else parser.PAPER_WINDOW_SIZES
-    )
+    spec, stride, weights = parser.resolve_windows(classifier, pcfg)
     _print_header(
         "parse",
         {
             "input": args.input,
-            "windows": list(window_sizes),
-            "stride": pcfg.stride if pcfg.stride is not None else max(1, window_sizes[0] // 2),
-            "scale_weights": list(pcfg.scale_weights or DEFAULT_SCALE_WEIGHTS),
+            "windows": list(spec.sizes),
+            "stride": stride,
+            "scale_weights": list(weights),
             "k": pcfg.k,
             "min_size": pcfg.min_size,
             "target_count": pcfg.target_count,

@@ -549,7 +549,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     line, pos = _read_line(buf, pos)
     if not line.startswith("payload "):
         raise FormatVersionError(f"expected payload record, got {line!r}")
-    n_floats = int(line.split(" ")[1])
+    try:
+        n_floats = int(line.split(" ")[1])
+    except (IndexError, ValueError) as e:
+        raise FormatVersionError(f"bad payload count in {line!r}") from e
     payload = buf[pos:]
     if len(payload) != 4 * n_floats or n_floats != header.get("payload_floats"):
         raise ChecksumError(f"payload is {len(payload)} bytes, expected {4 * n_floats}")

@@ -35,6 +35,8 @@ __all__ = [
     "reflect_indices",
     "extract_context_windows",
     "build_grid_map",
+    "default_scale_weights",
+    "resolve_windows",
     "integrate_semantics",
     "parse_image",
 ]
@@ -118,6 +120,12 @@ class SemanticGridMap:
         return self.cell_labels.shape
 
 
+def default_scale_weights(n_windows: int) -> tuple[float, ...]:
+    """Fusion weights when none are given: the paper's (0.25, 0.5, 1.0) for
+    three windows, uniform for any other count."""
+    return DEFAULT_SCALE_WEIGHTS if n_windows == 3 else (1.0,) * n_windows
+
+
 def _cell_centers(extent: int, stride: int, origin: int) -> np.ndarray:
     count = (extent + stride - 1) // stride
     return np.minimum(origin + stride * np.arange(count), extent - 1)
@@ -144,7 +152,7 @@ def build_grid_map(
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
     if scale_weights is None:
-        scale_weights = DEFAULT_SCALE_WEIGHTS if len(spec.sizes) == 3 else (1.0,) * len(spec.sizes)
+        scale_weights = default_scale_weights(len(spec.sizes))
     w = np.asarray(scale_weights, dtype=np.float64)
     if w.shape != (len(spec.sizes),) or np.any(w <= 0):
         raise ConfigError(f"need {len(spec.sizes)} positive scale weights, got {scale_weights}")
@@ -179,12 +187,12 @@ def build_grid_map(
 
         flat = patches.reshape(gh * gw * n_scales, spec.canonical_input, spec.canonical_input, 3)
         if hasattr(classifier, "probs_batch"):
-            x = flat.transpose(0, 3, 1, 2).astype(np.float64) / 255.0
-
+            # each chunk goes to float64 on its own, so only one chunk's copy
+            # is alive at a time rather than the whole batch's
             def run(chunk):
-                return classifier.probs_batch(x[chunk])
+                return classifier.probs_batch(flat[chunk].transpose(0, 3, 1, 2).astype(np.float64) / 255.0)
 
-            chunks = [slice(i, min(i + 256, len(x))) for i in range(0, len(x), 256)]
+            chunks = [slice(i, min(i + 256, len(flat))) for i in range(0, len(flat), 256)]
             try:
                 if workers > 1:
                     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -286,6 +294,23 @@ def windows_for_classifier(input_size: int, sizes: tuple[int, ...] | None = None
     return ContextWindowSpec(sizes=tuple(sizes), canonical_input=input_size)
 
 
+def resolve_windows(classifier, config: ParseConfig) -> tuple[ContextWindowSpec, int, tuple[float, ...]]:
+    """The window spec, stride and scale weights a parse runs with.
+
+    Unset values default to windows of 1, 2 and 4 times the classifier's
+    input size (the paper's 56/112/224 for a classifier without one), a
+    stride of half the smallest window, and default_scale_weights."""
+    input_size = getattr(classifier, "input_size", None)
+    if input_size is not None:
+        spec = windows_for_classifier(input_size, config.window_sizes)
+    else:
+        sizes = config.window_sizes or PAPER_WINDOW_SIZES
+        spec = ContextWindowSpec(sizes=tuple(sizes), canonical_input=min(sizes))
+    stride = config.stride if config.stride is not None else max(1, spec.sizes[0] // 2)
+    weights = config.scale_weights if config.scale_weights is not None else default_scale_weights(len(spec.sizes))
+    return spec, stride, tuple(weights)
+
+
 @contextmanager
 def _stage(name: str):
     try:
@@ -310,13 +335,7 @@ def parse_image(
             raise IncompatibleCheckpointError(
                 f"checkpoint labels {have} do not match expected {tuple(config.expected_labels)}"
             )
-    input_size = getattr(classifier, "input_size", None)
-    if input_size is not None:
-        spec = windows_for_classifier(input_size, config.window_sizes)
-    else:
-        sizes = config.window_sizes or PAPER_WINDOW_SIZES
-        spec = ContextWindowSpec(sizes=tuple(sizes), canonical_input=min(sizes))
-    stride = config.stride if config.stride is not None else max(1, spec.sizes[0] // 2)
+    spec, stride, weights = resolve_windows(classifier, config)
 
     with _stage("grid"):
         grid = build_grid_map(
@@ -324,7 +343,7 @@ def parse_image(
             classifier,
             spec,
             stride,
-            scale_weights=config.scale_weights,
+            scale_weights=weights,
             keep_probs=config.keep_probs,
             workers=config.workers,
         )

@@ -106,6 +106,37 @@ class TestTrain:
         (tmp_path / "bad.json").write_text("{nope")
         assert run("train", "--config", str(tmp_path / "bad.json")) == 2
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("model", "input_size", "x"),
+            ("model", "input_size", 8.0),
+            ("model", "stage_channels", [2, "3", 4]),
+            ("model", "num_classes_per_task", 3),
+            ("train", "epochs", "2"),
+            ("train", "batch_size", True),
+            ("train", "lr", "0.01"),
+            ("train", "schedule", [[2]]),
+            ("train", "schedule", [["2", 10.0]]),
+            ("train", "augment", 1),
+            ("msc", "mu_g", None),
+        ],
+    )
+    def test_wrong_type_exit_2(self, workdir, tmp_path, capsys, section, key, value):
+        cfg = json.loads((workdir / "train.json").read_text())
+        cfg.setdefault(section, {})[key] = value
+        cfg["out_checkpoint"] = str(tmp_path / "x.ckpt")
+        (tmp_path / "t.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", str(tmp_path / "t.json")) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_non_object_sections_exit_2(self, workdir, tmp_path):
+        good = json.loads((workdir / "train.json").read_text())
+        for cfg in (5, {**good, "train": [1]}, {**good, "msc": "x"}):
+            (tmp_path / "t.json").write_text(json.dumps(cfg))
+            assert run("train", "--config", str(tmp_path / "t.json")) == 2
+
     def test_missing_manifest_exit_3(self, workdir, tmp_path):
         cfg = {
             "model": {"input_size": 8, "stage_channels": [2, 3, 4], "num_classes_per_task": [3]},
@@ -148,6 +179,20 @@ class TestFinetune:
         }
         (tmp_path / "ft.json").write_text(json.dumps(cfg))
         assert run("finetune", "--config", str(tmp_path / "ft.json")) == 5
+
+    def test_wrong_type_exit_2(self, workdir, tmp_path, capsys):
+        cfg = {
+            "base_checkpoint": str(workdir / "m.ckpt"),
+            "num_classes_per_task": "3",
+            "manifests": [str(workdir / "tiles" / "manifest.tsv")],
+            "train": {"epochs": 1, "batch_size": 8, "momentum": "0.9"},
+            "out_checkpoint": str(tmp_path / "x.ckpt"),
+        }
+        for bad in ("num_classes_per_task", "train.momentum"):
+            (tmp_path / "ft.json").write_text(json.dumps(cfg))
+            assert run("finetune", "--config", str(tmp_path / "ft.json")) == 2
+            assert bad in capsys.readouterr().err
+            cfg["num_classes_per_task"] = [3]
 
 
 class TestSegment:
@@ -264,6 +309,56 @@ class TestParse:
             )
             == 5
         )
+
+    def test_bad_payload_count_exit_5(self, workdir, tmp_path, capsys):
+        buf = (workdir / "m.ckpt").read_bytes()
+        start = buf.index(b"\npayload ") + len(b"\npayload ")
+        end = buf.index(b"\n", start)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(buf[:start] + b"xx" + buf[end:])
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--checkpoint", str(bad),
+            )
+            == 5
+        )
+        assert "payload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("window_sizes", 8), ("stride", "x"), ("scale_weights", [1, "a"]), ("k", "x"),
+         ("min_size", 4.5), ("target_count", "3"), ("workers", "2"), ("expected_labels", [1, 2, 3])],
+    )
+    def test_wrong_type_exit_2(self, workdir, tmp_path, capsys, key, value):
+        (tmp_path / "p.json").write_text(json.dumps({key: value}))
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--oracle-truth", str(workdir / "scene" / "truth.pgm"),
+                "--config", str(tmp_path / "p.json"),
+            )
+            == 2
+        )
+        assert key in capsys.readouterr().err
+
+    def test_header_shows_weights_that_ran(self, workdir, tmp_path, capsys):
+        (tmp_path / "p.json").write_text(json.dumps({"window_sizes": [8, 16]}))
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--checkpoint", str(workdir / "m.ckpt"),
+                "--config", str(tmp_path / "p.json"),
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "windows = [8, 16]" in out
+        assert "stride = 4" in out
+        assert "scale_weights = [1.0, 1.0]" in out
 
     def test_class_table_mismatch_exit_5(self, workdir, tmp_path):
         cfg = {"expected_labels": ["river", "urban", "forest"]}

@@ -161,6 +161,29 @@ class TestBuildGridMap:
         b = parser.build_grid_map(raster, clf, spec, stride=4, workers=4)
         assert np.array_equal(a.cell_labels, b.cell_labels)
 
+    def test_chunked_conversion_bit_identical(self):
+        from tests.test_model import SMALL
+
+        # 48x48 at stride 4 is 144 cells x 3 windows = 432 windows, two chunks
+        params = {name: t.data for name, t in model.init_params(SMALL, seed=3).items()}
+        msc = model.MSCConfig(mu_g=1.0, mu_m=0.0)
+        clf = model.TileClassifier(model.Checkpoint(SMALL, msc, ["a", "b", "c"], [1, 2, 3], params))
+        raster = make_scene(n_classes=3, size=48, seed=4)[0]
+        spec = parser.windows_for_classifier(8)
+        grid = parser.build_grid_map(raster, clf, spec, stride=4, keep_probs=True)
+
+        # the whole-batch path: every window converted to float64 up front
+        cys = parser._cell_centers(48, 4, 2)
+        flat = np.stack(
+            [win for cy in cys for cx in cys for win in parser.extract_context_windows(raster, (int(cy), int(cx)), spec)]
+        )
+        assert len(flat) > 256
+        x = flat.transpose(0, 3, 1, 2).astype(np.float64) / 255.0
+        probs = np.concatenate([clf.probs_batch(x[i : i + 256]) for i in range(0, len(x), 256)])
+        w = np.asarray(parser.default_scale_weights(3))
+        want = ((w[None, :, None] * probs.reshape(len(cys) ** 2, 3, -1)).sum(axis=1) / w.sum()).reshape(len(cys), len(cys), -1)
+        assert np.array_equal(grid.cell_probs, want)
+
     def test_keep_probs(self):
         truth = np.ones((4, 4), dtype=np.int32)
         raster = np.zeros((4, 4, 3), dtype=np.uint8)

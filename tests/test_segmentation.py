@@ -5,6 +5,8 @@ import pytest
 
 from sceneparse import segmentation
 from sceneparse.errors import ConfigError, EmptyImageError, IoError, ParseError
+from sceneparse.segmentation import _find, _histograms, _region_adjacency, _relabel_dense, _similarity
+from tests.conftest import make_scene
 
 
 # ------------------------------------------------------- naive oracle
@@ -130,6 +132,87 @@ def _greedy_merge_loops(img, labels, target):
     return labels
 
 
+def _merge_rescan(image, rm, target_count, wts=segmentation.DEFAULT_SIM_WEIGHTS):
+    """The full-rescan greedy merge that merge_regions replaced: every round
+    rescores every adjacent live pair and merges the best one, exact ties
+    going to the lowest (a, b)."""
+    color = segmentation._check_image(image)
+    labels = rm.labels
+    count = rm.region_count
+    if count <= target_count:
+        return segmentation.RegionMap(labels.copy(), count)
+
+    total = labels.size
+    areas = np.bincount(labels.ravel(), minlength=count).astype(np.int64)
+    hist = _histograms(labels, count, color)
+    ys, xs = np.indices(labels.shape)
+    boxes = []
+    for r in range(count):
+        m = labels == r
+        boxes.append((int(ys[m].min()), int(xs[m].min()), int(ys[m].max()), int(xs[m].max())))
+    neighbors = [set() for _ in range(count)]
+    for a, b in _region_adjacency(labels):
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+
+    parent = list(range(count))
+    live = count
+    while live > target_count:
+        best_pair, best_sim = None, -np.inf
+        for a in range(count):
+            if _find(parent, a) != a:
+                continue
+            for b in sorted(neighbors[a]):
+                if b <= a:
+                    continue
+                s = _similarity(a, b, hist, areas, boxes, total, wts)
+                if s > best_sim:
+                    best_sim, best_pair = s, (a, b)
+        if best_pair is None:
+            break
+        a, b = best_pair
+        parent[b] = a
+        areas[a] += areas[b]
+        hist[a] += hist[b]
+        boxes[a] = (
+            min(boxes[a][0], boxes[b][0]),
+            min(boxes[a][1], boxes[b][1]),
+            max(boxes[a][2], boxes[b][2]),
+            max(boxes[a][3], boxes[b][3]),
+        )
+        neighbors[a] |= neighbors[b]
+        neighbors[a].discard(a)
+        neighbors[a].discard(b)
+        for nb in neighbors[b]:
+            if nb != a:
+                neighbors[nb].discard(b)
+                neighbors[nb].add(a)
+        neighbors[b] = set()
+        live -= 1
+
+    root = np.fromiter((_find(parent, r) for r in range(count)), dtype=np.int64, count=count)
+    merged, final = _relabel_dense(root[labels])
+    return segmentation.RegionMap(merged, final)
+
+
+def _same_map(got, want):
+    return (
+        got.region_count == want.region_count
+        and got.labels.dtype == want.labels.dtype
+        and got.labels.tobytes() == want.labels.tobytes()
+    )
+
+
+def _serpentine(h, w):
+    """One snake-shaped region of 1s winding down the raster, 0 pockets
+    between its rows: the deepest tree for label propagation."""
+    lab = np.zeros((h, w), dtype=np.int64)
+    lab[::2] = 1
+    lab[1::4, -1] = 1
+    lab[3::4, 0] = 1
+    return lab
+
+
 def _random_image(rng, h=24, w=24):
     """Noise plus a few flat rectangles so both smooth and busy areas occur."""
     img = rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
@@ -249,6 +332,77 @@ class TestMergeRegions:
         out = segmentation.merge_regions(img, rm, 3)
         assert out.labels[0, 0] == out.labels[0, 15]
         assert out.labels[8, 0] != out.labels[8, 15]
+
+
+class TestMergeMatchesRescan:
+    """merge_regions against the full-rescan oracle, byte for byte."""
+
+    SCENES = [(96, 1, 100.0, 8), (104, 2, 100.0, 8), (112, 3, 100.0, 10), (120, 4, 120.0, 12), (128, 5, 120.0, 12)]
+
+    @pytest.mark.parametrize("size,seed,k,min_size", SCENES)
+    def test_scene(self, size, seed, k, min_size):
+        img = make_scene(n_classes=4, size=size, n_points=8, seed=seed, noise=20.0)[0]
+        rm = segmentation.graph_segment(img, k, min_size)
+        assert rm.region_count >= 100
+        for target in (rm.region_count // 2, rm.region_count // 4, 1):
+            got = segmentation.merge_regions(img, rm, target)
+            assert _same_map(got, _merge_rescan(img, rm, target)), target
+            stats = segmentation.region_stats(got)
+            assert stats["connectivity_ok"] and stats["region_count"] == target
+
+    def test_custom_weights(self, rng):
+        img = _random_image(rng, 32, 32)
+        rm = segmentation.graph_segment(img, k=80.0, min_size=4)
+        wts = {"color": 0.1, "size": 0.0, "fill": 0.9}
+        got = segmentation.merge_regions(img, rm, 3, sim_weights=wts)
+        assert _same_map(got, _merge_rescan(img, rm, 3, wts))
+
+    def test_exact_ties_take_lowest_pair(self):
+        # a checkerboard of identical black and white 8x8 squares: every
+        # adjacent pair scores exactly the same, so the first merge must be
+        # the lowest pair (0, 1), the two top-left squares
+        cells = (np.indices((4, 4)).sum(axis=0) % 2).astype(np.uint8) * 255
+        img = np.repeat(np.repeat(cells, 8, axis=0), 8, axis=1)[:, :, None].repeat(3, axis=2)
+        rm = segmentation.graph_segment(img, k=1.0, min_size=1)
+        assert rm.region_count == 16
+        first = segmentation.merge_regions(img, rm, 15)
+        assert first.labels[0, 0] == first.labels[0, 8] == 0
+        assert np.array_equal(first.labels[:, 16:], rm.labels[:, 16:] - 1)
+        for target in range(15, 0, -1):
+            got = segmentation.merge_regions(img, rm, target)
+            assert _same_map(got, _merge_rescan(img, rm, target)), target
+
+
+class TestFourCC:
+    def _check(self, lab):
+        got, count = segmentation._four_cc(lab.ravel(), *lab.shape)
+        want = _four_cc_loops(lab)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+        assert count == want.max() + 1
+
+    def test_random_rasters_match_flood_fill(self, rng):
+        for _ in range(20):
+            h, w = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            self._check(rng.integers(0, int(rng.integers(1, 4)), size=(h, w)))
+
+    def test_serpentine_single_region(self):
+        for h, w in ((63, 40), (64, 7), (9, 64)):
+            lab = _serpentine(h, w)
+            self._check(lab)
+            got, _ = segmentation._four_cc(lab.ravel(), h, w)
+            assert np.unique(got[lab == 1]).size == 1
+
+    def test_pointer_jump_flattens_deep_trees(self):
+        chain = np.concatenate([[0], np.arange(99)])  # i -> i - 1, 100 deep
+        assert (segmentation._pointer_jump(chain) == 0).all()
+        two = np.array([0, 0, 1, 3, 3, 4, 5])
+        assert np.array_equal(segmentation._pointer_jump(two), [0, 0, 0, 3, 3, 3, 3])
+
+    def test_degenerate_shapes(self):
+        self._check(np.zeros((1, 1), dtype=np.int64))
+        self._check(np.arange(12).reshape(3, 4))
+        self._check(np.zeros((5, 1), dtype=np.int64))
 
 
 class TestRegionMapIo:
