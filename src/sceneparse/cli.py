@@ -217,6 +217,10 @@ def _train_header(hyper: model.TrainConfig, msc: model.MSCConfig) -> dict:
     }
 
 
+def _print_epoch(epoch: int, mean_loss: float) -> None:
+    print(f"epoch {epoch}: mean loss {mean_loss:.6f}", flush=True)
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     bb = _backbone_config(_require(cfg, "model"))
@@ -227,7 +231,9 @@ def cmd_train(args) -> int:
     out_path = _root_path(_require(cfg, "out_checkpoint"))
     _print_header("train", {**_train_header(hyper, msc), "manifests": manifest_paths, "out": out_path})
 
-    ckpt, trace = model.train(bb, manifests, hyper, msc=msc, labels=cfg.get("labels"), label_ids=cfg.get("label_ids"))
+    ckpt, trace = model.train(
+        bb, manifests, hyper, msc=msc, labels=cfg.get("labels"), label_ids=cfg.get("label_ids"), on_epoch=_print_epoch
+    )
     model.save_checkpoint(ckpt, out_path)
     print(f"checkpoint written: {out_path}")
     if cfg.get("out_trace"):
@@ -235,8 +241,6 @@ def cmd_train(args) -> int:
         with open(trace_path, "w", encoding="utf-8") as f:
             json.dump({"loss_trace": trace}, f)
         print(f"loss trace written: {trace_path}")
-    for e, l in enumerate(trace):
-        print(f"epoch {e}: mean loss {l:.6f}")
     return EXIT_OK
 
 
@@ -262,13 +266,18 @@ def cmd_finetune(args) -> int:
     out_path = _root_path(_require(cfg, "out_checkpoint"))
     _print_header("finetune", {**_train_header(hyper, msc), "base": cfg["base_checkpoint"], "out": out_path})
 
-    ckpt, trace = model.fine_tune(
-        base, new_classes, manifests, hyper=hyper, msc=msc, labels=cfg.get("labels"), label_ids=cfg.get("label_ids")
+    ckpt, _ = model.fine_tune(
+        base,
+        new_classes,
+        manifests,
+        hyper=hyper,
+        msc=msc,
+        labels=cfg.get("labels"),
+        label_ids=cfg.get("label_ids"),
+        on_epoch=_print_epoch,
     )
     model.save_checkpoint(ckpt, out_path)
     print(f"checkpoint written: {out_path}")
-    for e, l in enumerate(trace):
-        print(f"epoch {e}: mean loss {l:.6f}")
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,12 +318,14 @@ def train(
     labels: list[str] | None = None,
     label_ids: list[int] | None = None,
     init_overrides: dict[str, np.ndarray] | None = None,
+    on_epoch: Callable[[int, float], None] | None = None,
 ) -> tuple[Checkpoint, list[float]]:
     """SGD training; one manifest trains the main task alone, two manifests
     train main + auxiliary jointly (one batch of each per step).
 
     ``init_overrides`` replaces matching freshly-initialized parameters
-    before the first step (used to warm-start from a checkpoint).  Returns
+    before the first step (used to warm-start from a checkpoint).
+    ``on_epoch(epoch, mean_loss)`` is called as each epoch ends.  Returns
     the checkpoint and the per-epoch mean loss trace.  Fully deterministic
     for a fixed (seed, config, data).
     """
@@ -392,6 +395,8 @@ def train(
             T.sgd_step(plist, [p.grad for p in plist], state)
             losses.append(float(loss.data))
         trace.append(float(np.mean(losses)))
+        if on_epoch is not None:
+            on_epoch(epoch, trace[-1])
 
     if labels is None:
         labels, default_ids = _default_labels(cfg)
@@ -429,9 +434,11 @@ def fine_tune(
     msc: MSCConfig | None = None,
     labels: list[str] | None = None,
     label_ids: list[int] | None = None,
+    on_epoch: Callable[[int, float], None] | None = None,
 ) -> tuple[Checkpoint, list[float]]:
     """Re-initialize the heads for new tasks, keep the base backbone and
-    attention parameters, and resume training (default lr 0.001)."""
+    attention parameters, and resume training (default lr 0.001).
+    ``on_epoch`` is passed to :func:`train`."""
     new_classes_per_task = tuple(int(k) for k in new_classes_per_task)
     if len(new_classes_per_task) != len(manifests):
         raise IncompatibleCheckpointError(
@@ -456,7 +463,7 @@ def fine_tune(
             raise IncompatibleCheckpointError(f"base checkpoint lacks {name} with shape {shape}")
         overrides[name] = base.params[name]
     ckpt, trace = train(
-        cfg, manifests, hyper, msc=msc, labels=labels, label_ids=label_ids, init_overrides=overrides
+        cfg, manifests, hyper, msc=msc, labels=labels, label_ids=label_ids, init_overrides=overrides, on_epoch=on_epoch
     )
     ckpt.meta["fine_tuned"] = True
     return ckpt, trace

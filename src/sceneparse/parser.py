@@ -43,6 +43,11 @@ __all__ = [
 
 PAPER_WINDOW_SIZES = (56, 112, 224)
 
+# windows per classifier call: at 64 the first conv's im2col matrix for a
+# 32-px classifier is 27 x 65536 float64 (14 MB) rather than 56 MB at 256,
+# and the forward passes of a 1024^2 parse ran a third faster
+WINDOW_BATCH = 64
+
 
 @dataclass(frozen=True)
 class ContextWindowSpec:
@@ -64,12 +69,13 @@ class ContextWindowSpec:
             raise ConfigError(f"only reflect padding is supported, got {self.padding!r}")
 
 
-def reflect_indices(start: int, length: int, n: int) -> np.ndarray:
+def reflect_indices(start: int | np.ndarray, length: int, n: int) -> np.ndarray:
     """Indices start..start+length-1 folded into [0, n) by edge reflection
-    (period 2n-2, edge samples not repeated)."""
-    idx = np.arange(start, start + length)
+    (period 2n-2, edge samples not repeated).  An array of starts gives one
+    row of indices per start."""
+    idx = np.asarray(start, dtype=np.int64)[..., None] + np.arange(length)
     if n == 1:
-        return np.zeros(length, dtype=np.int64)
+        return np.zeros_like(idx)
     period = 2 * n - 2
     idx = np.abs(idx) % period
     return np.where(idx >= n, period - idx, idx)
@@ -131,6 +137,13 @@ def _cell_centers(extent: int, stride: int, origin: int) -> np.ndarray:
     return np.minimum(origin + stride * np.arange(count), extent - 1)
 
 
+def _window_index_table(centers: np.ndarray, size: int, extent: int, out_size: int) -> np.ndarray:
+    """[len(centers), out_size] raster indices: the reflect-padded window of
+    ``size`` around each center, nearest-resized to ``out_size`` samples, as
+    extract_context_windows picks them along one axis."""
+    return reflect_indices(centers - size // 2, size, extent)[:, (np.arange(out_size) * size) // out_size]
+
+
 def build_grid_map(
     raster: np.ndarray,
     classifier,
@@ -178,21 +191,28 @@ def build_grid_map(
                 fused[gy, gx] = p  # every scale sees the same center pixel
                 labels[gy, gx] = np.argmax(p)
     else:
-        n_scales = len(spec.sizes)
-        patches = np.empty((gh * gw, n_scales, spec.canonical_input, spec.canonical_input, 3), dtype=raster.dtype)
-        for gy, cy in enumerate(cys):
-            for gx, cx in enumerate(cxs):
-                for s, win in enumerate(extract_context_windows(raster, (int(cy), int(cx)), spec)):
-                    patches[gy * gw + gx, s] = win
+        n_scales, side = len(spec.sizes), spec.canonical_input
+        # one fancy index per scale gathers every cell's window at once
+        patches = np.empty((gh, gw, n_scales, side, side, 3), dtype=raster.dtype)
+        for s, size in enumerate(spec.sizes):
+            rows = _window_index_table(cys, size, h, side)
+            cols = _window_index_table(cxs, size, width, side)
+            patches[:, :, s] = raster[rows[:, None, :, None], cols[None, :, None, :]]
 
-        flat = patches.reshape(gh * gw * n_scales, spec.canonical_input, spec.canonical_input, 3)
+        flat = patches.reshape(gh * gw * n_scales, side, side, 3)
         if hasattr(classifier, "probs_batch"):
             # each chunk goes to float64 on its own, so only one chunk's copy
             # is alive at a time rather than the whole batch's
             def run(chunk):
                 return classifier.probs_batch(flat[chunk].transpose(0, 3, 1, 2).astype(np.float64) / 255.0)
 
-            chunks = [slice(i, min(i + 256, len(flat))) for i in range(0, len(flat), 256)]
+            starts = list(range(0, len(flat), WINDOW_BATCH))
+            if len(starts) > 1 and len(flat) % WINDOW_BATCH == 1:
+                # a lone last window joins the chunk before it: BLAS runs a
+                # one-window batch on other kernels, whose sums can differ in
+                # the last bit from those of the windows batched with it
+                starts.pop()
+            chunks = [slice(a, b) for a, b in zip(starts, starts[1:] + [len(flat)])]
             try:
                 if workers > 1:
                     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -181,13 +181,17 @@ def _layout_classes(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
                 raise ConfigError(f"voronoi point ({y},{x}) outside raster")
             if not 0 <= c < n:
                 raise ConfigError(f"voronoi point class {c} unknown")
-        py = np.asarray([p[0] for p in pts], dtype=np.float64)
-        px = np.asarray([p[1] for p in pts], dtype=np.float64)
-        pc = np.asarray([p[2] for p in pts], dtype=np.int32)
         yy = np.arange(h, dtype=np.float64)[:, None]
         xx = np.arange(w, dtype=np.float64)[None, :]
-        d2 = (yy[None] - py[:, None, None]) ** 2 + (xx[None] - px[:, None, None]) ** 2
-        return pc[np.argmin(d2, axis=0)]
+        # running argmin over the points, one [H, W] distance map at a time;
+        # only a strictly nearer point takes a pixel, so ties keep the first
+        best = np.full((h, w), np.inf)
+        out = np.empty((h, w), dtype=np.int32)
+        for y, x, c in pts:
+            d2 = (yy - float(y)) ** 2 + (xx - float(x)) ** 2
+            np.copyto(out, c, where=d2 < best)
+            np.minimum(best, d2, out=best)
+        return out
     raise ConfigError(f"unknown layout type {type(lay).__name__}")
 
 

@@ -90,8 +90,13 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # empty_like keeps the data's memory layout, which the reductions of
+        # later backward steps sum in; adding to 0.0 keeps zero signs as a
+        # zero-filled buffer would
+        t.grad = np.empty_like(t.data)
+        np.add(g, 0.0, out=t.grad)
+    else:
+        t.grad += g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -210,20 +215,37 @@ def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    out = np.einsum("nchwij,ocij->nohw", windows, kernel.data, optimize=True)
-    h_out, w_out = out.shape[2], out.shape[3]
+    h_out, w_out = windows.shape[2], windows.shape[3]
+    # im2col + GEMM; the output is laid out [C_out, N, H', W'] and returned as
+    # an [N, C_out, H', W'] view of it
+    k = c * kh * kw
+    kmat = kernel.data.reshape(c_out, k)
+    if h_out == w_out == 1:
+        # sample-major, as einsum laid out this case: for small products BLAS
+        # sums in an order that depends on the operands' layout
+        cols = windows.reshape(n, k).T
+    else:
+        cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(k, n * h_out * w_out)
+    out = (kmat @ cols).reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
 
     def bwd(res):
         g = res.grad if not squeeze else res.grad[None]
+        gm = g.transpose(1, 0, 2, 3).reshape(c_out, n * h_out * w_out)
         if kernel.requires_grad:
-            _accum(kernel, np.einsum("nchwij,nohw->ocij", windows, g, optimize=True))
+            # a second, row-major copy of the windows rather than cols.T:
+            # BLAS sums small products in an order that depends on layout
+            rows = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, k)
+            _accum(kernel, (gm @ rows).reshape(kernel.data.shape))
+            del rows  # not alive during the input gradient's GEMM
         if inp.requires_grad:
-            dxp = np.zeros_like(xp)
-            dcols = np.einsum("nohw,ocij->nchwij", g, kernel.data, optimize=True)
+            dcols = (kmat.T.copy() @ gm).reshape(c, kh, kw, n, h_out, w_out)
+            dxp = np.zeros((c, n) + xp.shape[2:])  # channel-major, so each dcols[:, i, j] adds in place
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[..., i, j]
-            dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
+                    dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[:, i, j]
+            dx = dxp.transpose(1, 0, 2, 3)
+            if pad:
+                dx = dx[:, :, pad : pad + h, pad : pad + w]
             _accum(inp, dx[0] if squeeze else dx)
 
     return _result(out[0] if squeeze else out, (inp, kernel), bwd)
@@ -400,23 +422,22 @@ def backward(loss: Tensor, params: list[Tensor] | None = None) -> None:
     """Reverse sweep from a scalar loss.
 
     Gradients of every tensor reached in this sweep are reset and then
-    populated; parameters in ``params`` that the graph never touched get a
-    zero gradient.
+    populated, each allocated when its first contribution arrives;
+    parameters in ``params`` that received none get a zero gradient.
     """
     if loss.data.shape != ():
         raise GraphError(f"backward root must be scalar, got shape {loss.data.shape}")
     order = _topo_order(loss)
-    for node in order:
-        node.grad = np.zeros_like(node.data)
+    params = list(params or ())
+    for node in order + params:
+        node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None:
+        if node._backward is not None and node.grad is not None:
             node._backward(node)
-    if params is not None:
-        touched = {id(n) for n in order}
-        for p in params:
-            if id(p) not in touched:
-                p.grad = np.zeros_like(p.data)
+    for p in params:
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
 
 
 def check_finite(t: Tensor, context: str = "value") -> None:

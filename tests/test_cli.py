@@ -89,6 +89,22 @@ class TestTrain:
         assert "weight_decay = 0.005" in out
         assert "batch_size = 8" in out
 
+    def test_epoch_lines_before_checkpoint(self, workdir, tmp_path, capsys):
+        from sceneparse import model
+
+        cfg = json.loads((workdir / "train.json").read_text())
+        cfg["out_checkpoint"] = str(tmp_path / "e.ckpt")
+        cfg["train"]["epochs"] = 3
+        (tmp_path / "t.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", str(tmp_path / "t.json")) == 0
+        out = capsys.readouterr().out.splitlines()
+        trace = model.load_checkpoint(str(tmp_path / "e.ckpt")).meta["loss_trace"]
+        want = [f"epoch {e}: mean loss {l:.6f}" for e, l in enumerate(trace)]
+        assert len(want) == 3
+        assert [l for l in out if l.startswith("epoch ")] == want
+        # printed as each epoch ends, so before the checkpoint is written
+        assert out.index(want[-1]) < out.index(f"checkpoint written: {tmp_path / 'e.ckpt'}")
+
     def test_deterministic_checkpoints(self, workdir):
         cfg = json.loads((workdir / "train.json").read_text())
         for name in ("d1.ckpt", "d2.ckpt"):
@@ -167,6 +183,24 @@ class TestFinetune:
         (tmp_path / "ft.json").write_text(json.dumps(cfg))
         assert run("finetune", "--config", str(tmp_path / "ft.json")) == 0
         assert (tmp_path / "ft.ckpt").exists()
+
+    def test_epoch_lines_before_checkpoint(self, workdir, tmp_path, capsys):
+        from sceneparse import model
+
+        cfg = {
+            "base_checkpoint": str(workdir / "m.ckpt"),
+            "num_classes_per_task": [3],
+            "manifests": [str(workdir / "tiles" / "manifest.tsv")],
+            "train": {"epochs": 2, "batch_size": 8, "seed": 1},
+            "out_checkpoint": str(tmp_path / "ft.ckpt"),
+        }
+        (tmp_path / "ft.json").write_text(json.dumps(cfg))
+        assert run("finetune", "--config", str(tmp_path / "ft.json")) == 0
+        out = capsys.readouterr().out.splitlines()
+        trace = model.load_checkpoint(str(tmp_path / "ft.ckpt")).meta["loss_trace"]
+        want = [f"epoch {e}: mean loss {l:.6f}" for e, l in enumerate(trace)]
+        assert [l for l in out if l.startswith("epoch ")] == want
+        assert out.index(want[-1]) < out.index(f"checkpoint written: {tmp_path / 'ft.ckpt'}")
 
     def test_bad_base_exit_5(self, workdir, tmp_path):
         trunc = tmp_path / "trunc.ckpt"

@@ -281,6 +281,18 @@ class TestTrain:
         assert ckpt.meta["loss_trace"] == trace
         assert ckpt.meta["epochs"] == 2
 
+    def test_on_epoch_sees_each_epoch_and_changes_nothing(self, tmp_path):
+        man = tile_dataset(tmp_path)
+        hyper = model.TrainConfig(epochs=3, batch_size=8, lr=0.01, schedule=(), seed=1)
+        seen = []
+        c1, t1 = model.train(SMALL, [man], hyper, on_epoch=lambda e, l: seen.append((e, l)))
+        c2, t2 = model.train(SMALL, [man], hyper)
+        assert seen == list(enumerate(t2))
+        assert t1 == t2
+        model.save_checkpoint(c1, tmp_path / "a.ckpt")
+        model.save_checkpoint(c2, tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
 
 class TestFineTune:
     def _base(self, tmp_path):

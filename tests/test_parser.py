@@ -164,7 +164,7 @@ class TestBuildGridMap:
     def test_chunked_conversion_bit_identical(self):
         from tests.test_model import SMALL
 
-        # 48x48 at stride 4 is 144 cells x 3 windows = 432 windows, two chunks
+        # 48x48 at stride 4 is 144 cells x 3 windows = 432 windows, several chunks
         params = {name: t.data for name, t in model.init_params(SMALL, seed=3).items()}
         msc = model.MSCConfig(mu_g=1.0, mu_m=0.0)
         clf = model.TileClassifier(model.Checkpoint(SMALL, msc, ["a", "b", "c"], [1, 2, 3], params))
@@ -183,6 +183,42 @@ class TestBuildGridMap:
         w = np.asarray(parser.default_scale_weights(3))
         want = ((w[None, :, None] * probs.reshape(len(cys) ** 2, 3, -1)).sum(axis=1) / w.sum()).reshape(len(cys), len(cys), -1)
         assert np.array_equal(grid.cell_probs, want)
+
+    @pytest.mark.parametrize(
+        "shape,sizes,stride",
+        [
+            ((37, 53), (5, 9, 15), 4),  # odd sizes, more than 64 windows
+            ((6, 9), (4, 16, 40), 2),  # windows larger than the raster
+            ((1, 1), (3, 6), 1),
+            ((1, 30), (1, 2), 1),
+            ((16, 688), (32, 64, 128), 16),  # 129 windows: the last would be alone
+        ],
+    )
+    def test_gather_matches_per_cell_windows(self, rng, shape, sizes, stride):
+        raster = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
+        spec = parser.ContextWindowSpec(sizes=sizes, canonical_input=sizes[0])
+
+        seen = []
+
+        class Recorder:
+            label_ids = [1]
+
+            def probs_batch(self, x):
+                seen.append(x)
+                return np.ones((len(x), 1))
+
+        parser.build_grid_map(raster, Recorder(), spec, stride=stride)
+        cys = parser._cell_centers(shape[0], stride, stride // 2)
+        cxs = parser._cell_centers(shape[1], stride, stride // 2)
+        want = np.stack(
+            [win for cy in cys for cx in cxs for win in parser.extract_context_windows(raster, (int(cy), int(cx)), spec)]
+        )
+        got = np.concatenate(seen)
+        assert got.tobytes() == (want.transpose(0, 3, 1, 2).astype(np.float64) / 255.0).tobytes()
+        sizes_seen = [len(x) for x in seen]
+        assert all(n == parser.WINDOW_BATCH for n in sizes_seen[:-1])
+        assert len(want) == 1 or sizes_seen[-1] > 1
+        assert sizes_seen[-1] <= parser.WINDOW_BATCH + 1
 
     def test_keep_probs(self):
         truth = np.ones((4, 4), dtype=np.int32)

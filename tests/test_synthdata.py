@@ -21,6 +21,24 @@ def nearest_seed_loops(points, h, w):
     return out
 
 
+def voronoi_broadcast_argmin(spec, rng):
+    """The Voronoi layout as one [points, H, W] distance stack and argmin,
+    which the running argmin replaced: same labels, less memory."""
+    h, w, n = spec.height, spec.width, len(spec.classes)
+    pts = spec.layout.points
+    if pts is None:
+        ys = rng.integers(0, h, size=spec.layout.n_points)
+        xs = rng.integers(0, w, size=spec.layout.n_points)
+        pts = tuple((int(y), int(x), i % n) for i, (y, x) in enumerate(zip(ys, xs)))
+    py = np.asarray([p[0] for p in pts], dtype=np.float64)
+    px = np.asarray([p[1] for p in pts], dtype=np.float64)
+    pc = np.asarray([p[2] for p in pts], dtype=np.int32)
+    yy = np.arange(h, dtype=np.float64)[:, None]
+    xx = np.arange(w, dtype=np.float64)[None, :]
+    d2 = (yy[None] - py[:, None, None]) ** 2 + (xx[None] - px[:, None, None]) ** 2
+    return pc[np.argmin(d2, axis=0)]
+
+
 def largest_remainder_loops(n, total, exponent):
     w = np.array([(r + 1) ** -exponent for r in range(n)])
     ideal = total * w / w.sum()
@@ -101,6 +119,25 @@ class TestSceneRaster:
         _, truth = synthdata.generate_scene_raster(spec, seed=0)
         want = nearest_seed_loops(points, 14, 16) + 1
         assert np.array_equal(truth, want)
+
+    @pytest.mark.parametrize(
+        "points,h,w",
+        [
+            # a lattice: every bisector between neighbours runs through pixels
+            (((0, 0, 0), (0, 4, 1), (4, 0, 2), (4, 4, 1), (2, 2, 0)), 7, 9),
+            (((3, 3, 2), (3, 3, 0), (3, 3, 1)), 6, 6),  # one spot, three classes
+            (((0, 0, 1), (9, 9, 0), (0, 9, 2), (9, 0, 1)), 10, 10),
+            (None, 61, 83),  # 24 seeded random points
+        ],
+    )
+    def test_voronoi_matches_broadcast_argmin(self, points, h, w):
+        classes = synthdata.default_texture_classes(3, noise_sigma=0.0)
+        layout = synthdata.VoronoiLayout(points=points) if points else synthdata.VoronoiLayout(n_points=24)
+        spec = synthdata.SceneSpec(classes=classes, layout=layout, height=h, width=w)
+        got = synthdata._layout_classes(spec, np.random.Generator(np.random.PCG64(3)))
+        want = voronoi_broadcast_argmin(spec, np.random.Generator(np.random.PCG64(3)))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_auto_voronoi_covers_all_classes(self):
         classes = synthdata.default_texture_classes(4)

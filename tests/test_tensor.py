@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from sceneparse import model
 from sceneparse import tensor as T
 from sceneparse.errors import GraphError, NumericError, ShapeError
 
@@ -45,6 +47,62 @@ def conv2d_loops(x, w, stride, pad):
                     patch = xp[ni, :, yi * stride : yi * stride + kh, xi * stride : xi * stride + kw]
                     out[ni, oi, yi, xi] = (patch * w[oi]).sum()
     return out
+
+
+def conv2d_einsum(inp, kernel, stride=1, pad=0):
+    """The einsum conv2d that explicit GEMMs replaced, kept as a bit-exact
+    oracle: values, output memory layout and gradients must match it."""
+    if stride < 1:
+        raise ShapeError(f"stride must be >= 1, got {stride}")
+    if pad < 0:
+        raise ShapeError(f"pad must be >= 0, got {pad}")
+    if kernel.data.ndim != 4:
+        raise ShapeError(f"kernel must be 4-D, got {kernel.data.shape}")
+    x, squeeze = T._as_batched(inp.data, "conv2d")
+    n, c, h, w = x.shape
+    c_out, c_in, kh, kw = kernel.data.shape
+    if c_in != c:
+        raise ShapeError(f"kernel expects {c_in} input channels, input has {c}")
+    if kh > h + 2 * pad or kw > w + 2 * pad:
+        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    out = np.einsum("nchwij,ocij->nohw", windows, kernel.data, optimize=True)
+    h_out, w_out = out.shape[2], out.shape[3]
+
+    def bwd(res):
+        g = res.grad if not squeeze else res.grad[None]
+        if kernel.requires_grad:
+            T._accum(kernel, np.einsum("nchwij,nohw->ocij", windows, g, optimize=True))
+        if inp.requires_grad:
+            dxp = np.zeros_like(xp)
+            dcols = np.einsum("nohw,ocij->nchwij", g, kernel.data, optimize=True)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[..., i, j]
+            dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
+            T._accum(inp, dx[0] if squeeze else dx)
+
+    return T._result(out[0] if squeeze else out, (inp, kernel), bwd)
+
+
+def backward_zero_prefill(loss, params=None):
+    """The reverse sweep that zero-filled every reached node's gradient
+    before it ran, kept as a bit-exact oracle for backward."""
+    if loss.data.shape != ():
+        raise GraphError(f"backward root must be scalar, got shape {loss.data.shape}")
+    order = T._topo_order(loss)
+    for node in order:
+        node.grad = np.zeros_like(node.data)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward(node)
+    if params is not None:
+        touched = {id(n) for n in order}
+        for p in params:
+            if id(p) not in touched:
+                p.grad = np.zeros_like(p.data)
 
 
 class TestElementwise:
@@ -402,3 +460,71 @@ class TestCheckGradients:
         e1 = T.check_gradients(loss, [w], max_samples=50, seed=3)
         e2 = T.check_gradients(loss, [w], max_samples=50, seed=3)
         assert e1 == e2
+
+
+# (input shape, kernel shape, stride, pad): the desk classifier's convs
+# (32-px tiles, channels 8/16/32, attention 1x1s) at a small and a training
+# batch, pad 0, unbatched inputs, and the 1x1 output map of an 8-px one
+ORACLE_CASES = [
+    ((2, 3, 32, 32), (8, 3, 3, 3), 1, 1),
+    ((32, 3, 32, 32), (8, 3, 3, 3), 1, 1),
+    ((32, 8, 32, 32), (8, 8, 3, 3), 2, 1),
+    ((32, 8, 16, 16), (16, 8, 3, 3), 1, 1),
+    ((2, 16, 16, 16), (16, 16, 3, 3), 2, 1),
+    ((32, 16, 8, 8), (32, 16, 3, 3), 1, 1),
+    ((32, 32, 8, 8), (32, 32, 3, 3), 2, 1),
+    ((32, 32, 8, 8), (16, 32, 1, 1), 1, 0),
+    ((2, 16, 16, 16), (8, 16, 1, 1), 1, 0),
+    ((4, 8, 16, 16), (8, 8, 3, 3), 2, 0),
+    ((3, 7, 8), (4, 3, 3, 3), 3, 0),
+    ((8, 16, 16), (16, 8, 3, 3), 1, 1),
+    ((1, 8, 16, 16), (16, 8, 3, 3), 2, 1),
+    ((8, 4, 2, 2), (4, 4, 3, 3), 2, 1),
+    ((64, 4, 2, 2), (4, 4, 3, 3), 2, 1),
+]
+
+
+class TestEinsumOracles:
+    def _run(self, conv, sweep, x, w, stride, pad, upstream):
+        xt = T.tensor(x.copy(), requires_grad=True)
+        wt = T.tensor(w.copy(), requires_grad=True)
+        out = conv(xt, wt, stride, pad)
+        sweep(T.tsum(T.mul(out, T.tensor(upstream))), [xt, wt])
+        return out.data, xt.grad, wt.grad
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad", ORACLE_CASES)
+    def test_conv_bit_equal(self, rng, x_shape, w_shape, stride, pad):
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=w_shape)
+        upstream = rng.normal(size=conv2d_einsum(T.tensor(x), T.tensor(w), stride, pad).data.shape)
+        want = self._run(conv2d_einsum, backward_zero_prefill, x, w, stride, pad, upstream)
+        got = self._run(T.conv2d, T.backward, x, w, stride, pad, upstream)
+        for g, e, what in zip(got, want, ("output", "input gradient", "kernel gradient")):
+            # the memory order decides how later reductions sum; the stride
+            # of a length-1 axis is never stepped
+            assert [st for st, d in zip(g.strides, g.shape) if d > 1] == [
+                st for st, d in zip(e.strides, e.shape) if d > 1
+            ], what
+            assert g.tobytes() == e.tobytes(), what
+
+    @pytest.mark.parametrize(
+        "cfg,batch",
+        [
+            (model.BackboneConfig(input_size=8, stage_channels=(2, 3, 4), num_classes_per_task=(3,)), 8),
+            (model.BackboneConfig(input_size=32, stage_channels=(8, 16, 32), num_classes_per_task=(8,)), 32),
+        ],
+        ids=["small", "desk"],
+    )
+    def test_training_epoch_bit_equal(self, tmp_path, monkeypatch, cfg, batch):
+        from tests.test_model import tile_dataset
+
+        k = cfg.num_classes_per_task[0]
+        man = tile_dataset(tmp_path, n_classes=k, per_class=64 // k, size=cfg.input_size)
+        hyper = model.TrainConfig(epochs=1, batch_size=batch, lr=0.01, schedule=(), seed=2)
+        got, got_trace = model.train(cfg, [man], hyper)
+        monkeypatch.setattr(T, "conv2d", conv2d_einsum)
+        monkeypatch.setattr(T, "backward", backward_zero_prefill)
+        want, want_trace = model.train(cfg, [man], hyper)
+        assert got_trace == want_trace
+        for name in want.params:
+            assert got.params[name].tobytes() == want.params[name].tobytes(), name
