@@ -382,6 +382,8 @@ def cmd_parse(args) -> int:
     labels, grid, regions = parser.parse_image(raster, classifier, pcfg)
     if labels.max() > 255:
         raise DataError(f"label id {labels.max()} does not fit 8-bit output")
+    if args.dump_grid and grid.cell_labels.max() > 255:
+        raise DataError(f"grid id {grid.cell_labels.max()} does not fit 8-bit output")
     write_pgm(args.output, labels.astype(np.uint8))
     print(f"label raster written: {args.output} ({regions.region_count} regions)")
     if args.dump_grid:

@@ -4,10 +4,14 @@ graph_segment follows the graph-based scheme: pixels are nodes of an
 8-neighbor graph weighted by Euclidean RGB distance, edges are processed
 in ascending (weight, pixel index) order, and two components merge when
 the edge weight is within both adaptive thresholds tau(C) = k / |C|.
-Because the merge graph is 8-connected, the result is then split into
-4-connected components and anything smaller than min_size is folded into
-its most color-similar 4-neighbor, so every output region is 4-connected
-with ids dense in row-major first-appearance order.
+The edges come from one stable sort by weight of a per-pixel slot array
+already in (lo, hi) order.  The sweep runs in chunks: at each chunk start
+numpy finds every endpoint's root and drops the edges inside one
+component, which the sweep would skip anyway, so only the rest reach the
+Python loop.  Because the merge graph is 8-connected, the result is then
+split into 4-connected components and anything smaller than min_size is
+folded into its most color-similar 4-neighbor, so every output region is
+4-connected with ids dense in row-major first-appearance order.
 
 merge_regions greedily joins the most similar adjacent pair (color
 histogram intersection + size complement + bounding-box fill) until the
@@ -18,6 +22,7 @@ heap, so each merge rescores only the pairs that touch the merged region.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 
 import numpy as np
@@ -42,9 +47,11 @@ DEFAULT_MIN_SIZE = 64
 DEFAULT_SIM_WEIGHTS = {"color": 0.6, "size": 0.2, "fill": 0.2}
 
 HIST_BINS = 25
-# edges handed to the sequential sweep as Python lists per chunk; as whole
-# lists the 4.2 M edges of a 1024^2 raster would hold about 180 MB more
-SWEEP_CHUNK = 1 << 16
+# edges per chunk of the sweep.  Each chunk start drops the edges whose ends
+# already share a root, so smaller chunks drop more; at 2^14 the numpy work
+# per chunk and the Python loop cost least in sum at 512^2 and 1024^2, and
+# the chunk's Python lists stay a few MB
+SWEEP_CHUNK = 1 << 14
 
 
 class RegionMap:
@@ -64,33 +71,28 @@ class RegionMap:
         return np.bincount(self.labels.ravel(), minlength=self.region_count)
 
 
-def _find(parent: list, x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def _edges_8(h: int, w: int, color: np.ndarray):
-    """(a, b, weight) arrays over right/down/down-right/down-left pairs, a < b."""
-    idx = np.arange(h * w).reshape(h, w)
-    pairs = []
-    for dy, dx in ((0, 1), (1, 0), (1, 1), (1, -1)):
-        ys = slice(0, h - dy)
-        xs = slice(0, w - dx) if dx >= 0 else slice(-dx, w)
-        ys2 = slice(dy, h)
-        xs2 = slice(dx, w) if dx >= 0 else slice(0, w + dx)
-        a = idx[ys, xs].ravel()
-        b = idx[ys2, xs2].ravel()
-        wgt = np.sqrt(((color[a] - color[b]) ** 2).sum(axis=1))
-        pairs.append((a, b, wgt))
-    a = np.concatenate([p[0] for p in pairs])
-    b = np.concatenate([p[1] for p in pairs])
-    wgt = np.concatenate([p[2] for p in pairs])
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    order = np.lexsort((hi, lo, wgt))
-    return lo[order], hi[order], wgt[order]
+    """(lo, hi, weight) arrays of the 8-neighbor edges, lo < hi, sorted by
+    (weight, lo, hi).
+
+    Slot s of pixel lo holds its edge to lo + 1, lo + w - 1, lo + w or
+    lo + w + 1, which for one lo is ascending hi, so the row-major slot
+    order is (lo, hi) order and one stable sort by weight finishes it."""
+    img = color.reshape(h, w, 3)
+    wgt = np.zeros((h, w, 4))
+    valid = np.zeros((h, w, 4), dtype=bool)
+    for s, (dy, dx) in enumerate(((0, 1), (1, -1), (1, 0), (1, 1))):
+        x0, x1 = max(0, -dx), w - max(0, dx)
+        d = img[: h - dy, x0:x1] - img[dy:, x0 + dx : x1 + dx]
+        wgt[: h - dy, x0:x1, s] = np.sqrt((d * d).sum(axis=2))
+        valid[: h - dy, x0:x1, s] = True
+    slot = np.flatnonzero(valid)
+    wgt = wgt.reshape(-1)[slot]
+    order = np.argsort(wgt, kind="stable")
+    slot = slot[order]
+    lo = slot >> 2
+    hi = lo + np.array([1, w - 1, w, w + 1])[slot & 3]
+    return lo, hi, wgt[order]
 
 
 def _pointer_jump(parent: np.ndarray) -> np.ndarray:
@@ -100,6 +102,16 @@ def _pointer_jump(parent: np.ndarray) -> np.ndarray:
         if np.array_equal(nxt, parent):
             return parent
         parent = nxt
+
+
+def _roots(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The root of every node in x."""
+    r = parent[x]
+    while True:
+        up = parent[r]
+        if np.array_equal(up, r):
+            return r
+        r = up
 
 
 def _four_cc(labels_flat: list | np.ndarray, h: int, w: int) -> tuple[np.ndarray, int]:
@@ -147,34 +159,41 @@ def _region_adjacency(labels: np.ndarray) -> set[tuple[int, int]]:
 def _merge_small(labels: np.ndarray, count: int, color: np.ndarray, min_size: int) -> tuple[np.ndarray, int]:
     """Fold regions below min_size into their most color-similar 4-neighbor,
     smallest region first (ties by lowest id)."""
-    areas = np.bincount(labels.ravel(), minlength=count).astype(np.int64)
+    areas = np.bincount(labels.ravel(), minlength=count).tolist()
     csum = np.zeros((count, 3))
     np.add.at(csum, labels.ravel(), color)
+    csum = csum.tolist()
+    # per-region mean colors as Python floats, held until the region grows
+    mean = [(s0 / a, s1 / a, s2 / a) for (s0, s1, s2), a in zip(csum, areas)]
     neighbors = [set() for _ in range(count)]
     for a, b in _region_adjacency(labels):
         neighbors[a].add(b)
         neighbors[b].add(a)
 
     parent = list(range(count))
-    heap = [(int(areas[r]), r) for r in range(count) if areas[r] < min_size]
+    heap = [(areas[r], r) for r in range(count) if areas[r] < min_size]
     heapq.heapify(heap)
     while heap:
         a, r = heapq.heappop(heap)
-        if _find(parent, r) != r or areas[r] != a or areas[r] >= min_size:
+        if parent[r] != r or areas[r] != a or a >= min_size:
             continue
         if not neighbors[r]:
             break  # the whole raster is one region
-        mean_r = csum[r] / areas[r]
-        best, best_d = -1, np.inf
+        m0, m1, m2 = mean[r]
+        best, best_d = -1, math.inf
         for nb in sorted(neighbors[r]):
-            mean_n = csum[nb] / areas[nb]
-            d = float(((mean_r - mean_n) ** 2).sum())
+            n0, n1, n2 = mean[nb]
+            d0, d1, d2 = m0 - n0, m1 - n1, m2 - n2
+            d = d0 * d0 + d1 * d1 + d2 * d2
             if d < best_d:
                 best, best_d = nb, d
         keep, gone = (r, best) if r < best else (best, r)
         parent[gone] = keep
         areas[keep] += areas[gone]
-        csum[keep] += csum[gone]
+        csum[keep] = [x + y for x, y in zip(csum[keep], csum[gone])]
+        s0, s1, s2 = csum[keep]
+        area = areas[keep]
+        mean[keep] = (s0 / area, s1 / area, s2 / area)
         neighbors[keep] |= neighbors[gone]
         neighbors[keep].discard(keep)
         neighbors[keep].discard(gone)
@@ -183,8 +202,8 @@ def _merge_small(labels: np.ndarray, count: int, color: np.ndarray, min_size: in
                 neighbors[nb].discard(gone)
                 neighbors[nb].add(keep)
         neighbors[gone] = set()
-        if areas[keep] < min_size:
-            heapq.heappush(heap, (int(areas[keep]), keep))
+        if area < min_size:
+            heapq.heappush(heap, (area, keep))
     return _relabel_dense(_pointer_jump(np.asarray(parent))[labels])
 
 
@@ -219,21 +238,35 @@ def graph_segment(image: np.ndarray, k: float = DEFAULT_K, min_size: int = DEFAU
     parent = list(range(n))
     size = [1] * n
     thr = [float(k)] * n
+    tree = np.arange(n)  # parent in numpy, brought up to date after each chunk
     ea, eb, ew = _edges_8(h, w, color)
     for i in range(0, ea.size, SWEEP_CHUNK):
+        # An edge whose ends share a root at the chunk start would be skipped
+        # by the sweep, since components only grow: drop it.  The rest start
+        # their finds from the chunk-start roots; the tree's shape never
+        # reaches the output, only its partition does.
         part = slice(i, i + SWEEP_CHUNK)
-        for a, b, wt in zip(ea[part].tolist(), eb[part].tolist(), ew[part].tolist()):
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra == rb:
+        ra, rb = _roots(tree, ea[part]), _roots(tree, eb[part])
+        keep = ra != rb
+        gone, into = [], []
+        for a, b, wt in zip(ra[keep].tolist(), rb[keep].tolist(), ew[part][keep].tolist()):
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a == b:
                 continue
-            if wt <= thr[ra] and wt <= thr[rb]:
-                if size[ra] < size[rb]:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-                size[ra] += size[rb]
-                thr[ra] = wt + k / size[ra]
+            if wt <= thr[a] and wt <= thr[b]:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                thr[a] = wt + k / size[a]
+                gone.append(b)
+                into.append(a)
+        tree[gone] = into
 
-    labels, count = _four_cc(_pointer_jump(np.asarray(parent)), h, w)
+    labels, count = _four_cc(_pointer_jump(tree), h, w)
     labels, count = _merge_small(labels, count, color, min_size)
     return RegionMap(labels, count)
 
@@ -382,7 +415,10 @@ def read_region_map(path) -> RegionMap:
     fields = line.split("\t")
     if len(fields) != 2 or fields[0] != "region_count":
         raise ParseError(f"bad sidecar record: {line!r}")
-    count = int(fields[1])
+    try:
+        count = int(fields[1])
+    except ValueError:
+        raise ParseError(f"bad sidecar region count: {fields[1]!r}") from None
     if labels.size and (labels.min() < 0 or labels.max() != count - 1):
         raise ParseError(
             f"declared count {count} does not match id range [0, {labels.max()}]"

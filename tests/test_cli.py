@@ -322,6 +322,31 @@ class TestParse:
         )
         assert meta["class_ids"] == [1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "spot,message",
+        # one truth pixel of id 300 at a cell center: the region vote drops
+        # that cell, so only the grid map holds an id that 8 bits cannot
+        [((4, 4), "grid id 300"), ((slice(None), slice(None)), "label id 300")],
+    )
+    def test_id_over_8_bits_exit_3(self, tmp_path, capsys, spot, message):
+        write_ppm(tmp_path / "s.ppm", np.full((16, 16, 3), 90, dtype=np.uint8))
+        truth = np.ones((16, 16), dtype=np.int32)
+        truth[spot] = 300
+        write_pgm(tmp_path / "t.pgm", truth, maxval=65535)
+        (tmp_path / "p.json").write_text(json.dumps({"window_sizes": [8], "stride": 8}))
+        assert (
+            run(
+                "parse", "--input", str(tmp_path / "s.ppm"),
+                "--output", str(tmp_path / "labels.pgm"),
+                "--oracle-truth", str(tmp_path / "t.pgm"),
+                "--config", str(tmp_path / "p.json"),
+                "--dump-grid", str(tmp_path / "g.pgm"),
+            )
+            == 3
+        )
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "labels.pgm").exists() and not (tmp_path / "g.pgm").exists()
+
     def test_unreadable_input_exit_3(self, workdir, tmp_path):
         assert (
             run(

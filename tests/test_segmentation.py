@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -5,11 +6,18 @@ import pytest
 
 from sceneparse import segmentation
 from sceneparse.errors import ConfigError, EmptyImageError, IoError, ParseError
-from sceneparse.segmentation import _find, _histograms, _region_adjacency, _relabel_dense, _similarity
+from sceneparse.segmentation import _histograms, _region_adjacency, _relabel_dense, _similarity
 from tests.conftest import make_scene
 
 
 # ------------------------------------------------------- naive oracle
+
+
+def _find(parent: list, x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _felz_loops(img, k):
@@ -195,6 +203,59 @@ def _merge_rescan(image, rm, target_count, wts=segmentation.DEFAULT_SIM_WEIGHTS)
     return segmentation.RegionMap(merged, final)
 
 
+def _merge_small_heap(labels, count, color, min_size):
+    """The small-region cleanup with numpy per-region sums that
+    segmentation._merge_small replaced: fold regions below min_size into
+    their most color-similar 4-neighbor, smallest region first (ties by
+    lowest id)."""
+    areas = np.bincount(labels.ravel(), minlength=count).astype(np.int64)
+    csum = np.zeros((count, 3))
+    np.add.at(csum, labels.ravel(), color)
+    neighbors = [set() for _ in range(count)]
+    for a, b in _region_adjacency(labels):
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+
+    parent = list(range(count))
+    heap = [(int(areas[r]), r) for r in range(count) if areas[r] < min_size]
+    heapq.heapify(heap)
+    while heap:
+        a, r = heapq.heappop(heap)
+        if _find(parent, r) != r or areas[r] != a or areas[r] >= min_size:
+            continue
+        if not neighbors[r]:
+            break  # the whole raster is one region
+        mean_r = csum[r] / areas[r]
+        best, best_d = -1, np.inf
+        for nb in sorted(neighbors[r]):
+            mean_n = csum[nb] / areas[nb]
+            d = float(((mean_r - mean_n) ** 2).sum())
+            if d < best_d:
+                best, best_d = nb, d
+        keep, gone = (r, best) if r < best else (best, r)
+        parent[gone] = keep
+        areas[keep] += areas[gone]
+        csum[keep] += csum[gone]
+        neighbors[keep] |= neighbors[gone]
+        neighbors[keep].discard(keep)
+        neighbors[keep].discard(gone)
+        for nb in neighbors[gone]:
+            if nb != keep:
+                neighbors[nb].discard(gone)
+                neighbors[nb].add(keep)
+        neighbors[gone] = set()
+        if areas[keep] < min_size:
+            heapq.heappush(heap, (int(areas[keep]), keep))
+    return _relabel_dense(segmentation._pointer_jump(np.asarray(parent))[labels])
+
+
+def _segment_oracle(img, k, min_size):
+    """graph_segment assembled from the loop oracles."""
+    labels = _canon(_four_cc_loops(_felz_loops(img, k))).astype(np.int32)
+    color = img.reshape(-1, 3).astype(np.float64)
+    return segmentation.RegionMap(*_merge_small_heap(labels, int(labels.max()) + 1, color, min_size))
+
+
 def _same_map(got, want):
     return (
         got.region_count == want.region_count
@@ -223,6 +284,12 @@ def _random_image(rng, h=24, w=24):
     return img
 
 
+def _palette_image(rng, h, w, colors=3):
+    """A few distinct colors at random: most edge weights tie exactly."""
+    palette = rng.integers(0, 256, size=(colors, 3))
+    return palette[rng.integers(0, colors, size=(h, w))].astype(np.uint8)
+
+
 # ------------------------------------------------------- tests
 
 
@@ -247,6 +314,35 @@ class TestGraphSegment:
             rm = segmentation.graph_segment(img, k=k, min_size=1)
             want = _canon(_four_cc_loops(_felz_loops(img, k)))
             assert np.array_equal(rm.labels, want), k
+
+    def test_tie_heavy_palettes_match_naive_oracle(self, rng):
+        for _ in range(20):
+            img = _palette_image(rng, 12, 14, int(rng.integers(2, 5)))
+            k = float(rng.choice([1.0, 50.0, 400.0]))
+            rm = segmentation.graph_segment(img, k=k, min_size=1)
+            assert np.array_equal(rm.labels, _canon(_four_cc_loops(_felz_loops(img, k))))
+
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 17), (17, 1), (13, 2), (2, 13), (2, 2)])
+    def test_thin_shapes_match_naive_oracle(self, rng, h, w):
+        # at w == 2 the down-left offset w - 1 equals the right offset 1
+        for _ in range(5):
+            img = _palette_image(rng, h, w) if rng.random() < 0.5 else rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
+            k = float(rng.choice([20.0, 150.0, 400.0]))
+            rm = segmentation.graph_segment(img, k=k, min_size=1)
+            assert np.array_equal(rm.labels, _canon(_four_cc_loops(_felz_loops(img, k))))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+    def test_chunk_boundaries_match_naive_oracle(self, rng, monkeypatch, chunk):
+        # the sweep recomputes the roots and drops edges inside one
+        # component at every chunk start; tiny chunks put many boundaries
+        # into 12 x 14 rasters
+        monkeypatch.setattr(segmentation, "SWEEP_CHUNK", chunk)
+        for _ in range(6):
+            img = _random_image(rng, 12, 14) if rng.random() < 0.5 else _palette_image(rng, 12, 14)
+            k = float(rng.choice([50.0, 150.0, 400.0]))
+            for min_size in (1, 4, 20):
+                got = segmentation.graph_segment(img, k=k, min_size=min_size)
+                assert _same_map(got, _segment_oracle(img, k, min_size)), (k, min_size)
 
     def test_partition_and_dense_ids(self, rng):
         img = _random_image(rng)
@@ -291,6 +387,32 @@ class TestGraphSegment:
                 for k in (30.0, 100.0, 300.0, 900.0)
             ]
             assert all(a >= b for a, b in zip(counts, counts[1:])), counts
+
+
+class TestMergeSmall:
+    """_merge_small against the numpy-sum cleanup it replaced, byte for byte."""
+
+    SCENES = [(64, 1, 100.0), (80, 2, 150.0), (96, 3, 300.0)]
+
+    @pytest.mark.parametrize("size,seed,k", SCENES)
+    def test_scene(self, size, seed, k):
+        img = make_scene(n_classes=4, size=size, n_points=8, seed=seed, noise=20.0)[0]
+        # at min_size 1 the cleanup folds nothing, leaving the 4-connected
+        # graph components that it starts from
+        base = segmentation.graph_segment(img, k, 1)
+        color = segmentation._check_image(img)
+        for min_size in (2, 8, 64, 1000, size * size + 1):
+            want = segmentation.RegionMap(*_merge_small_heap(base.labels, base.region_count, color, min_size))
+            got = segmentation._merge_small(base.labels, base.region_count, color, min_size)
+            assert _same_map(segmentation.RegionMap(*got), want), min_size
+            assert _same_map(segmentation.graph_segment(img, k, min_size), want), min_size
+
+    def test_random_rasters(self, rng):
+        for _ in range(20):
+            img = _random_image(rng, 20, 20) if rng.random() < 0.5 else _palette_image(rng, 20, 20)
+            k = float(rng.choice([20.0, 80.0, 300.0]))
+            min_size = int(rng.choice([2, 4, 16, 64]))
+            assert _same_map(segmentation.graph_segment(img, k, min_size), _segment_oracle(img, k, min_size))
 
 
 class TestMergeRegions:
@@ -422,6 +544,22 @@ class TestRegionMapIo:
         segmentation.write_region_map(p, rm)
         back = segmentation.read_region_map(p)
         assert np.array_equal(back.labels, labels)
+
+    def test_over_sixteen_bit_ids_rejected(self, tmp_path):
+        labels = np.arange(65537, dtype=np.int32).reshape(1, 65537)
+        p = tmp_path / "over.pgm"
+        with pytest.raises(IoError):
+            segmentation.write_region_map(p, segmentation.RegionMap(labels, 65537))
+        assert not p.exists()
+
+    def test_non_integer_sidecar_count(self, tmp_path, rng):
+        img = _random_image(rng)
+        rm = segmentation.graph_segment(img, k=150.0, min_size=8)
+        p = tmp_path / "r.pgm"
+        segmentation.write_region_map(p, rm)
+        (tmp_path / "r.pgm.meta").write_text("region_count\tabc\n")
+        with pytest.raises(ParseError):
+            segmentation.read_region_map(p)
 
     def test_missing_sidecar(self, tmp_path, rng):
         img = _random_image(rng)
