@@ -91,7 +91,17 @@ def _root_path(path: str) -> str:
     return path
 
 
-def _load_config(path: str) -> dict:
+def _known_keys(cfg: dict, known: frozenset, where: str = "") -> dict:
+    """cfg, if every key is one the command reads; a misspelt key would
+    otherwise be ignored without a word."""
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        names = ", ".join(repr(f"{where}{key}") for key in unknown)
+        raise ConfigError(f"unknown config field {names}; known: {', '.join(sorted(known))}")
+    return cfg
+
+
+def _load_config(path: str, known: frozenset) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             cfg = json.load(f)
@@ -101,7 +111,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    return cfg
+    return _known_keys(cfg, known)
 
 
 def _require(cfg: dict, field: str):
@@ -149,14 +159,31 @@ def _optional(cfg: dict, key: str, check, kind):
     return None if value is None else check(value, kind, key)
 
 
-def _section(raw, name: str) -> dict:
+def _section(raw, name: str, known: frozenset) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config field {name!r} must be an object, got {raw!r}")
-    return raw
+    return _known_keys(raw, known, f"{name}.")
+
+
+# the keys each config reader takes; any other key is a ConfigError
+_MODEL_KEYS = frozenset({"input_size", "stage_channels", "stage_strides", "num_classes_per_task"})
+_TRAIN_SECTION_KEYS = frozenset(
+    {"epochs", "batch_size", "lr", "momentum", "weight_decay", "schedule", "seed", "augment"}
+)
+_MSC_KEYS = frozenset({"stream_weights", "mu_g", "mu_m"})
+_TRAIN_KEYS = frozenset(
+    {"model", "train", "msc", "manifests", "labels", "label_ids", "out_checkpoint", "out_trace"}
+)
+_FINETUNE_KEYS = frozenset(
+    {"base_checkpoint", "num_classes_per_task", "train", "msc", "manifests", "labels", "label_ids", "out_checkpoint"}
+)
+_PARSE_KEYS = frozenset(
+    {"window_sizes", "stride", "scale_weights", "k", "min_size", "target_count", "workers", "expected_labels"}
+)
 
 
 def _backbone_config(raw) -> model.BackboneConfig:
-    raw = _section(raw, "model")
+    raw = _section(raw, "model", _MODEL_KEYS)
     return model.BackboneConfig(
         input_size=_typed(_require(raw, "input_size"), int, "model.input_size"),
         stage_channels=_typed_list(raw.get("stage_channels", (8, 16, 32)), int, "model.stage_channels"),
@@ -175,7 +202,7 @@ def _schedule(value) -> tuple:
 
 
 def _train_config(raw, lr_default: float = 0.01, epochs_default: int = 50) -> model.TrainConfig:
-    raw = _section(raw, "train")
+    raw = _section(raw, "train", _TRAIN_SECTION_KEYS)
     return model.TrainConfig(
         epochs=_typed(raw.get("epochs", epochs_default), int, "train.epochs"),
         batch_size=_typed(raw.get("batch_size", 32), int, "train.batch_size"),
@@ -189,7 +216,7 @@ def _train_config(raw, lr_default: float = 0.01, epochs_default: int = 50) -> mo
 
 
 def _msc_config(raw, n_tasks: int) -> model.MSCConfig:
-    raw = _section(raw, "msc")
+    raw = _section(raw, "msc", _MSC_KEYS)
     if raw:
         return model.MSCConfig(
             stream_weights=_typed_list(raw.get("stream_weights", DEFAULT_SCALE_WEIGHTS), _NUMBER, "msc.stream_weights"),
@@ -222,7 +249,7 @@ def _print_epoch(epoch: int, mean_loss: float) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _TRAIN_KEYS)
     bb = _backbone_config(_require(cfg, "model"))
     manifest_paths = [_root_path(p) for p in _require(cfg, "manifests")]
     manifests = [taxonomy.load_manifest(p) for p in manifest_paths]
@@ -245,7 +272,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _FINETUNE_KEYS)
     base = model.load_checkpoint(_root_path(_require(cfg, "base_checkpoint")))
     manifest_paths = [_root_path(p) for p in _require(cfg, "manifests")]
     manifests = [taxonomy.load_manifest(p) for p in manifest_paths]
@@ -351,7 +378,7 @@ def cmd_parse(args) -> int:
 
     cfg = {}
     if args.config:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, _PARSE_KEYS)
     pcfg = parser.ParseConfig(
         window_sizes=_optional(cfg, "window_sizes", _typed_list, int),
         stride=_optional(cfg, "stride", _typed, int),

@@ -2,16 +2,23 @@
 
 graph_segment follows the graph-based scheme: pixels are nodes of an
 8-neighbor graph weighted by Euclidean RGB distance, edges are processed
-in ascending (weight, pixel index) order, and two components merge when
-the edge weight is within both adaptive thresholds tau(C) = k / |C|.
-The edges come from one stable sort by weight of a per-pixel slot array
-already in (lo, hi) order.  The sweep runs in chunks: at each chunk start
-numpy finds every endpoint's root and drops the edges inside one
-component, which the sweep would skip anyway, so only the rest reach the
-Python loop.  Because the merge graph is 8-connected, the result is then
-split into 4-connected components and anything smaller than min_size is
-folded into its most color-similar 4-neighbor, so every output region is
-4-connected with ids dense in row-major first-appearance order.
+in ascending weight order, and two components merge when the edge weight
+is within both adaptive thresholds tau(C) = k / |C|.  The order among
+edges of equal weight does not change the partition: a component takes
+an edge of weight w iff its threshold (k for one pixel, else the weight of
+its last merge plus k/|C|) is at least w, and a merge at w leaves the
+merged component's threshold above w, so the merges
+of one weight level are exactly the connected components of its edges
+between components that admit w.  The edges therefore come from one
+unstable sort by weight, and the sweep runs in two phases.  Every level up
+to the last one holding at least LEVEL_MIN edges is joined in numpy, one
+hook-and-pointer-jump pass per level.  The sparse tail after it runs the
+sequential rule in a Python loop over the components left, in chunks
+whose start drops the edges already inside one component.  Because the
+merge graph is 8-connected, the result is then split into 4-connected
+components and anything smaller than min_size is folded into its most
+color-similar 4-neighbor, so every output region is 4-connected with ids
+dense in row-major first-appearance order.
 
 merge_regions greedily joins the most similar adjacent pair (color
 histogram intersection + size complement + bounding-box fill) until the
@@ -52,6 +59,10 @@ HIST_BINS = 25
 # per chunk and the Python loop cost least in sum at 512^2 and 1024^2, and
 # the chunk's Python lists stay a few MB
 SWEEP_CHUNK = 1 << 14
+# weight levels with at least this many edges run as one numpy union pass
+# each, up to the last such level; the sparser levels after it go through
+# the sequential sweep
+LEVEL_MIN = 256
 
 
 class RegionMap:
@@ -72,12 +83,12 @@ class RegionMap:
 
 
 def _edges_8(h: int, w: int, color: np.ndarray):
-    """(lo, hi, weight) arrays of the 8-neighbor edges, lo < hi, sorted by
-    (weight, lo, hi).
+    """The (2, m) array of 8-neighbor edge ends (row 0 lo, row 1 hi, lo < hi)
+    and their weights, sorted by weight.
 
     Slot s of pixel lo holds its edge to lo + 1, lo + w - 1, lo + w or
-    lo + w + 1, which for one lo is ascending hi, so the row-major slot
-    order is (lo, hi) order and one stable sort by weight finishes it."""
+    lo + w + 1.  The order among equal weights is whatever the sort leaves,
+    which graph_segment's partition does not depend on."""
     img = color.reshape(h, w, 3)
     wgt = np.zeros((h, w, 4))
     valid = np.zeros((h, w, 4), dtype=bool)
@@ -88,11 +99,19 @@ def _edges_8(h: int, w: int, color: np.ndarray):
         valid[: h - dy, x0:x1, s] = True
     slot = np.flatnonzero(valid)
     wgt = wgt.reshape(-1)[slot]
-    order = np.argsort(wgt, kind="stable")
+    order = np.argsort(wgt, kind="quicksort")
+    # each edge-sized array is dropped as soon as it is used, and the ends
+    # are written in place: at 1024^2 every such array is 34 MB
+    wgt = wgt[order]
     slot = slot[order]
-    lo = slot >> 2
-    hi = lo + np.array([1, w - 1, w, w + 1])[slot & 3]
-    return lo, hi, wgt[order]
+    del order
+    ends = np.empty((2, slot.size), dtype=np.intp)
+    np.right_shift(slot, 2, out=ends[0])
+    np.bitwise_and(slot, 3, out=slot)
+    # mode='clip' (the offsets are 0..3 anyway) writes to out unbuffered
+    np.take(np.array([1, w - 1, w, w + 1]), slot, out=ends[1], mode="clip")
+    ends[1] += ends[0]
+    return ends, wgt
 
 
 def _pointer_jump(parent: np.ndarray) -> np.ndarray:
@@ -109,7 +128,7 @@ def _roots(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
     r = parent[x]
     while True:
         up = parent[r]
-        if np.array_equal(up, r):
+        if (up == r).all():
             return r
         r = up
 
@@ -225,21 +244,56 @@ def _check_image(image: np.ndarray) -> np.ndarray:
     return img.astype(np.float64).reshape(-1, 3)
 
 
-def graph_segment(image: np.ndarray, k: float = DEFAULT_K, min_size: int = DEFAULT_MIN_SIZE) -> RegionMap:
-    """Graph-based segmentation with adaptive threshold tau(C) = k / |C|."""
-    if k <= 0:
-        raise ConfigError(f"k must be positive, got {k}")
-    if min_size < 1:
-        raise ConfigError(f"min_size must be >= 1, got {min_size}")
-    color = _check_image(image)
-    h, w = image.shape[0], image.shape[1]
-    n = h * w
+def _level_unions(tree, size, thr, ends, ew, bounds, k: float) -> None:
+    """Apply every merge of the weight levels bounds[i]:bounds[i + 1] to the
+    union-find arrays in place, one numpy pass per level.
 
-    parent = list(range(n))
-    size = [1] * n
-    thr = [float(k)] * n
-    tree = np.arange(n)  # parent in numpy, brought up to date after each chunk
-    ea, eb, ew = _edges_8(h, w, color)
+    At weight w a component admits an edge iff thr >= w, and a merge there
+    sets thr = w + k/|C| > w, so no merge of the level changes which
+    components admit it: the level's merges are the connected components of
+    its edges between distinct admitting roots, in whatever order they are
+    taken.  Those are joined by hooking every root onto the smallest root
+    across its edges and pointer jumping, as in _four_cc."""
+    seen = np.empty(tree.size, dtype=np.intp)
+    for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        w = ew[s]
+        x = ends[:, s:e]
+        r = _roots(tree, x)
+        # point the endpoints straight at their roots, so later levels'
+        # root searches stay short
+        tree[x] = r
+        admit = thr[r] >= w
+        ok = (r[0] != r[1]) & admit[0] & admit[1]
+        if not ok.any():
+            continue
+        ra, rb = r[0][ok], r[1][ok]
+        olds = r[:, ok].ravel()
+        while True:
+            np.minimum.at(tree, np.maximum(ra, rb), np.minimum(ra, rb))
+            tree[olds] = _roots(tree, olds)
+            ra, rb = tree[ra], tree[rb]
+            split = ra != rb
+            if not split.any():
+                break
+            ra, rb = ra[split], rb[split]
+        # keep one copy of each old root: the one whose position won the
+        # scattered write
+        pos = np.arange(olds.size)
+        seen[olds] = pos
+        olds = olds[seen[olds] == pos]
+        top = tree[olds]
+        moved = top != olds
+        np.add.at(size, top[moved], size[olds[moved]])
+        # one value per new root, equal to the sequential rule's last one
+        thr[top] = w + k / size[top]
+
+
+def _sweep(ea: np.ndarray, eb: np.ndarray, ew: np.ndarray, size: list, thr: list, k: float) -> np.ndarray:
+    """The sequential merge rule over sorted edges between nodes 0..len(size)-1
+    that start as roots of the given sizes and thresholds; returns the
+    union-find parents."""
+    parent = list(range(len(size)))
+    tree = np.arange(len(size))  # parent in numpy, brought up to date after each chunk
     for i in range(0, ea.size, SWEEP_CHUNK):
         # An edge whose ends share a root at the chunk start would be skipped
         # by the sweep, since components only grow: drop it.  The rest start
@@ -265,8 +319,44 @@ def graph_segment(image: np.ndarray, k: float = DEFAULT_K, min_size: int = DEFAU
                 gone.append(b)
                 into.append(a)
         tree[gone] = into
+    return tree
 
-    labels, count = _four_cc(_pointer_jump(tree), h, w)
+
+def _components(color: np.ndarray, h: int, w: int, k: float) -> np.ndarray:
+    """Per-pixel component ids after the merge rule has seen every edge."""
+    n = h * w
+    ends, ew = _edges_8(h, w, color)
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(ew)) + 1, [ew.size]])
+    dense = np.flatnonzero(np.diff(bounds) >= LEVEL_MIN)
+    levels = dense[-1] + 1 if dense.size else 0
+    switch = bounds[levels]
+
+    tree = np.arange(n)
+    size = np.ones(n, dtype=np.int64)
+    thr = np.full(n, k)
+    _level_unions(tree, size, thr, ends, ew, bounds[: levels + 1], k)
+
+    # the sparse tail runs the sequential sweep on the components left by
+    # the dense levels, renumbered 0..R-1, so only R values become lists
+    tree = _pointer_jump(tree)
+    roots = np.flatnonzero(tree == np.arange(n))
+    local = np.empty(n, dtype=np.intp)
+    local[roots] = np.arange(roots.size)
+    ta, tb = local[tree[ends[:, switch:]]]
+    sub = _sweep(ta, tb, ew[switch:], size[roots].tolist(), thr[roots].tolist(), k)
+    return roots[_pointer_jump(sub)][local[tree]]
+
+
+def graph_segment(image: np.ndarray, k: float = DEFAULT_K, min_size: int = DEFAULT_MIN_SIZE) -> RegionMap:
+    """Graph-based segmentation with adaptive threshold tau(C) = k / |C|."""
+    if not (math.isfinite(k) and k > 0):
+        raise ConfigError(f"k must be positive and finite, got {k}")
+    if min_size < 1:
+        raise ConfigError(f"min_size must be >= 1, got {min_size}")
+    color = _check_image(image)
+    h, w = image.shape[0], image.shape[1]
+    # the edge arrays die with _components, before the cleanup's own arrays
+    labels, count = _four_cc(_components(color, h, w, float(k)), h, w)
     labels, count = _merge_small(labels, count, color, min_size)
     return RegionMap(labels, count)
 
@@ -305,7 +395,7 @@ def merge_regions(
     if target_count < 1:
         raise ConfigError(f"target_count must be >= 1, got {target_count}")
     wts = dict(DEFAULT_SIM_WEIGHTS if sim_weights is None else sim_weights)
-    if set(wts) != {"color", "size", "fill"} or any(v < 0 for v in wts.values()):
+    if set(wts) != {"color", "size", "fill"} or any(not v >= 0 for v in wts.values()):
         raise ConfigError(f"sim_weights needs non-negative color/size/fill, got {wts}")
     color = _check_image(image)
     labels = rm.labels

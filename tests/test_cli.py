@@ -153,6 +153,20 @@ class TestTrain:
             (tmp_path / "t.json").write_text(json.dumps(cfg))
             assert run("train", "--config", str(tmp_path / "t.json")) == 2
 
+    @pytest.mark.parametrize(
+        "section,key",
+        [(None, "manifest"), (None, "out_checkpoints"), ("model", "input_sizes"), ("train", "epoch"), ("msc", "mu")],
+    )
+    def test_unknown_key_exit_2(self, workdir, tmp_path, capsys, section, key):
+        cfg = json.loads((workdir / "train.json").read_text())
+        cfg["out_checkpoint"] = str(tmp_path / "x.ckpt")
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = 1
+        (tmp_path / "t.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", str(tmp_path / "t.json")) == 2
+        name = key if section is None else f"{section}.{key}"
+        assert f"unknown config field {name!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_missing_manifest_exit_3(self, workdir, tmp_path):
         cfg = {
             "model": {"input_size": 8, "stage_channels": [2, 3, 4], "num_classes_per_task": [3]},
@@ -228,6 +242,23 @@ class TestFinetune:
             assert bad in capsys.readouterr().err
             cfg["num_classes_per_task"] = [3]
 
+    @pytest.mark.parametrize("section,key", [(None, "model"), (None, "out_trace"), ("train", "lr_decay")])
+    def test_unknown_key_exit_2(self, workdir, tmp_path, capsys, section, key):
+        # model and out_trace are train-only keys: finetune would ignore them
+        cfg = {
+            "base_checkpoint": str(workdir / "m.ckpt"),
+            "num_classes_per_task": [3],
+            "manifests": [str(workdir / "tiles" / "manifest.tsv")],
+            "train": {"epochs": 1, "batch_size": 8},
+            "out_checkpoint": str(tmp_path / "x.ckpt"),
+        }
+        (cfg if section is None else cfg[section])[key] = 1
+        (tmp_path / "ft.json").write_text(json.dumps(cfg))
+        assert run("finetune", "--config", str(tmp_path / "ft.json")) == 2
+        name = key if section is None else f"{section}.{key}"
+        assert f"unknown config field {name!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
 
 class TestSegment:
     def test_constant_image_one_region(self, tmp_path, capsys):
@@ -248,6 +279,13 @@ class TestSegment:
 
     def test_unreadable_input_exit_3(self, tmp_path):
         assert run("segment", "--input", str(tmp_path / "no.ppm"), "--output", str(tmp_path / "r.pgm")) == 3
+
+    @pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
+    def test_non_finite_k_exit_2(self, workdir, tmp_path, capsys, k):
+        scene = str(workdir / "scene" / "scene.ppm")
+        assert run("segment", "--input", scene, "--output", str(tmp_path / "r.pgm"), f"--k={k}") == 2
+        assert "k must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.pgm").exists()
 
 
 class TestParse:
@@ -402,6 +440,37 @@ class TestParse:
             == 2
         )
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
+    def test_non_finite_k_exit_2(self, workdir, tmp_path, capsys, k):
+        # Python's json writes and reads NaN and Infinity
+        (tmp_path / "p.json").write_text(json.dumps({"k": k, "stride": 8}))
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--oracle-truth", str(workdir / "scene" / "truth.pgm"),
+                "--config", str(tmp_path / "p.json"),
+            )
+            == 2
+        )
+        assert "k must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.pgm").exists()
+
+    @pytest.mark.parametrize("key", ["windows", "K", "target"])
+    def test_unknown_key_exit_2(self, workdir, tmp_path, capsys, key):
+        (tmp_path / "p.json").write_text(json.dumps({"stride": 8, key: 1}))
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--oracle-truth", str(workdir / "scene" / "truth.pgm"),
+                "--config", str(tmp_path / "p.json"),
+            )
+            == 2
+        )
+        assert f"unknown config field {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.pgm").exists()
 
     def test_header_shows_weights_that_ran(self, workdir, tmp_path, capsys):
         (tmp_path / "p.json").write_text(json.dumps({"window_sizes": [8, 16]}))

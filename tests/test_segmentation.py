@@ -256,6 +256,67 @@ def _segment_oracle(img, k, min_size):
     return segmentation.RegionMap(*_merge_small_heap(labels, int(labels.max()) + 1, color, min_size))
 
 
+def _edges_8_stable(h, w, color):
+    """The edge build that segmentation._edges_8 replaced: (lo, hi, weight)
+    arrays sorted by (weight, lo, hi) with one stable sort of the
+    row-major slots."""
+    img = color.reshape(h, w, 3)
+    wgt = np.zeros((h, w, 4))
+    valid = np.zeros((h, w, 4), dtype=bool)
+    for s, (dy, dx) in enumerate(((0, 1), (1, -1), (1, 0), (1, 1))):
+        x0, x1 = max(0, -dx), w - max(0, dx)
+        d = img[: h - dy, x0:x1] - img[dy:, x0 + dx : x1 + dx]
+        wgt[: h - dy, x0:x1, s] = np.sqrt((d * d).sum(axis=2))
+        valid[: h - dy, x0:x1, s] = True
+    slot = np.flatnonzero(valid)
+    wgt = wgt.reshape(-1)[slot]
+    order = np.argsort(wgt, kind="stable")
+    slot = slot[order]
+    lo = slot >> 2
+    hi = lo + np.array([1, w - 1, w, w + 1])[slot & 3]
+    return lo, hi, wgt[order]
+
+
+def _graph_segment_chunked(image, k=segmentation.DEFAULT_K, min_size=segmentation.DEFAULT_MIN_SIZE):
+    """The graph_segment that the level-synchronous one replaced: every edge
+    in (weight, lo, hi) order through the chunk-prefiltered sequential
+    sweep."""
+    color = segmentation._check_image(image)
+    h, w = image.shape[0], image.shape[1]
+    n = h * w
+
+    parent = list(range(n))
+    size = [1] * n
+    thr = [float(k)] * n
+    tree = np.arange(n)  # parent in numpy, brought up to date after each chunk
+    ea, eb, ew = _edges_8_stable(h, w, color)
+    for i in range(0, ea.size, segmentation.SWEEP_CHUNK):
+        part = slice(i, i + segmentation.SWEEP_CHUNK)
+        ra, rb = segmentation._roots(tree, ea[part]), segmentation._roots(tree, eb[part])
+        keep = ra != rb
+        gone, into = [], []
+        for a, b, wt in zip(ra[keep].tolist(), rb[keep].tolist(), ew[part][keep].tolist()):
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a == b:
+                continue
+            if wt <= thr[a] and wt <= thr[b]:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                thr[a] = wt + k / size[a]
+                gone.append(b)
+                into.append(a)
+        tree[gone] = into
+
+    labels, count = segmentation._four_cc(segmentation._pointer_jump(tree), h, w)
+    labels, count = segmentation._merge_small(labels, count, color, min_size)
+    return segmentation.RegionMap(labels, count)
+
+
 def _same_map(got, want):
     return (
         got.region_count == want.region_count
@@ -389,6 +450,93 @@ class TestGraphSegment:
             assert all(a >= b for a, b in zip(counts, counts[1:])), counts
 
 
+class TestLevelSynchronous:
+    """graph_segment against the all-sequential chunked sweep it replaced,
+    with the numpy phase covering every level, none, or a prefix."""
+
+    ALL_NUMPY, ALL_SCALAR = 1, 1 << 40
+
+    @pytest.fixture
+    def phases(self, monkeypatch):
+        """Edges handed to each phase by the calls since the last reset."""
+        seen = {"numpy": 0, "scalar": 0}
+        level_unions, sweep = segmentation._level_unions, segmentation._sweep
+
+        def spy_levels(tree, size, thr, ends, ew, bounds, k):
+            seen["numpy"] += int(bounds[-1] - bounds[0])
+            return level_unions(tree, size, thr, ends, ew, bounds, k)
+
+        def spy_sweep(ea, eb, ew, size, thr, k):
+            seen["scalar"] += ea.size
+            return sweep(ea, eb, ew, size, thr, k)
+
+        monkeypatch.setattr(segmentation, "_level_unions", spy_levels)
+        monkeypatch.setattr(segmentation, "_sweep", spy_sweep)
+        return seen
+
+    def _check(self, monkeypatch, phases, img, k, min_size, level_mins):
+        """Assert equal maps at each cut-off; the edges each phase took."""
+        want = _graph_segment_chunked(img, k, min_size)
+        took = []
+        for level_min in level_mins:
+            monkeypatch.setattr(segmentation, "LEVEL_MIN", level_min)
+            phases.update(numpy=0, scalar=0)
+            got = segmentation.graph_segment(img, k, min_size)
+            assert _same_map(got, want), (k, min_size, level_min)
+            took.append((phases["numpy"], phases["scalar"]))
+        return took
+
+    @pytest.mark.parametrize("size,seed,ks", [(96, 1, (1.0, 300.0)), (112, 2, (50.0, 5000.0)), (128, 3, (1.0, 300.0))])
+    def test_scenes(self, monkeypatch, phases, size, seed, ks):
+        img = make_scene(n_classes=4, size=size, n_points=8, seed=seed, noise=20.0)[0]
+        edges = 4 * size * size - 6 * size + 2
+        # these noisy scenes hold at most 47-75 edges per level, so 4 and 16
+        # split the edges between the phases
+        cuts = (self.ALL_NUMPY, self.ALL_SCALAR, 4, 16)
+        for k in ks:
+            took = self._check(monkeypatch, phases, img, k, 64, cuts)
+            assert took[0] == (edges, 0) and took[1] == (0, edges)
+            assert all(a > 0 and b > 0 for a, b in took[2:4]), took
+
+    def test_tie_heavy_palettes(self, monkeypatch, phases, rng):
+        for _ in range(12):
+            h, w = int(rng.integers(20, 48)), int(rng.integers(20, 48))
+            img = _palette_image(rng, h, w, int(rng.integers(2, 6)))
+            k = float(rng.choice([1.0, 20.0, 300.0, 5000.0]))
+            cuts = (self.ALL_NUMPY, 2, 16, self.ALL_SCALAR)
+            self._check(monkeypatch, phases, img, k, int(rng.choice([1, 8])), cuts)
+
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 300), (300, 1), (2, 150), (150, 2), (3, 97)])
+    def test_thin_rasters(self, monkeypatch, phases, rng, h, w):
+        for _ in range(3):
+            img = _palette_image(rng, h, w) if rng.random() < 0.5 else rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
+            k = float(rng.choice([1.0, 50.0, 400.0, 5000.0]))
+            self._check(monkeypatch, phases, img, k, 1, (self.ALL_NUMPY, 2, 4, self.ALL_SCALAR))
+
+    def test_random_rasters(self, monkeypatch, phases, rng):
+        for _ in range(10):
+            img = _random_image(rng, 30, 30)
+            k = float(rng.choice([1.0, 50.0, 5000.0]))
+            cuts = (self.ALL_NUMPY, 1 + int(rng.integers(1, 4)), self.ALL_SCALAR)
+            self._check(monkeypatch, phases, img, k, int(rng.choice([1, 4, 16])), cuts)
+
+    def test_sweep_chunks_after_numpy_levels(self, monkeypatch, phases, rng):
+        # the tail's chunk prefilter on the renumbered components
+        monkeypatch.setattr(segmentation, "SWEEP_CHUNK", 3)
+        for _ in range(4):
+            # flat rectangles give a large zero-weight level, the noise
+            # mostly single-edge levels
+            img = _random_image(rng, 24, 24)
+            took = self._check(monkeypatch, phases, img, 300.0, 4, (16,))
+            assert took[0][0] > 0 and took[0][1] > 0, took
+
+    def test_non_finite_k_rejected(self):
+        img = np.zeros((4, 4, 3), dtype=np.uint8)
+        for k in (math.nan, math.inf, -math.inf, 0.0):
+            with pytest.raises(ConfigError):
+                segmentation.graph_segment(img, k=k)
+
+
 class TestMergeSmall:
     """_merge_small against the numpy-sum cleanup it replaced, byte for byte."""
 
@@ -421,6 +569,14 @@ class TestMergeRegions:
         rm = segmentation.graph_segment(img, k=200.0, min_size=8)
         out = segmentation.merge_regions(img, rm, rm.region_count + 5)
         assert np.array_equal(out.labels, rm.labels)
+
+    def test_bad_weights_rejected(self, rng):
+        img = _random_image(rng)
+        rm = segmentation.graph_segment(img, k=200.0, min_size=8)
+        for bad in (math.nan, -0.5):
+            wts = {**segmentation.DEFAULT_SIM_WEIGHTS, "size": bad}
+            with pytest.raises(ConfigError):
+                segmentation.merge_regions(img, rm, 2, sim_weights=wts)
 
     def test_merges_to_target(self, rng):
         img = _random_image(rng)
