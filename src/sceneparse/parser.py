@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
 )
 from .fusion import DEFAULT_SCALE_WEIGHTS
-from .segmentation import DEFAULT_K, DEFAULT_MIN_SIZE, RegionMap, graph_segment, merge_regions
+from .segmentation import DEFAULT_K, DEFAULT_MIN_SIZE, RegionMap, check_settings, graph_segment, merge_regions
 
 __all__ = [
     "ContextWindowSpec",
@@ -356,6 +356,8 @@ def parse_image(
                 f"checkpoint labels {have} do not match expected {tuple(config.expected_labels)}"
             )
     spec, stride, weights = resolve_windows(classifier, config)
+    with _stage("segment"):  # before the classifier pass, which takes seconds
+        check_settings(config.k, config.min_size, config.target_count)
 
     with _stage("grid"):
         grid = build_grid_map(

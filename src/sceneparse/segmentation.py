@@ -3,27 +3,27 @@
 graph_segment follows the graph-based scheme: pixels are nodes of an
 8-neighbor graph weighted by Euclidean RGB distance, edges are processed
 in ascending weight order, and two components merge when the edge weight
-is within both adaptive thresholds tau(C) = k / |C|.  The order among
-edges of equal weight does not change the partition: a component takes
-an edge of weight w iff its threshold (k for one pixel, else the weight of
-its last merge plus k/|C|) is at least w, and a merge at w leaves the
-merged component's threshold above w, so the merges
-of one weight level are exactly the connected components of its edges
-between components that admit w.  The edges therefore come from one
-unstable sort by weight, and the sweep runs in two phases.  Every level up
-to the last one holding at least LEVEL_MIN edges is joined in numpy, one
-hook-and-pointer-jump pass per level.  The sparse tail after it runs the
-sequential rule in a Python loop over the components left, in chunks
-whose start drops the edges already inside one component.  Because the
-merge graph is 8-connected, the result is then split into 4-connected
+is within both adaptive thresholds tau(C) = k / |C|.  A component takes an
+edge of weight w iff its threshold (k for one pixel, else the weight of its
+last merge plus k/|C|) is at least w, and a merge at w leaves the merged
+component's threshold above w, so the merges of one weight level are
+exactly the connected components of its edges between components that
+admit w, in any order; the edges come from one unstable sort by weight.
+Every level up to the last one holding at least LEVEL_MIN edges is joined
+in numpy, one hook-and-pointer-jump pass per level; the sparse tail runs
+the sequential rule in Python, in chunks whose start drops the edges
+already inside one component.  The result is split into 4-connected
 components and anything smaller than min_size is folded into its most
-color-similar 4-neighbor, so every output region is 4-connected with ids
+color-similar 4-neighbor: every output region is 4-connected, with ids
 dense in row-major first-appearance order.
 
 merge_regions greedily joins the most similar adjacent pair (color
-histogram intersection + size complement + bounding-box fill) until the
-region count reaches the target.  The pairs sit in a lazily invalidated
-heap, so each merge rescores only the pairs that touch the merged region.
+histogram intersection + size complement + bounding-box fill), from a
+lazily invalidated heap, until the region count reaches the target.  One
+numpy call scores every pair, and one per merge scores the merged region
+against its neighbors, each pair with the IEEE operations of a one-pair
+call.  The cleanup and the merging find each adjacent pair once, by one
+np.unique over pair keys.
 """
 
 from __future__ import annotations
@@ -34,13 +34,14 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, EmptyImageError, IoError, ParseError
+from .errors import ConfigError, DataError, EmptyImageError, IoError, ParseError
 from .netpbm import read_pgm, write_pgm
 
 __all__ = [
     "RegionMap",
     "graph_segment",
     "merge_regions",
+    "check_settings",
     "region_stats",
     "write_region_map",
     "read_region_map",
@@ -162,17 +163,33 @@ def _four_cc(labels_flat: list | np.ndarray, h: int, w: int) -> tuple[np.ndarray
     return inv.reshape(h, w).astype(np.int32), roots.size
 
 
-def _region_adjacency(labels: np.ndarray) -> set[tuple[int, int]]:
-    h, w = labels.shape
-    pairs = set()
-    for dy, dx in ((0, 1), (1, 0)):
-        a = labels[: h - dy, : w - dx].ravel()
-        b = labels[dy:, dx:].ravel()
+def _region_pairs(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each 4-adjacent pair once, as int64 arrays lo < hi sorted by (lo, hi)."""
+    keys = []
+    for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1], labels[1:])):
         diff = a != b
-        lo = np.minimum(a[diff], b[diff])
-        hi = np.maximum(a[diff], b[diff])
-        pairs.update(zip(lo.tolist(), hi.tolist()))
-    return pairs
+        a, b = a[diff].astype(np.int64), b[diff].astype(np.int64)
+        keys.append(np.minimum(a, b) * count + np.maximum(a, b))
+    return np.divmod(np.unique(np.concatenate(keys)), count)
+
+
+def _neighbor_sets(lo: np.ndarray, hi: np.ndarray, count: int) -> list[set]:
+    """Each region's set of 4-neighbors, from the pairs of _region_pairs."""
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])[np.argsort(src, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(src, minlength=count)).tolist()
+    return [set(dst[s:e]) for s, e in zip([0] + ends[:-1], ends)]
+
+
+def _join_neighbors(neighbors: list[set], keep: int, gone: int) -> None:
+    """Hand the 4-neighbors of region gone to keep, which absorbs it."""
+    for nb in neighbors[gone]:
+        neighbors[nb].discard(gone)
+        neighbors[nb].add(keep)
+    # in place: keep's set can be far larger than gone's
+    neighbors[keep] |= neighbors[gone]
+    neighbors[keep] -= {keep, gone}
+    neighbors[gone] = set()
 
 
 def _merge_small(labels: np.ndarray, count: int, color: np.ndarray, min_size: int) -> tuple[np.ndarray, int]:
@@ -184,10 +201,7 @@ def _merge_small(labels: np.ndarray, count: int, color: np.ndarray, min_size: in
     csum = csum.tolist()
     # per-region mean colors as Python floats, held until the region grows
     mean = [(s0 / a, s1 / a, s2 / a) for (s0, s1, s2), a in zip(csum, areas)]
-    neighbors = [set() for _ in range(count)]
-    for a, b in _region_adjacency(labels):
-        neighbors[a].add(b)
-        neighbors[b].add(a)
+    neighbors = _neighbor_sets(*_region_pairs(labels, count), count)
 
     parent = list(range(count))
     heap = [(areas[r], r) for r in range(count) if areas[r] < min_size]
@@ -213,14 +227,7 @@ def _merge_small(labels: np.ndarray, count: int, color: np.ndarray, min_size: in
         s0, s1, s2 = csum[keep]
         area = areas[keep]
         mean[keep] = (s0 / area, s1 / area, s2 / area)
-        neighbors[keep] |= neighbors[gone]
-        neighbors[keep].discard(keep)
-        neighbors[keep].discard(gone)
-        for nb in neighbors[gone]:
-            if nb != keep:
-                neighbors[nb].discard(gone)
-                neighbors[nb].add(keep)
-        neighbors[gone] = set()
+        _join_neighbors(neighbors, keep, gone)
         if area < min_size:
             heapq.heappush(heap, (area, keep))
     return _relabel_dense(_pointer_jump(np.asarray(parent))[labels])
@@ -347,12 +354,19 @@ def _components(color: np.ndarray, h: int, w: int, k: float) -> np.ndarray:
     return roots[_pointer_jump(sub)][local[tree]]
 
 
-def graph_segment(image: np.ndarray, k: float = DEFAULT_K, min_size: int = DEFAULT_MIN_SIZE) -> RegionMap:
-    """Graph-based segmentation with adaptive threshold tau(C) = k / |C|."""
+def check_settings(k: float = DEFAULT_K, min_size: int = DEFAULT_MIN_SIZE, target_count: int | None = None) -> None:
+    """Raise ConfigError unless graph_segment and merge_regions accept these."""
     if not (math.isfinite(k) and k > 0):
         raise ConfigError(f"k must be positive and finite, got {k}")
     if min_size < 1:
         raise ConfigError(f"min_size must be >= 1, got {min_size}")
+    if target_count is not None and target_count < 1:
+        raise ConfigError(f"target_count must be >= 1, got {target_count}")
+
+
+def graph_segment(image: np.ndarray, k: float = DEFAULT_K, min_size: int = DEFAULT_MIN_SIZE) -> RegionMap:
+    """Graph-based segmentation with adaptive threshold tau(C) = k / |C|."""
+    check_settings(k, min_size)
     color = _check_image(image)
     h, w = image.shape[0], image.shape[1]
     # the edge arrays die with _components, before the cleanup's own arrays
@@ -363,25 +377,20 @@ def graph_segment(image: np.ndarray, k: float = DEFAULT_K, min_size: int = DEFAU
 
 def _histograms(labels: np.ndarray, count: int, color: np.ndarray) -> np.ndarray:
     """Raw per-region color histograms, HIST_BINS bins per channel."""
-    bins = (color.astype(np.int64) * HIST_BINS) // 256
-    hist = np.zeros((count, 3 * HIST_BINS))
-    flat = labels.ravel()
-    for ch in range(3):
-        np.add.at(hist, (flat, ch * HIST_BINS + bins[:, ch]), 1.0)
-    return hist
+    bins = (color.astype(np.int64) * HIST_BINS) // 256 + np.arange(0, 3 * HIST_BINS, HIST_BINS)
+    bins += labels.reshape(-1, 1).astype(np.int64) * (3 * HIST_BINS)
+    hist = np.bincount(bins.ravel(), minlength=count * 3 * HIST_BINS)
+    return hist.reshape(count, 3 * HIST_BINS).astype(np.float64)
 
 
-def _similarity(a: int, b: int, hist, areas, boxes, total: int, wts) -> float:
-    ha = hist[a] / (3.0 * areas[a])
-    hb = hist[b] / (3.0 * areas[b])
-    color_sim = float(np.minimum(ha, hb).sum())
+def _similarities(a, b, hist, areas, lo, hi, total: int, wts) -> np.ndarray:
+    """Similarity of regions a[i] and b[i], or of one region a and each b[i];
+    lo and hi hold the (y, x) corners of each region's bounding box."""
+    na, nb = hist[a] / (3.0 * areas[a])[..., None], hist[b] / (3.0 * areas[b])[..., None]
+    color_sim = np.minimum(na, nb).sum(axis=-1)
     size_sim = 1.0 - (areas[a] + areas[b]) / total
-    y0 = min(boxes[a][0], boxes[b][0])
-    x0 = min(boxes[a][1], boxes[b][1])
-    y1 = max(boxes[a][2], boxes[b][2])
-    x1 = max(boxes[a][3], boxes[b][3])
-    bb = (y1 - y0 + 1) * (x1 - x0 + 1)
-    fill_sim = 1.0 - (bb - areas[a] - areas[b]) / total
+    span = np.maximum(hi[a], hi[b]) - np.minimum(lo[a], lo[b]) + 1
+    fill_sim = 1.0 - (span[..., 0] * span[..., 1] - areas[a] - areas[b]) / total
     return wts["color"] * color_sim + wts["size"] * size_sim + wts["fill"] * fill_sim
 
 
@@ -392,12 +401,13 @@ def merge_regions(
     sim_weights: dict | None = None,
 ) -> RegionMap:
     """Greedy highest-similarity merging of adjacent regions down to target_count."""
-    if target_count < 1:
-        raise ConfigError(f"target_count must be >= 1, got {target_count}")
+    check_settings(target_count=target_count)
     wts = dict(DEFAULT_SIM_WEIGHTS if sim_weights is None else sim_weights)
-    if set(wts) != {"color", "size", "fill"} or any(not v >= 0 for v in wts.values()):
-        raise ConfigError(f"sim_weights needs non-negative color/size/fill, got {wts}")
+    if set(wts) != {"color", "size", "fill"} or any(not 0 <= v < math.inf for v in wts.values()):
+        raise ConfigError(f"sim_weights needs finite non-negative color/size/fill, got {wts}")
     color = _check_image(image)
+    if not ((color >= 0) & (color <= 255)).all():
+        raise DataError("pixel values must lie in [0, 255] for the color histograms")
     labels = rm.labels
     if labels.shape != image.shape[:2]:
         raise ConfigError(f"region map {labels.shape} does not match image {image.shape[:2]}")
@@ -414,21 +424,18 @@ def merge_regions(
     hi = np.full((count, 2), -1, dtype=np.int64)
     np.minimum.at(lo, flat, yx)
     np.maximum.at(hi, flat, yx)
-    boxes = [tuple(b) for b in np.concatenate([lo, hi], axis=1).tolist()]
-    pairs = _region_adjacency(labels)
-    neighbors = [set() for _ in range(count)]
-    for a, b in pairs:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
+    pa, pb = _region_pairs(labels, count)
+    neighbors = _neighbor_sets(pa, pb, count)
 
     # Lazy-invalidated max-heap over adjacent pairs (a < b).  A pair's
     # similarity depends only on its two regions, so after b merges into a
     # only the pairs touching a change: bump a's version and push those.
-    # Popping (-sim, a, b) yields the highest similarity, exact ties going
-    # to the lowest (a, b).
+    # Pops take the highest similarity, exact ties the lowest (a, b); the
+    # keys are distinct, so the pops do not depend on the push order.
     parent = list(range(count))
     version = [0] * count
-    heap = [(-_similarity(a, b, hist, areas, boxes, total, wts), a, b, 0, 0) for a, b in pairs]
+    sims = _similarities(pa, pb, hist, areas, lo, hi, total, wts).tolist()
+    heap = [(-sim, a, b, 0, 0) for sim, a, b in zip(sims, pa.tolist(), pb.tolist())]
     heapq.heapify(heap)
     live = count
     while live > target_count and heap:
@@ -438,24 +445,14 @@ def merge_regions(
         parent[b] = a
         areas[a] += areas[b]
         hist[a] += hist[b]
-        boxes[a] = (
-            min(boxes[a][0], boxes[b][0]),
-            min(boxes[a][1], boxes[b][1]),
-            max(boxes[a][2], boxes[b][2]),
-            max(boxes[a][3], boxes[b][3]),
-        )
-        neighbors[a] |= neighbors[b]
-        neighbors[a].discard(a)
-        neighbors[a].discard(b)
-        for nb in neighbors[b]:
-            if nb != a:
-                neighbors[nb].discard(b)
-                neighbors[nb].add(a)
-        neighbors[b] = set()
+        np.minimum(lo[a], lo[b], out=lo[a])
+        np.maximum(hi[a], hi[b], out=hi[a])
+        _join_neighbors(neighbors, a, b)
         version[a] += 1
-        for nb in neighbors[a]:
+        nbs = list(neighbors[a])
+        for nb, sim in zip(nbs, _similarities(a, nbs, hist, areas, lo, hi, total, wts).tolist()):
             x, y = (a, nb) if a < nb else (nb, a)
-            heapq.heappush(heap, (-_similarity(x, y, hist, areas, boxes, total, wts), x, y, version[x], version[y]))
+            heapq.heappush(heap, (-sim, x, y, version[x], version[y]))
         live -= 1
 
     merged, final = _relabel_dense(_pointer_jump(np.asarray(parent))[labels])

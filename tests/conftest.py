@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sceneparse import synthdata
+
+# property tests draw the same examples on every run and keep no example
+# database between runs, and a slow machine does not fail them on time
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

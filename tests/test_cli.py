@@ -457,6 +457,21 @@ class TestParse:
         assert "k must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "x.pgm").exists()
 
+    @pytest.mark.parametrize("key", ["min_size", "target_count"])
+    def test_zero_segment_setting_exit_2(self, workdir, tmp_path, capsys, key):
+        (tmp_path / "p.json").write_text(json.dumps({key: 0, "stride": 8}))
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--oracle-truth", str(workdir / "scene" / "truth.pgm"),
+                "--config", str(tmp_path / "p.json"),
+            )
+            == 2
+        )
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+
     @pytest.mark.parametrize("key", ["windows", "K", "target"])
     def test_unknown_key_exit_2(self, workdir, tmp_path, capsys, key):
         (tmp_path / "p.json").write_text(json.dumps({"stride": 8, key: 1}))

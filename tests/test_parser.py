@@ -360,6 +360,28 @@ class TestParseImage:
         with pytest.raises(ClassifierError, match="^grid: "):
             parser.parse_image(raster, Broken(), parser.ParseConfig(window_sizes=(4,), stride=4))
 
+    @pytest.mark.parametrize(
+        "bad", [{"k": float("nan")}, {"k": 0.0}, {"min_size": 0}, {"target_count": 0}, {"target_count": -3}]
+    )
+    def test_segment_settings_checked_before_grid(self, bad):
+        raster, truth = make_scene(n_classes=3, size=32, seed=2)
+
+        class Counting(parser.OracleClassifier):
+            calls = 0
+
+            def probs_at(self, raster, y, x):
+                self.calls += 1
+                return super().probs_at(raster, y, x)
+
+        base = dict(window_sizes=(8,), stride=4, min_size=4)
+        oc = Counting(truth)
+        parser.parse_image(raster, oc, parser.ParseConfig(**base))
+        assert oc.calls > 0
+        oc = Counting(truth)
+        with pytest.raises(ConfigError, match="^segment: "):
+            parser.parse_image(raster, oc, parser.ParseConfig(**{**base, **bad}))
+        assert oc.calls == 0
+
     def test_target_count_merging(self):
         raster, truth = make_scene(n_classes=3, size=64, seed=5)
         oc = parser.OracleClassifier(truth)

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneparse import segmentation
-from sceneparse.errors import ConfigError, EmptyImageError, IoError, ParseError
-from sceneparse.segmentation import _histograms, _region_adjacency, _relabel_dense, _similarity
+from sceneparse.errors import ConfigError, DataError, EmptyImageError, IoError, ParseError
+from sceneparse.segmentation import _relabel_dense
 from tests.conftest import make_scene
 
 
@@ -140,6 +142,47 @@ def _greedy_merge_loops(img, labels, target):
     return labels
 
 
+# _region_adjacency and _similarity are the set-based adjacency and the
+# one-pair scoring that segmentation._region_pairs and _similarities replaced
+
+
+def _region_adjacency(labels: np.ndarray) -> set[tuple[int, int]]:
+    h, w = labels.shape
+    pairs = set()
+    for dy, dx in ((0, 1), (1, 0)):
+        a = labels[: h - dy, : w - dx].ravel()
+        b = labels[dy:, dx:].ravel()
+        diff = a != b
+        lo = np.minimum(a[diff], b[diff])
+        hi = np.maximum(a[diff], b[diff])
+        pairs.update(zip(lo.tolist(), hi.tolist()))
+    return pairs
+
+
+def _histograms_add_at(labels: np.ndarray, count: int, color: np.ndarray) -> np.ndarray:
+    """The np.add.at histograms that segmentation._histograms replaced."""
+    bins = (color.astype(np.int64) * segmentation.HIST_BINS) // 256
+    hist = np.zeros((count, 3 * segmentation.HIST_BINS))
+    flat = labels.ravel()
+    for ch in range(3):
+        np.add.at(hist, (flat, ch * segmentation.HIST_BINS + bins[:, ch]), 1.0)
+    return hist
+
+
+def _similarity(a: int, b: int, hist, areas, boxes, total: int, wts) -> float:
+    ha = hist[a] / (3.0 * areas[a])
+    hb = hist[b] / (3.0 * areas[b])
+    color_sim = float(np.minimum(ha, hb).sum())
+    size_sim = 1.0 - (areas[a] + areas[b]) / total
+    y0 = min(boxes[a][0], boxes[b][0])
+    x0 = min(boxes[a][1], boxes[b][1])
+    y1 = max(boxes[a][2], boxes[b][2])
+    x1 = max(boxes[a][3], boxes[b][3])
+    bb = (y1 - y0 + 1) * (x1 - x0 + 1)
+    fill_sim = 1.0 - (bb - areas[a] - areas[b]) / total
+    return wts["color"] * color_sim + wts["size"] * size_sim + wts["fill"] * fill_sim
+
+
 def _merge_rescan(image, rm, target_count, wts=segmentation.DEFAULT_SIM_WEIGHTS):
     """The full-rescan greedy merge that merge_regions replaced: every round
     rescores every adjacent live pair and merges the best one, exact ties
@@ -152,7 +195,7 @@ def _merge_rescan(image, rm, target_count, wts=segmentation.DEFAULT_SIM_WEIGHTS)
 
     total = labels.size
     areas = np.bincount(labels.ravel(), minlength=count).astype(np.int64)
-    hist = _histograms(labels, count, color)
+    hist = _histograms_add_at(labels, count, color)
     ys, xs = np.indices(labels.shape)
     boxes = []
     for r in range(count):
@@ -573,7 +616,8 @@ class TestMergeRegions:
     def test_bad_weights_rejected(self, rng):
         img = _random_image(rng)
         rm = segmentation.graph_segment(img, k=200.0, min_size=8)
-        for bad in (math.nan, -0.5):
+        # an infinite weight times a zero term scores a pair NaN
+        for bad in (math.nan, -0.5, math.inf):
             wts = {**segmentation.DEFAULT_SIM_WEIGHTS, "size": bad}
             with pytest.raises(ConfigError):
                 segmentation.merge_regions(img, rm, 2, sim_weights=wts)
@@ -610,6 +654,25 @@ class TestMergeRegions:
         out = segmentation.merge_regions(img, rm, 3)
         assert out.labels[0, 0] == out.labels[0, 15]
         assert out.labels[8, 0] != out.labels[8, 15]
+
+    @pytest.mark.parametrize(
+        "channel,value",
+        [(2, 300.0), (0, 256.0), (1, -1.0), (0, math.nan), (2, math.inf), (1, 255.5)],
+    )
+    def test_pixel_values_outside_8_bit_rejected(self, rng, channel, value):
+        # unchecked, 300 in channel 2 indexes past the 75 bins, 256 in
+        # channel 0 lands in channel 1's first bin and -1 wraps into another
+        img = _random_image(rng, 16, 16).astype(np.float64)
+        rm = segmentation.graph_segment(img, k=60.0, min_size=4)
+        img[3, 5, channel] = value
+        with pytest.raises(DataError, match=r"\[0, 255\]"):
+            segmentation.merge_regions(img, rm, 1)
+
+    def test_extreme_8_bit_values_accepted(self):
+        img = np.zeros((8, 8, 3))
+        img[:, 4:] = 255.0
+        rm = segmentation.graph_segment(img, k=1.0, min_size=1)
+        assert segmentation.merge_regions(img, rm, 1).region_count == 1
 
 
 class TestMergeMatchesRescan:
@@ -649,6 +712,125 @@ class TestMergeMatchesRescan:
         for target in range(15, 0, -1):
             got = segmentation.merge_regions(img, rm, target)
             assert _same_map(got, _merge_rescan(img, rm, target)), target
+
+
+class TestBatchedScoring:
+    """_region_pairs, _similarities and _histograms against the code they
+    replaced, byte for byte."""
+
+    WEIGHTS = [
+        segmentation.DEFAULT_SIM_WEIGHTS,
+        {"color": 0.1, "size": 0.0, "fill": 0.9},
+        {"color": 1.0, "size": 0.3, "fill": 0.7},
+    ]
+
+    @staticmethod
+    def _state(img, rm):
+        """Areas, histograms and boxes as merge_regions and the oracle hold them."""
+        labels, count = rm.labels, rm.region_count
+        color = segmentation._check_image(img)
+        areas = np.bincount(labels.ravel(), minlength=count).astype(np.int64)
+        hist = segmentation._histograms(labels, count, color)
+        ys, xs = np.indices(labels.shape)
+        lo = np.array([(ys[labels == r].min(), xs[labels == r].min()) for r in range(count)], dtype=np.int64)
+        hi = np.array([(ys[labels == r].max(), xs[labels == r].max()) for r in range(count)], dtype=np.int64)
+        boxes = [tuple(b) for b in np.concatenate([lo, hi], axis=1).tolist()]
+        return areas, hist, lo, hi, boxes
+
+    @staticmethod
+    def _check(pairs, areas, hist, lo, hi, boxes, total, wts):
+        pa = np.array([a for a, _ in pairs], dtype=np.int64)
+        pb = np.array([b for _, b in pairs], dtype=np.int64)
+        want = np.array([_similarity(a, b, hist, areas, boxes, total, wts) for a, b in pairs])
+        got = segmentation._similarities(pa, pb, hist, areas, lo, hi, total, wts)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        # one region against all of its neighbors, as after a merge
+        for a in np.unique(pa)[:25].tolist():
+            nbs = pb[pa == a].tolist()
+            got = segmentation._similarities(a, nbs, hist, areas, lo, hi, total, wts)
+            assert got.tobytes() == want[pa == a].tobytes()
+
+    @pytest.mark.parametrize("size,seed", [(64, 1), (96, 3)])
+    @pytest.mark.parametrize("wts", WEIGHTS)
+    def test_similarities_match_per_pair(self, size, seed, wts):
+        img = make_scene(n_classes=4, size=size, n_points=8, seed=seed, noise=20.0)[0]
+        rm = segmentation.graph_segment(img, 100.0, 4)
+        total = rm.labels.size
+        areas, hist, lo, hi, boxes = self._state(img, rm)
+        pairs = sorted(_region_adjacency(rm.labels))
+        assert len(pairs) >= 50
+        self._check(pairs, areas, hist, lo, hi, boxes, total, wts)
+        # merge every fourth pair whose regions are both still whole, in the
+        # merge loop's way, then score every pair again
+        parent = list(range(rm.region_count))
+        for a, b in pairs[::4]:
+            if parent[a] != a or parent[b] != b:
+                continue
+            parent[b] = a
+            areas[a] += areas[b]
+            hist[a] += hist[b]
+            np.minimum(lo[a], lo[b], out=lo[a])
+            np.maximum(hi[a], hi[b], out=hi[a])
+            boxes[a] = (min(boxes[a][0], boxes[b][0]), min(boxes[a][1], boxes[b][1]),
+                        max(boxes[a][2], boxes[b][2]), max(boxes[a][3], boxes[b][3]))
+        assert parent != list(range(rm.region_count))
+        self._check(pairs, areas, hist, lo, hi, boxes, total, wts)
+
+    @staticmethod
+    def _check_pairs(labels):
+        count = int(labels.max()) + 1
+        lo, hi = segmentation._region_pairs(labels, count)
+        assert lo.dtype == hi.dtype == np.int64
+        got = list(zip(lo.tolist(), hi.tolist()))
+        assert got == sorted(_region_adjacency(labels))
+        want = [set() for _ in range(count)]
+        for a, b in got:
+            want[a].add(b)
+            want[b].add(a)
+        assert segmentation._neighbor_sets(lo, hi, count) == want
+
+    def test_region_pairs_random_rasters(self, rng):
+        for _ in range(30):
+            h, w = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+            self._check_pairs(rng.integers(0, int(rng.integers(1, 40)), size=(h, w)).astype(np.int32))
+
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 19), (19, 1), (7, 9)])
+    def test_region_pairs_thin_and_one_region(self, rng, h, w):
+        self._check_pairs(np.zeros((h, w), dtype=np.int32))
+        self._check_pairs(np.arange(h * w, dtype=np.int32).reshape(h, w))
+        self._check_pairs(rng.integers(0, 3, size=(h, w)).astype(np.int32))
+
+    def test_histograms_match_add_at(self, rng):
+        for _ in range(10):
+            h, w = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            count = int(rng.integers(1, 20))
+            labels = rng.integers(0, count, size=(h, w)).astype(np.int32)
+            color = rng.integers(0, 256, size=(h * w, 3)).astype(np.float64)
+            color[0] = (0.0, 255.0, 127.9)
+            got = segmentation._histograms(labels, count, color)
+            assert got.dtype == np.float64
+            assert got.tobytes() == _histograms_add_at(labels, count, color).tobytes()
+
+
+_WEIGHT = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 2.0)
+
+
+@settings(max_examples=60)
+@given(
+    h=st.integers(1, 16),
+    w=st.integers(4, 16),
+    colors=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([1.0, 20.0, 300.0]),
+    min_size=st.sampled_from([1, 1, 3]),
+    share=st.floats(0.0, 1.0),
+    wts=st.fixed_dictionaries({"color": _WEIGHT, "size": _WEIGHT, "fill": _WEIGHT}),
+)
+def test_merge_matches_rescan_on_palette_rasters(h, w, colors, seed, k, min_size, share, wts):
+    img = _palette_image(np.random.Generator(np.random.PCG64(seed)), h, w, colors)
+    rm = segmentation.graph_segment(img, k, min_size)
+    target = max(1, int(share * rm.region_count))
+    assert _same_map(segmentation.merge_regions(img, rm, target, wts), _merge_rescan(img, rm, target, wts))
 
 
 class TestFourCC:
