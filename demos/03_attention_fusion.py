@@ -33,18 +33,14 @@ print("zeroed attention gives exactly 1.5x:", np.array_equal(z[0].data, 1.5 * py
 # per-scale probability vectors by a weighted mean.  Deeper streams get
 # larger weights, so they dominate unless shallow scales strongly agree.
 w = fusion.DEFAULT_SCALE_WEIGHTS
-preds = [
-    fusion.ScalePrediction(np.array([1.0, 0.0]), w[0]),
-    fusion.ScalePrediction(np.array([1.0, 0.0]), w[1]),
-    fusion.ScalePrediction(np.array([0.0, 1.0]), w[2]),
-]
-fused = fusion.fuse(preds)
-print("weights", w, "-> fused", np.round(fused.probs, 5), "label", fused.label)
+probs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # [scales, classes]
+fused = fusion.fuse(probs, w)
+print("weights", w, "-> fused", np.round(fused, 5), "label", int(fused.argmax()))
 
 # The fused vector stays on the simplex and the argmax never depends on
 # a global rescale of the weights.
 rows = rng.random((3, 4))
 rows /= rows.sum(axis=1, keepdims=True)
-a = fusion.fuse_prob_rows(rows, w)
-b = fusion.fuse_prob_rows(rows, tuple(10.0 * ws for ws in w))
+a = fusion.fuse(rows, w)
+b = fusion.fuse(rows, tuple(10.0 * ws for ws in w))
 print("sum", float(a.sum()), "argmax stable under rescale:", a.argmax() == b.argmax())

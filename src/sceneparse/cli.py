@@ -8,8 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 data/input error,
 4 numeric failure (non-finite loss), 5 checkpoint or class-table
 mismatch, 1 anything else.
 
-Environment overrides (paths and worker count only):
-  SCENEPARSE_WORKERS    overrides the parse-stage worker count
+Environment overrides (paths only):
   SCENEPARSE_DATA_ROOT  base directory for relative paths in config files
 """
 
@@ -126,16 +125,6 @@ def _print_header(title: str, pairs: dict) -> None:
         print(f"  {k} = {v}")
 
 
-def _workers(requested: int) -> int:
-    env = os.environ.get("SCENEPARSE_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as e:
-            raise ConfigError(f"SCENEPARSE_WORKERS={env!r} is not an integer") from e
-    return max(1, requested)
-
-
 _NUMBER = (int, float)
 _KIND_NAMES = {int: "an integer", _NUMBER: "a number", bool: "true or false", str: "a string"}
 
@@ -178,7 +167,7 @@ _FINETUNE_KEYS = frozenset(
     {"base_checkpoint", "num_classes_per_task", "train", "msc", "manifests", "labels", "label_ids", "out_checkpoint"}
 )
 _PARSE_KEYS = frozenset(
-    {"window_sizes", "stride", "scale_weights", "k", "min_size", "target_count", "workers", "expected_labels"}
+    {"window_sizes", "stride", "scale_weights", "k", "min_size", "target_count", "expected_labels"}
 )
 
 
@@ -370,6 +359,8 @@ def cmd_parse(args) -> int:
     raster = read_ppm(args.input)
     if args.oracle_truth:
         truth = read_pgm(args.oracle_truth).astype(np.int32)
+        if truth.shape != raster.shape[:2]:
+            raise ExtentMismatchError(f"oracle truth {truth.shape} vs raster {raster.shape[:2]}")
         classifier = parser.OracleClassifier(truth)
     else:
         if not args.checkpoint:
@@ -386,7 +377,6 @@ def cmd_parse(args) -> int:
         k=_typed(cfg.get("k", segmentation.DEFAULT_K), _NUMBER, "k"),
         min_size=_typed(cfg.get("min_size", segmentation.DEFAULT_MIN_SIZE), int, "min_size"),
         target_count=_optional(cfg, "target_count", _typed, int),
-        workers=_workers(_typed(cfg.get("workers", 1), int, "workers")),
         keep_probs=args.dump_grid is not None,
         expected_labels=_optional(cfg, "expected_labels", _typed_list, str),
     )
@@ -401,7 +391,6 @@ def cmd_parse(args) -> int:
             "k": pcfg.k,
             "min_size": pcfg.min_size,
             "target_count": pcfg.target_count,
-            "workers": pcfg.workers,
             "oracle": bool(args.oracle_truth),
         },
     )

@@ -64,11 +64,7 @@ class IncompatibleCheckpointError(SceneParseError):
     pass
 
 
-# fusion / segmentation / parsing
-class EmptyInputError(SceneParseError):
-    pass
-
-
+# segmentation / parsing
 class EmptyImageError(SceneParseError):
     pass
 

@@ -1,102 +1,37 @@
-"""Multi-scale probability fusion.
+"""Weighted-mean probability fusion.
 
-Each scale contributes a softmax probability vector and a positive weight;
-the fused vector is the weighted mean p_hat[n] = sum_s w_s * p[s][n] / sum_s w_s,
-and the predicted label is its argmax with ties broken toward the lowest
-class index.
+Each scale (or classifier stream) contributes a probability vector and a
+positive weight; the fused vector is the weighted mean
+p_hat[n] = sum_s w_s * p[s][n] / sum_s w_s.  The classifier fuses its three
+streams with :func:`fuse` and the parser fuses its window scales with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import EmptyInputError, ShapeError
-from .tensor import Tensor
-
-SIMPLEX_TOL = 1e-9
+from .errors import ConfigError, ShapeError
 
 DEFAULT_SCALE_WEIGHTS = (0.25, 0.5, 1.0)
 
 
-@dataclass(frozen=True)
-class ScalePrediction:
-    """One scale's class probabilities plus its fusion weight."""
-
-    probs: np.ndarray
-    weight: float
-    scale: int = 0
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size < 1:
-            raise ShapeError(f"probs must be a non-empty vector, got shape {p.shape}")
-        if self.weight <= 0:
-            raise ShapeError(f"weight must be positive, got {self.weight}")
-        if np.any(p < 0) or abs(float(p.sum()) - 1.0) > SIMPLEX_TOL:
-            raise ShapeError("probs must lie on the simplex")
-        object.__setattr__(self, "probs", p)
+def check_weights(weights, count: int, what: str) -> np.ndarray:
+    """``weights`` as a float64 vector, if there are ``count`` of them, each
+    finite and positive, with a finite sum; ConfigError otherwise."""
+    try:
+        w = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{what} must be numbers, got {weights}") from e
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if w.shape != (count,) or not (np.all(np.isfinite(w)) and np.all(w > 0) and np.isfinite(total)):
+        raise ConfigError(f"need {count} finite positive {what} with a finite sum, got {weights}")
+    return w
 
 
-@dataclass(frozen=True)
-class FusedPrediction:
-    probs: np.ndarray
-    label: int
-
-
-def _softmax_1d(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def scale_probabilities(logits_per_scale, weights=DEFAULT_SCALE_WEIGHTS) -> list[ScalePrediction]:
-    """Softmax each scale's logits and attach its fusion weight."""
-    if len(logits_per_scale) == 0:
-        raise EmptyInputError("no scales")
-    if len(weights) != len(logits_per_scale):
-        raise ShapeError(f"{len(logits_per_scale)} scales but {len(weights)} weights")
-    out = []
-    n = None
-    for s, (logits, w) in enumerate(zip(logits_per_scale, weights)):
-        z = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
-        if z.ndim != 1:
-            raise ShapeError(f"scale {s}: logits must be a vector, got shape {z.shape}")
-        if n is None:
-            n = z.size
-        elif z.size != n:
-            raise ShapeError(f"scale {s}: {z.size} classes, expected {n}")
-        out.append(ScalePrediction(probs=_softmax_1d(z), weight=float(w), scale=s))
-    return out
-
-
-def fuse(preds: list[ScalePrediction]) -> FusedPrediction:
-    """Weighted mean of the per-scale probability vectors."""
-    if not preds:
-        raise EmptyInputError("nothing to fuse")
-    n = preds[0].probs.size
-    total_w = 0.0
-    acc = np.zeros(n)
-    for p in preds:
-        if p.probs.size != n:
-            raise ShapeError(f"scale {p.scale}: {p.probs.size} classes, expected {n}")
-        acc += p.weight * p.probs
-        total_w += p.weight
-    probs = acc / total_w
-    return FusedPrediction(probs=probs, label=int(np.argmax(probs)))
-
-
-def fuse_prob_rows(prob_rows: np.ndarray, weights) -> np.ndarray:
-    """Row-batched fusion: [S, N] probability rows -> fused [N] vector.
-
-    Same arithmetic as :func:`fuse` without per-row object wrappers; used on
-    hot paths that fuse many cells.
-    """
+def fuse(probs: np.ndarray, weights) -> np.ndarray:
+    """[..., S, N] probabilities and S weights -> [..., N] weighted mean."""
     w = np.asarray(weights, dtype=np.float64)
-    if prob_rows.ndim != 2 or w.shape != (prob_rows.shape[0],):
-        raise ShapeError(f"rows {prob_rows.shape} vs weights {w.shape}")
-    return (w[:, None] * prob_rows).sum(axis=0) / w.sum()
-
-
-def predict_label(f: FusedPrediction) -> int:
-    return f.label
+    if probs.ndim < 2 or w.shape != probs.shape[-2:-1]:
+        raise ShapeError(f"probabilities {probs.shape} vs weights {w.shape}")
+    return (w[:, None] * probs).sum(axis=-2) / w.sum()

@@ -1,7 +1,7 @@
 """Tile classification model: a small three-stage conv backbone, deep-to-
 shallow attention fusion, per-stream classification heads for one or two
-tasks, an optional multi-label head over a taxonomy, SGD training with the
-flip/rotation augmentation scheme, and checkpoint serialization.
+tasks, SGD training with the flip/rotation augmentation scheme, and
+checkpoint serialization.
 
 The three streams are ordered shallow to deep; stream weights follow the
 same order, so the deepest stream carries the largest default weight.
@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
+from .fusion import check_weights, fuse
 from .netpbm import read_ppm
 from .taxonomy import DatasetManifest
 
@@ -45,7 +46,6 @@ __all__ = [
     "han_forward",
     "msc_forward",
     "msc_loss",
-    "multilabel_forward",
     "load_tiles",
     "train",
     "fine_tune",
@@ -93,10 +93,9 @@ class MSCConfig:
     mu_m: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "stream_weights", tuple(float(w) for w in self.stream_weights))
-        if any(w <= 0 for w in self.stream_weights):
-            raise ConfigError(f"stream weights must be positive, got {self.stream_weights}")
-        if self.mu_g < 0 or self.mu_m < 0 or abs(self.mu_g + self.mu_m - 1.0) > 1e-12:
+        weights = check_weights(self.stream_weights, 3, "stream weights")
+        object.__setattr__(self, "stream_weights", tuple(weights.tolist()))
+        if not (self.mu_g >= 0 and self.mu_m >= 0 and abs(self.mu_g + self.mu_m - 1.0) <= 1e-12):
             raise ConfigError(f"task weights must be non-negative and sum to 1, got {self.mu_g}, {self.mu_m}")
 
 
@@ -137,7 +136,7 @@ class AttentionWeights:
     bias: T.Tensor
 
 
-def param_shapes(cfg: BackboneConfig, multilabel_nodes: int | None = None) -> dict[str, tuple[int, ...]]:
+def param_shapes(cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
     """Parameter name -> shape, in checkpoint payload order."""
     c1, c2, c3 = cfg.stage_channels
     shapes: dict[str, tuple[int, ...]] = {}
@@ -156,17 +155,14 @@ def param_shapes(cfg: BackboneConfig, multilabel_nodes: int | None = None) -> di
         for s, c in enumerate((c1, c2, c3), start=1):
             shapes[f"head.g{t}.s{s}.w"] = (k, c)
             shapes[f"head.g{t}.s{s}.b"] = (k,)
-    if multilabel_nodes is not None:
-        shapes["ml.w"] = (multilabel_nodes, c1 + c2 + c3)
-        shapes["ml.b"] = (multilabel_nodes,)
     return shapes
 
 
-def init_params(cfg: BackboneConfig, seed: int, multilabel_nodes: int | None = None) -> dict[str, T.Tensor]:
+def init_params(cfg: BackboneConfig, seed: int) -> dict[str, T.Tensor]:
     """Kaiming-uniform weights (bound sqrt(6/fan_in)), zero biases; seeded."""
     rng = np.random.Generator(np.random.PCG64(seed))
     params: dict[str, T.Tensor] = {}
-    for name, shape in param_shapes(cfg, multilabel_nodes).items():
+    for name, shape in param_shapes(cfg).items():
         if name.endswith(".b"):
             data = np.zeros(shape)
         else:
@@ -250,15 +246,6 @@ def msc_loss(
         for ws, z in zip(w, logits_m):
             loss = T.add(loss, T.scale(T.cross_entropy(z, target_m), ws * cfg.mu_m))
     return loss
-
-
-def multilabel_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor]) -> T.Tensor:
-    """Sigmoid confidences over taxonomy nodes from the concatenated GAPs."""
-    if "ml.w" not in params:
-        raise ConfigError("parameters have no multi-label head")
-    streams = han_forward(backbone_forward(image, cfg, params), params)
-    pooled = T.concat([T.global_avg_pool(af) for af in streams])
-    return T.sigmoid(T.linear(pooled, params["ml.w"], params["ml.b"]))
 
 
 def load_tiles(manifest: DatasetManifest, input_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -469,15 +456,10 @@ def fine_tune(
     return ckpt, trace
 
 
-def _expected_shapes(params: dict[str, np.ndarray], cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
-    nodes = params["ml.w"].shape[0] if "ml.w" in params else None
-    return param_shapes(cfg, nodes)
-
-
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     """Binary checkpoint: magic/version line, sized JSON header, then the
     parameters as little-endian float32 in header-manifest order."""
-    expected = _expected_shapes(ckpt.params, ckpt.config)
+    expected = param_shapes(ckpt.config)
     if list(ckpt.params) != list(expected):
         raise ConfigError("parameter set does not match the configured architecture")
     for name, shape in expected.items():
@@ -581,12 +563,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         manifest = [(name, tuple(shape)) for name, shape in header["params"]]
         labels = list(header["labels"])
         label_ids = [int(i) for i in header["label_ids"]]
-    except (KeyError, TypeError, ConfigError) as e:
+    except (KeyError, TypeError, ValueError, ConfigError) as e:
         raise FormatVersionError(f"malformed header: {e}") from e
 
-    nodes = next((shape[0] for name, shape in manifest if name == "ml.w"), None)
-    expected = param_shapes(cfg, nodes)
-    if manifest != list(expected.items()):
+    if manifest != list(param_shapes(cfg).items()):
         raise FormatVersionError("parameter manifest does not match the declared config")
     if len(labels) != cfg.num_classes_per_task[0] or len(label_ids) != len(labels):
         raise FormatVersionError("label table does not cover the main task's classes")
@@ -631,20 +611,11 @@ class TileClassifier:
     def n_classes(self) -> int:
         return self.config.num_classes_per_task[0]
 
-    def probs_batch(self, patches: np.ndarray) -> np.ndarray:
-        """[B,3,s,s] float tiles in [0,1] -> [B,N] fused probabilities."""
+    def probs_batch(self, patches: np.ndarray, centers: np.ndarray | None = None) -> np.ndarray:
+        """[B,3,s,s] float tiles in [0,1] -> [B,N] fused probabilities.
+        The window centers are not used."""
+        del centers
         if patches.ndim != 4 or patches.shape[1:] != (3, self.input_size, self.input_size):
             raise ShapeError(f"expected [B,3,{self.input_size},{self.input_size}], got {patches.shape}")
         logits = msc_forward(T.tensor(patches), self.config, self._params)[0]
-        w = np.asarray(self.msc.stream_weights)
-        fused = np.zeros((patches.shape[0], self.n_classes))
-        for ws, z in zip(w, logits):
-            fused += ws * _softmax_rows(z.data)
-        return fused / w.sum()
-
-    def probs(self, patch: np.ndarray) -> np.ndarray:
-        """[s,s,3] uint8 patch -> [N] fused probability vector."""
-        if patch.ndim != 3 or patch.shape[2] != 3:
-            raise ShapeError(f"expected [s,s,3] RGB patch, got {patch.shape}")
-        x = patch.transpose(2, 0, 1).astype(np.float64) / 255.0
-        return self.probs_batch(x[None])[0]
+        return fuse(np.stack([_softmax_rows(z.data) for z in logits], axis=-2), self.msc.stream_weights)

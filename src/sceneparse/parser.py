@@ -2,14 +2,13 @@
 centers, tile classification fused across scales into a semantic grid map,
 class-agnostic segmentation, and per-region majority voting down to pixels.
 
-Windows near the border are completed by reflect padding; all windows are
+Windows near the border are completed by edge reflection; all windows are
 nearest-neighbor resized to the classifier's input size.  Grid cells store
 output label ids (the classifier's label table), not raw head indices.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .errors import (
     SceneParseError,
     ShapeError,
 )
-from .fusion import DEFAULT_SCALE_WEIGHTS
+from .fusion import DEFAULT_SCALE_WEIGHTS, check_weights, fuse
 from .segmentation import DEFAULT_K, DEFAULT_MIN_SIZE, RegionMap, check_settings, graph_segment, merge_regions
 
 __all__ = [
@@ -55,7 +54,6 @@ class ContextWindowSpec:
 
     sizes: tuple[int, ...] = PAPER_WINDOW_SIZES
     canonical_input: int = PAPER_WINDOW_SIZES[0]
-    padding: str = "reflect"
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
@@ -65,8 +63,6 @@ class ContextWindowSpec:
             raise ConfigError(f"window sizes must be strictly increasing, got {self.sizes}")
         if self.canonical_input < 1:
             raise ConfigError(f"canonical_input must be >= 1, got {self.canonical_input}")
-        if self.padding != "reflect":
-            raise ConfigError(f"only reflect padding is supported, got {self.padding!r}")
 
 
 def reflect_indices(start: int | np.ndarray, length: int, n: int) -> np.ndarray:
@@ -151,14 +147,13 @@ def build_grid_map(
     stride: int,
     scale_weights=None,
     keep_probs: bool = False,
-    workers: int = 1,
 ) -> SemanticGridMap:
     """Classify every grid cell's context windows and fuse across scales.
 
-    The classifier exposes either probs(patch) -> probability vector, a
-    batched probs_batch([B,3,s,s] in [0,1]) fast path, or probs_at(raster,
-    y, x) for location oracles.  Cells are independent; evaluation order
-    never changes the result.
+    The classifier answers probs_batch(windows, centers) -> [B,N]
+    probabilities, where windows is a [B,3,s,s] float64 batch in [0,1] and
+    centers the [B,2] int64 (row, col) of each window's cell center.
+    Cells are independent; evaluation order never changes the result.
     """
     if raster.ndim != 3 or raster.shape[2] != 3:
         raise ShapeError(f"expected [H,W,3] raster, got {raster.shape}")
@@ -166,9 +161,7 @@ def build_grid_map(
         raise ConfigError(f"stride must be >= 1, got {stride}")
     if scale_weights is None:
         scale_weights = default_scale_weights(len(spec.sizes))
-    w = np.asarray(scale_weights, dtype=np.float64)
-    if w.shape != (len(spec.sizes),) or np.any(w <= 0):
-        raise ConfigError(f"need {len(spec.sizes)} positive scale weights, got {scale_weights}")
+    w = check_weights(scale_weights, len(spec.sizes), "scale weights")
 
     h, width = raster.shape[:2]
     origin = stride // 2
@@ -177,65 +170,34 @@ def build_grid_map(
     gh, gw = len(cys), len(cxs)
     class_ids = list(getattr(classifier, "label_ids", []))
 
-    if hasattr(classifier, "probs_at"):
-        fused = np.empty((gh, gw, 0))
-        labels = np.empty((gh, gw), dtype=np.int32)
-        for gy, cy in enumerate(cys):
-            for gx, cx in enumerate(cxs):
-                try:
-                    p = np.asarray(classifier.probs_at(raster, int(cy), int(cx)), dtype=np.float64)
-                except SceneParseError as e:
-                    raise ClassifierError(f"cell ({gy},{gx}): {e}") from e
-                if fused.shape[2] != p.size:
-                    fused = np.empty((gh, gw, p.size))
-                fused[gy, gx] = p  # every scale sees the same center pixel
-                labels[gy, gx] = np.argmax(p)
-    else:
-        n_scales, side = len(spec.sizes), spec.canonical_input
-        # one fancy index per scale gathers every cell's window at once
-        patches = np.empty((gh, gw, n_scales, side, side, 3), dtype=raster.dtype)
-        for s, size in enumerate(spec.sizes):
-            rows = _window_index_table(cys, size, h, side)
-            cols = _window_index_table(cxs, size, width, side)
-            patches[:, :, s] = raster[rows[:, None, :, None], cols[None, :, None, :]]
+    n_scales, side = len(spec.sizes), spec.canonical_input
+    # one fancy index per scale gathers every cell's window at once
+    patches = np.empty((gh, gw, n_scales, side, side, 3), dtype=raster.dtype)
+    for s, size in enumerate(spec.sizes):
+        rows = _window_index_table(cys, size, h, side)
+        cols = _window_index_table(cxs, size, width, side)
+        patches[:, :, s] = raster[rows[:, None, :, None], cols[None, :, None, :]]
+    flat = patches.reshape(gh * gw * n_scales, side, side, 3)
+    centers = np.repeat(np.stack(np.meshgrid(cys, cxs, indexing="ij"), axis=-1).reshape(gh * gw, 2), n_scales, axis=0)
 
-        flat = patches.reshape(gh * gw * n_scales, side, side, 3)
-        if hasattr(classifier, "probs_batch"):
+    starts = list(range(0, len(flat), WINDOW_BATCH))
+    if len(starts) > 1 and len(flat) % WINDOW_BATCH == 1:
+        # a lone last window joins the chunk before it: BLAS runs a
+        # one-window batch on other kernels, whose sums can differ in the
+        # last bit from those of the windows batched with it
+        starts.pop()
+    parts = []
+    try:
+        for a, b in zip(starts, starts[1:] + [len(flat)]):
             # each chunk goes to float64 on its own, so only one chunk's copy
             # is alive at a time rather than the whole batch's
-            def run(chunk):
-                return classifier.probs_batch(flat[chunk].transpose(0, 3, 1, 2).astype(np.float64) / 255.0)
-
-            starts = list(range(0, len(flat), WINDOW_BATCH))
-            if len(starts) > 1 and len(flat) % WINDOW_BATCH == 1:
-                # a lone last window joins the chunk before it: BLAS runs a
-                # one-window batch on other kernels, whose sums can differ in
-                # the last bit from those of the windows batched with it
-                starts.pop()
-            chunks = [slice(a, b) for a, b in zip(starts, starts[1:] + [len(flat)])]
-            try:
-                if workers > 1:
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        parts = list(pool.map(run, chunks))
-                else:
-                    parts = [run(c) for c in chunks]
-            except SceneParseError as e:
-                raise ClassifierError(str(e)) from e
-            probs = np.concatenate(parts, axis=0)
-        else:
-            probs = None
-            for i, patch in enumerate(flat):
-                cell = divmod(i // n_scales, gw)
-                try:
-                    p = np.asarray(classifier.probs(patch), dtype=np.float64)
-                except SceneParseError as e:
-                    raise ClassifierError(f"cell {cell}: {e}") from e
-                if probs is None:
-                    probs = np.empty((len(flat), p.size))
-                probs[i] = p
-        per_scale = probs.reshape(gh * gw, n_scales, -1)
-        fused = ((w[None, :, None] * per_scale).sum(axis=1) / w.sum()).reshape(gh, gw, -1)
-        labels = np.argmax(fused, axis=2).astype(np.int32)
+            windows = flat[a:b].transpose(0, 3, 1, 2).astype(np.float64) / 255.0
+            parts.append(classifier.probs_batch(windows, centers[a:b]))
+    except SceneParseError as e:
+        raise ClassifierError(str(e)) from e
+    probs = np.concatenate(parts, axis=0).reshape(gh * gw, n_scales, -1)
+    fused = fuse(probs, w).reshape(gh, gw, -1)
+    labels = np.argmax(fused, axis=2).astype(np.int32)
 
     if not class_ids:
         class_ids = list(range(1, fused.shape[2] + 1))
@@ -279,7 +241,6 @@ class ParseConfig:
     k: float = DEFAULT_K
     min_size: int = DEFAULT_MIN_SIZE
     target_count: int | None = None
-    workers: int = 1
     keep_probs: bool = False
     expected_labels: tuple[str, ...] | None = None
 
@@ -299,12 +260,12 @@ class OracleClassifier:
             raise ConfigError("oracle needs at least one class")
         self.label_ids = list(range(1, self.n_classes + 1))
 
-    def probs_at(self, raster: np.ndarray, y: int, x: int) -> np.ndarray:
-        del raster
-        p = np.zeros(self.n_classes)
-        label = int(self.truth[y, x])
-        p[max(0, min(label - 1, self.n_classes - 1))] = 1.0
-        return p
+    def probs_batch(self, windows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        """[B,N] one-hot rows of the truth at each window's center; the
+        windows themselves are not read."""
+        del windows
+        label = self.truth[centers[:, 0], centers[:, 1]]
+        return np.eye(self.n_classes)[np.clip(label - 1, 0, self.n_classes - 1)]
 
 
 def windows_for_classifier(input_size: int, sizes: tuple[int, ...] | None = None) -> ContextWindowSpec:
@@ -367,7 +328,6 @@ def parse_image(
             stride,
             scale_weights=weights,
             keep_probs=config.keep_probs,
-            workers=config.workers,
         )
     with _stage("segment"):
         regions = graph_segment(raster, config.k, config.min_size)

@@ -195,7 +195,7 @@ def _as_batched(x: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
 
 
 def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation with zero padding.
+    """2-D cross-correlation over an input zero-padded by ``pad`` on each side.
 
     ``inp`` is [C,H,W] or [N,C,H,W]; ``kernel`` is [C_out,C_in,kH,kW].
     Output spatial size is floor((H + 2*pad - kH)/stride) + 1.

@@ -135,16 +135,11 @@ def test_attention_algebra():
 
 def test_fusion_exactness():
     w = (0.25, 0.5, 1.0)
-    preds = [
-        fusion.ScalePrediction(np.array([1.0, 0.0]), w[0]),
-        fusion.ScalePrediction(np.array([1.0, 0.0]), w[1]),
-        fusion.ScalePrediction(np.array([0.0, 1.0]), w[2]),
-    ]
-    fused = fusion.fuse(preds)
-    assert abs(fused.probs[0] - 0.42857) <= 1e-5
-    assert abs(fused.probs[1] - 0.57142) <= 1e-5 + 1e-5  # 0.57142 is truncated, not rounded
-    assert abs(fused.probs[1] - 1.0 / 1.75) <= 1e-5
-    assert fused.label == 1
+    fused = fusion.fuse(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), w)
+    assert abs(fused[0] - 0.42857) <= 1e-5
+    assert abs(fused[1] - 0.57142) <= 1e-5 + 1e-5  # 0.57142 is truncated, not rounded
+    assert abs(fused[1] - 1.0 / 1.75) <= 1e-5
+    assert int(np.argmax(fused)) == 1
 
     rng = np.random.Generator(np.random.PCG64(23))
     worst = 0.0
@@ -152,10 +147,10 @@ def test_fusion_exactness():
         n = int(rng.integers(2, 7))
         rows = rng.random((3, n)) + 1e-3
         rows /= rows.sum(axis=1, keepdims=True)
-        out = fusion.fuse_prob_rows(rows, w)
+        out = fusion.fuse(rows, w)
         worst = max(worst, abs(float(out.sum()) - 1.0))
         for c in (0.01, 3.7, 100.0):
-            scaled = fusion.fuse_prob_rows(rows, tuple(c * ws for ws in w))
+            scaled = fusion.fuse(rows, tuple(c * ws for ws in w))
             assert int(out.argmax()) == int(scaled.argmax())
     assert worst <= 1e-9, f"worst simplex deviation {worst:.2e}"
     note("fusion exactness", f"hand case ±1e-5, worst sum dev {worst:.1e} over 1e4 cases")

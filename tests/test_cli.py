@@ -147,6 +147,16 @@ class TestTrain:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("weights", [[float("nan"), 0.5, 1.0], [0.5, 1.0], [0.25, 0.5, 1.0, 1.0]])
+    def test_bad_stream_weights_exit_2(self, workdir, tmp_path, capsys, weights):
+        cfg = json.loads((workdir / "train.json").read_text())
+        cfg["msc"] = {"stream_weights": weights}
+        cfg["out_checkpoint"] = str(tmp_path / "x.ckpt")
+        (tmp_path / "t.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", str(tmp_path / "t.json")) == 2
+        assert "stream weights" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_non_object_sections_exit_2(self, workdir, tmp_path):
         good = json.loads((workdir / "train.json").read_text())
         for cfg in (5, {**good, "train": [1]}, {**good, "msc": "x"}):
@@ -330,6 +340,20 @@ class TestParse:
         labels = read_pgm(tmp_path / "labels.pgm")
         assert (labels == truth).mean() > 0.9
 
+    def test_oracle_truth_extent_mismatch_exit_3(self, workdir, tmp_path, capsys):
+        truth = read_pgm(workdir / "scene" / "truth.pgm")
+        write_pgm(tmp_path / "small.pgm", truth[:32, :32])
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "labels.pgm"),
+                "--oracle-truth", str(tmp_path / "small.pgm"),
+            )
+            == 3
+        )
+        assert "oracle truth" in capsys.readouterr().err
+        assert not (tmp_path / "labels.pgm").exists()
+
     def test_rerun_bit_identical(self, workdir, tmp_path):
         for name in ("l1.pgm", "l2.pgm"):
             assert (
@@ -426,7 +450,7 @@ class TestParse:
     @pytest.mark.parametrize(
         "key,value",
         [("window_sizes", 8), ("stride", "x"), ("scale_weights", [1, "a"]), ("k", "x"),
-         ("min_size", 4.5), ("target_count", "3"), ("workers", "2"), ("expected_labels", [1, 2, 3])],
+         ("min_size", 4.5), ("target_count", "3"), ("window_sizes", [8, "16"]), ("expected_labels", [1, 2, 3])],
     )
     def test_wrong_type_exit_2(self, workdir, tmp_path, capsys, key, value):
         (tmp_path / "p.json").write_text(json.dumps({key: value}))
@@ -472,7 +496,7 @@ class TestParse:
         assert f"{key} must be >= 1" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
 
-    @pytest.mark.parametrize("key", ["windows", "K", "target"])
+    @pytest.mark.parametrize("key", ["windows", "K", "target", "workers"])
     def test_unknown_key_exit_2(self, workdir, tmp_path, capsys, key):
         (tmp_path / "p.json").write_text(json.dumps({"stride": 8, key: 1}))
         assert (
@@ -525,20 +549,38 @@ class TestParse:
             == 2
         )
 
-    def test_workers_env_override(self, workdir, tmp_path, capsys):
-        os.environ["SCENEPARSE_WORKERS"] = "3"
-        try:
-            assert (
-                run(
-                    "parse", "--input", str(workdir / "scene" / "scene.ppm"),
-                    "--output", str(tmp_path / "w.pgm"),
-                    "--checkpoint", str(workdir / "m.ckpt"),
-                )
-                == 0
+    @pytest.mark.parametrize("weights", [[float("nan"), 1, 1], [1, float("inf"), 1], [1e308, 1e308, 1e308]])
+    def test_non_finite_scale_weights_exit_2(self, workdir, tmp_path, capsys, weights):
+        (tmp_path / "p.json").write_text(json.dumps({"scale_weights": weights, "stride": 8}))
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--oracle-truth", str(workdir / "scene" / "truth.pgm"),
+                "--config", str(tmp_path / "p.json"),
+                "--dump-grid", str(tmp_path / "g.pgm"),
             )
-            assert "workers = 3" in capsys.readouterr().out
-        finally:
-            del os.environ["SCENEPARSE_WORKERS"]
+            == 2
+        )
+        assert "finite positive scale weights" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+
+    def test_multilabel_head_checkpoint_exit_5(self, workdir, tmp_path, capsys):
+        from tests.test_model import rewrite_header
+
+        bad = tmp_path / "ml.ckpt"
+        bad.write_bytes((workdir / "m.ckpt").read_bytes())
+        rewrite_header(bad, lambda h: h["params"].extend([["ml.w", [5, 9]], ["ml.b", [5]]]))
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--checkpoint", str(bad),
+            )
+            == 5
+        )
+        assert "manifest" in capsys.readouterr().err
+        assert not (tmp_path / "x.pgm").exists()
 
 
 class TestEval:

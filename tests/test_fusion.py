@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sceneparse import fusion
-from sceneparse.errors import EmptyInputError, ShapeError
+from sceneparse.errors import ConfigError, ShapeError
 
 
 def fuse_loops(prob_rows, weights):
@@ -15,105 +15,85 @@ def fuse_loops(prob_rows, weights):
     return num / den
 
 
-class TestScalePrediction:
-    def test_validates_simplex(self):
-        with pytest.raises(ShapeError):
-            fusion.ScalePrediction(np.array([0.5, 0.6]), 1.0)
-        with pytest.raises(ShapeError):
-            fusion.ScalePrediction(np.array([-0.1, 1.1]), 1.0)
-        with pytest.raises(ShapeError):
-            fusion.ScalePrediction(np.array([[0.5, 0.5]]), 1.0)
+class TestCheckWeights:
+    def test_accepts_finite_positive(self):
+        w = fusion.check_weights([0.25, 0.5, 1], 3, "weights")
+        assert w.dtype == np.float64
+        assert w.tolist() == [0.25, 0.5, 1.0]
 
-    def test_rejects_bad_weight(self):
-        with pytest.raises(ShapeError):
-            fusion.ScalePrediction(np.array([1.0, 0.0]), 0.0)
+    @pytest.mark.parametrize(
+        "weights",
+        [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0), (1e308, 1e308, 1e308)],
+    )
+    def test_rejects_bad_weight(self, weights):
+        with pytest.raises(ConfigError):
+            fusion.check_weights(weights, 3, "weights")
 
-
-class TestScaleProbabilities:
-    def test_softmax_applied_per_scale(self):
-        logits = [np.array([0.0, 0.0]), np.array([10.0, 0.0]), np.array([0.0, 10.0])]
-        preds = fusion.scale_probabilities(logits)
-        assert preds[0].probs == pytest.approx([0.5, 0.5])
-        assert preds[1].probs[0] > 0.999
-        assert preds[2].probs[1] > 0.999
-        assert [p.weight for p in preds] == [0.25, 0.5, 1.0]
-
-    def test_weight_count_mismatch(self):
-        with pytest.raises(ShapeError):
-            fusion.scale_probabilities([np.zeros(2)], weights=(0.5, 0.5))
-
-    def test_empty(self):
-        with pytest.raises(EmptyInputError):
-            fusion.scale_probabilities([])
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (), ("a", 1.0, 1.0)])
+    def test_rejects_wrong_count_or_type(self, weights):
+        with pytest.raises(ConfigError):
+            fusion.check_weights(weights, 3, "weights")
 
 
 class TestFuse:
     def test_hand_value(self):
         # unit vectors under the default weights: shallow scales pick class 0,
         # the deep scale picks class 1
-        preds = [
-            fusion.ScalePrediction(np.array([1.0, 0.0]), 0.25),
-            fusion.ScalePrediction(np.array([1.0, 0.0]), 0.5),
-            fusion.ScalePrediction(np.array([0.0, 1.0]), 1.0),
-        ]
-        out = fusion.fuse(preds)
-        assert out.probs[0] == pytest.approx(0.42857, abs=1e-5)
-        assert out.probs[1] == pytest.approx(0.57142, abs=1e-5)
-        assert out.label == 1
+        probs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        out = fusion.fuse(probs, (0.25, 0.5, 1.0))
+        assert out[0] == pytest.approx(0.42857, abs=1e-5)
+        assert out[1] == pytest.approx(0.57142, abs=1e-5)
+        assert int(np.argmax(out)) == 1
 
     def test_matches_loop_oracle(self, rng):
         for _ in range(200):
             n = int(rng.integers(2, 9))
             s = int(rng.integers(1, 5))
-            rows = [rng.dirichlet(np.ones(n)) for _ in range(s)]
+            rows = np.stack([rng.dirichlet(np.ones(n)) for _ in range(s)])
             weights = rng.random(s) + 0.1
-            preds = [fusion.ScalePrediction(r, float(w)) for r, w in zip(rows, weights)]
-            got = fusion.fuse(preds)
+            got = fusion.fuse(rows, weights)
             want = fuse_loops(rows, weights)
-            assert np.allclose(got.probs, want, atol=1e-12)
-            assert got.label == int(np.argmax(want))
+            assert np.allclose(got, want, atol=1e-12)
+            assert int(np.argmax(got)) == int(np.argmax(want))
 
     def test_output_on_simplex(self, rng):
         for _ in range(500):
             n = int(rng.integers(2, 12))
-            rows = [rng.dirichlet(np.ones(n)) for _ in range(3)]
-            preds = [
-                fusion.ScalePrediction(r, w)
-                for r, w in zip(rows, fusion.DEFAULT_SCALE_WEIGHTS)
-            ]
-            out = fusion.fuse(preds)
-            assert abs(out.probs.sum() - 1.0) <= 1e-9
-            assert (out.probs >= 0).all()
+            rows = np.stack([rng.dirichlet(np.ones(n)) for _ in range(3)])
+            out = fusion.fuse(rows, fusion.DEFAULT_SCALE_WEIGHTS)
+            assert abs(out.sum() - 1.0) <= 1e-9
+            assert (out >= 0).all()
 
     def test_argmax_invariant_under_weight_rescale(self, rng):
         for _ in range(200):
             n = int(rng.integers(2, 8))
-            rows = [rng.dirichlet(np.ones(n)) for _ in range(3)]
+            rows = np.stack([rng.dirichlet(np.ones(n)) for _ in range(3)])
             c = float(rng.random() * 99 + 0.01)
-            base = [
-                fusion.ScalePrediction(r, w)
-                for r, w in zip(rows, fusion.DEFAULT_SCALE_WEIGHTS)
-            ]
-            scaled = [
-                fusion.ScalePrediction(r, w * c)
-                for r, w in zip(rows, fusion.DEFAULT_SCALE_WEIGHTS)
-            ]
-            assert fusion.fuse(base).label == fusion.fuse(scaled).label
+            base = fusion.fuse(rows, fusion.DEFAULT_SCALE_WEIGHTS)
+            scaled = fusion.fuse(rows, [w * c for w in fusion.DEFAULT_SCALE_WEIGHTS])
+            assert int(np.argmax(base)) == int(np.argmax(scaled))
 
     def test_tie_takes_lowest_index(self):
-        preds = [fusion.ScalePrediction(np.array([0.5, 0.5]), 1.0)]
-        assert fusion.fuse(preds).label == 0
+        assert int(np.argmax(fusion.fuse(np.array([[0.5, 0.5]]), [1.0]))) == 0
 
     def test_single_scale_passthrough(self, rng):
         p = rng.dirichlet(np.ones(4))
-        out = fusion.fuse([fusion.ScalePrediction(p, 0.7)])
-        assert np.allclose(out.probs, p, atol=1e-15)
+        out = fusion.fuse(p[None], [0.7])
+        assert np.allclose(out, p, atol=1e-15)
+
+    @pytest.mark.parametrize("shape,weights", [((3, 2), (0.5, 0.5)), ((2,), (1.0,)), ((4, 3, 2), (1.0, 1.0))])
+    def test_weight_count_mismatch(self, shape, weights):
+        with pytest.raises(ShapeError):
+            fusion.fuse(np.ones(shape), weights)
 
 
 class TestFuseProbRows:
     def test_matches_fuse(self, rng):
-        rows = np.stack([rng.dirichlet(np.ones(5)) for _ in range(3)])
+        # a [B, S, N] stack fuses row by row, bit for bit
+        rows = np.stack([np.stack([rng.dirichlet(np.ones(5)) for _ in range(3)]) for _ in range(7)])
         w = np.asarray(fusion.DEFAULT_SCALE_WEIGHTS)
-        got = fusion.fuse_prob_rows(rows, w)
-        preds = [fusion.ScalePrediction(r, float(wi)) for r, wi in zip(rows, w)]
-        assert np.allclose(got, fusion.fuse(preds).probs, atol=1e-15)
+        got = fusion.fuse(rows, w)
+        assert got.shape == (7, 5)
+        for b in range(7):
+            assert got[b].tobytes() == fusion.fuse(rows[b], w).tobytes()
+            assert np.allclose(got[b], fuse_loops(rows[b], w), atol=1e-15)

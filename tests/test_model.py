@@ -53,8 +53,18 @@ class TestConfigs:
             model.MSCConfig(mu_g=0.7, mu_m=0.2)
         with pytest.raises(ConfigError):
             model.MSCConfig(stream_weights=(0.0, 0.5, 1.0))
+        with pytest.raises(ConfigError):
+            model.MSCConfig(mu_g=float("nan"), mu_m=0.5)
         cfg = model.MSCConfig()
         assert cfg.mu_g + cfg.mu_m == 1.0
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0), (1e308, 1e308, 1e308), (1.0, 1.0), (1.0, 1.0, 1.0, 1.0)],
+    )
+    def test_stream_weights_three_finite_positive(self, weights):
+        with pytest.raises(ConfigError, match="stream weights"):
+            model.MSCConfig(stream_weights=weights)
 
     def test_param_shapes_order_and_sizes(self):
         shapes = model.param_shapes(SMALL)
@@ -66,8 +76,7 @@ class TestConfigs:
         assert shapes["attn2.w"] == (3, 4, 1, 1)
         assert shapes["head.g0.s1.w"] == (3, 2)
         assert shapes["head.g0.s3.w"] == (3, 4)
-        ml = model.param_shapes(SMALL, multilabel_nodes=7)
-        assert ml["ml.w"] == (7, 9)
+        assert names[-1] == "head.g0.s3.b"
 
     def test_init_deterministic(self):
         a = model.init_params(SMALL, seed=4)
@@ -197,20 +206,6 @@ class TestGradientsThroughModel:
             return model.msc_loss(out[0], tg, None, None, cfg)
 
         err = T.check_gradients(loss_fn, list(params.values()), max_samples=400, seed=0)
-        assert err <= 1e-4
-
-    def test_multilabel_graph_check(self, rng):
-        params = model.init_params(SMALL, seed=3, multilabel_nodes=5)
-        x = T.tensor(rng.random(size=(2, 3, 8, 8)))
-        targets = (rng.random(size=(2, 5)) > 0.5).astype(float)
-
-        def loss_fn():
-            conf = model.multilabel_forward(x, SMALL, params)
-            # train on logits; the sigmoid output is for inference, so take
-            # the pre-activation through its parent
-            return T.binary_cross_entropy(conf._parents[0], targets)
-
-        err = T.check_gradients(loss_fn, list(params.values()), max_samples=300, seed=0)
         assert err <= 1e-4
 
 
@@ -436,6 +431,34 @@ class TestCheckpointFormat:
         with pytest.raises(FormatVersionError):
             model.load_checkpoint(p)
 
+    def test_multilabel_head_in_manifest(self, tmp_path):
+        ckpt = make_checkpoint()
+        p = tmp_path / "a.ckpt"
+        model.save_checkpoint(ckpt, p)
+        rewrite_header(p, lambda h: h["params"].extend([["ml.w", [5, 9]], ["ml.b", [5]]]))
+        with pytest.raises(FormatVersionError, match="manifest"):
+            model.load_checkpoint(p)
+
+    @pytest.mark.parametrize(
+        "weights", [[float("nan"), 0.5, 1.0], [0.25, 0.5], [0.25, 0.5, 1.0, 1.0], [1e308, 1e308, 1e308], ["x", 1, 1]]
+    )
+    def test_bad_stream_weights_in_header(self, tmp_path, weights):
+        # the CRC covers the payload, not the header
+        ckpt = make_checkpoint()
+        p = tmp_path / "a.ckpt"
+        model.save_checkpoint(ckpt, p)
+        rewrite_header(p, lambda h: h["msc"].update(stream_weights=weights))
+        with pytest.raises(FormatVersionError, match="stream weights"):
+            model.load_checkpoint(p)
+
+    def test_non_integer_label_ids_in_header(self, tmp_path):
+        ckpt = make_checkpoint()
+        p = tmp_path / "a.ckpt"
+        model.save_checkpoint(ckpt, p)
+        rewrite_header(p, lambda h: h.update(label_ids=["a", "b", "c"]))
+        with pytest.raises(FormatVersionError, match="malformed header"):
+            model.load_checkpoint(p)
+
     def test_label_table_size_mismatch(self, tmp_path):
         ckpt = make_checkpoint()
         p = tmp_path / "a.ckpt"
@@ -449,6 +472,17 @@ class TestCheckpointFormat:
         ckpt.params["stage1.conv1.w"] = np.zeros((9, 9))
         with pytest.raises(ConfigError):
             model.save_checkpoint(ckpt, tmp_path / "x.ckpt")
+
+
+def stream_fusion_loops(clf, patches):
+    """The stream fusion TileClassifier.probs_batch ran before it called
+    fusion.fuse: softmax per stream, zeros, += each weighted stream."""
+    logits = model.msc_forward(T.tensor(patches), clf.config, clf._params)[0]
+    w = np.asarray(clf.msc.stream_weights)
+    fused = np.zeros((patches.shape[0], clf.n_classes))
+    for ws, z in zip(w, logits):
+        fused += ws * model._softmax_rows(z.data)
+    return fused / w.sum()
 
 
 class TestTileClassifier:
@@ -466,13 +500,14 @@ class TestTileClassifier:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert (probs >= 0).all()
 
-    def test_single_tile_matches_batch(self, tmp_path, rng):
-        ckpt, _ = self._trained(tmp_path)
-        clf = model.TileClassifier(ckpt)
-        tile = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
-        single = clf.probs(tile)
-        batched = clf.probs_batch((tile.transpose(2, 0, 1) / 255.0)[None])[0]
-        assert np.allclose(single, batched, atol=1e-12)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("weights", [(0.25, 0.5, 1.0), (1.0, 1.0, 1.0), (0.1, 0.2, 0.3), (7.0, 1e-3, 2.5)])
+    def test_stream_fusion_matches_loop_oracle(self, seed, weights):
+        params = {name: t.data for name, t in model.init_params(SMALL, seed=seed).items()}
+        msc = model.MSCConfig(stream_weights=weights, mu_g=1.0, mu_m=0.0)
+        clf = model.TileClassifier(model.Checkpoint(SMALL, msc, ["a", "b", "c"], [1, 2, 3], params))
+        patches = np.random.Generator(np.random.PCG64(seed)).random((37, 3, 8, 8))
+        assert clf.probs_batch(patches).tobytes() == stream_fusion_loops(clf, patches).tobytes()
 
     def test_properties(self, tmp_path):
         ckpt, _ = self._trained(tmp_path)

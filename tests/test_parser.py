@@ -27,6 +27,43 @@ def reflect_loops(start, length, n):
     return out
 
 
+def oracle_grid_loops(truth, n_classes, h, w, stride):
+    """The per-cell oracle loop build_grid_map ran before the one batched
+    protocol, with OracleClassifier.probs_at inlined: every scale sees the
+    same center pixel, so the one-hot is the cell's fused vector as is."""
+
+    def probs_at(y, x):
+        p = np.zeros(n_classes)
+        label = int(truth[y, x])
+        p[max(0, min(label - 1, n_classes - 1))] = 1.0
+        return p
+
+    origin = stride // 2
+    cys = parser._cell_centers(h, stride, origin)
+    cxs = parser._cell_centers(w, stride, origin)
+    gh, gw = len(cys), len(cxs)
+    fused = np.empty((gh, gw, 0))
+    labels = np.empty((gh, gw), dtype=np.int32)
+    for gy, cy in enumerate(cys):
+        for gx, cx in enumerate(cxs):
+            p = np.asarray(probs_at(int(cy), int(cx)), dtype=np.float64)
+            if fused.shape[2] != p.size:
+                fused = np.empty((gh, gw, p.size))
+            fused[gy, gx] = p  # every scale sees the same center pixel
+            labels[gy, gx] = np.argmax(p)
+    return fused, labels
+
+
+class Counting(parser.OracleClassifier):
+    """Oracle that counts its classifier calls."""
+
+    calls = 0
+
+    def probs_batch(self, windows, centers):
+        self.calls += 1
+        return super().probs_batch(windows, centers)
+
+
 def truth_regions(truth):
     labels, count = segmentation._four_cc(truth.ravel(), *truth.shape)
     return segmentation.RegionMap(labels, count)
@@ -57,7 +94,7 @@ class TestContextWindows:
         with pytest.raises(ConfigError):
             parser.ContextWindowSpec(sizes=())
         with pytest.raises(ConfigError):
-            parser.ContextWindowSpec(padding="zero")
+            parser.ContextWindowSpec(sizes=(4,), canonical_input=0)
 
     def test_interior_window_is_direct_slice(self, rng):
         raster = rng.integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
@@ -100,12 +137,17 @@ class TestOracleClassifier:
         truth = np.array([[1, 2], [3, 1]])
         oc = parser.OracleClassifier(truth)
         assert oc.n_classes == 3
-        assert list(oc.probs_at(None, 0, 1)) == [0.0, 1.0, 0.0]
+        got = oc.probs_batch(None, np.array([[0, 1], [1, 0], [1, 1]]))
+        assert got.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
         assert oc.label_ids == [1, 2, 3]
 
     def test_void_maps_to_lowest(self):
         oc = parser.OracleClassifier(np.array([[0, 2]]))
-        assert list(oc.probs_at(None, 0, 0)) == [1.0, 0.0]
+        assert oc.probs_batch(None, np.array([[0, 0]])).tolist() == [[1.0, 0.0]]
+
+    def test_label_above_range_maps_to_highest(self):
+        oc = parser.OracleClassifier(np.array([[5, 1]]), n_classes=3)
+        assert oc.probs_batch(None, np.array([[0, 0]])).tolist() == [[0.0, 0.0, 1.0]]
 
 
 class TestBuildGridMap:
@@ -125,41 +167,27 @@ class TestBuildGridMap:
         # centers at (1,1),(1,3),(3,1),(3,3)
         assert np.array_equal(grid.cell_labels, [[1, 2], [3, 4]])
 
-    def test_trained_classifier_paths_agree(self, tmp_path):
-        from tests.test_model import SMALL, tile_dataset
-
-        man = tile_dataset(tmp_path)
-        ckpt, _ = model.train(
-            SMALL, [man], model.TrainConfig(epochs=1, batch_size=8, schedule=(), seed=0)
+    @pytest.mark.parametrize(
+        "shape,sizes,stride,weights",
+        [
+            ((64, 64), (8,), 4, None),
+            ((37, 53), (5, 9, 15), 4, None),
+            ((37, 53), (5, 9, 15), 3, (0.1, 0.2, 0.3)),
+            ((16, 688), (32, 64, 128), 16, (3.0, 1e-3, 7.5)),
+            ((1, 30), (1, 2), 1, None),
+        ],
+    )
+    def test_oracle_matches_per_cell_loop(self, rng, shape, sizes, stride, weights):
+        # truth 0 (void) and ids above n_classes both clip into the label range
+        truth = rng.integers(0, 7, size=shape)
+        raster = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
+        spec = parser.ContextWindowSpec(sizes=sizes, canonical_input=sizes[0])
+        grid = parser.build_grid_map(
+            raster, parser.OracleClassifier(truth, n_classes=5), spec, stride, scale_weights=weights, keep_probs=True
         )
-        clf = model.TileClassifier(ckpt)
-        raster = make_scene(n_classes=3, size=32, seed=3)[0]
-        spec = parser.windows_for_classifier(8)
-        batched = parser.build_grid_map(raster, clf, spec, stride=4)
-
-        class PerPatch:
-            input_size = clf.input_size
-            label_ids = clf.label_ids
-
-            def probs(self, patch):
-                return clf.probs(patch)
-
-        single = parser.build_grid_map(raster, PerPatch(), spec, stride=4)
-        assert np.array_equal(batched.cell_labels, single.cell_labels)
-
-    def test_workers_do_not_change_result(self, tmp_path):
-        from tests.test_model import SMALL, tile_dataset
-
-        man = tile_dataset(tmp_path)
-        ckpt, _ = model.train(
-            SMALL, [man], model.TrainConfig(epochs=1, batch_size=8, schedule=(), seed=0)
-        )
-        clf = model.TileClassifier(ckpt)
-        raster = make_scene(n_classes=3, size=48, seed=4)[0]
-        spec = parser.windows_for_classifier(8)
-        a = parser.build_grid_map(raster, clf, spec, stride=4, workers=1)
-        b = parser.build_grid_map(raster, clf, spec, stride=4, workers=4)
-        assert np.array_equal(a.cell_labels, b.cell_labels)
+        fused, labels = oracle_grid_loops(truth, 5, *shape, stride)
+        assert grid.cell_probs.tobytes() == fused.tobytes()
+        assert np.array_equal(grid.cell_labels, np.arange(1, 6, dtype=np.int32)[labels])
 
     def test_chunked_conversion_bit_identical(self):
         from tests.test_model import SMALL
@@ -198,13 +226,14 @@ class TestBuildGridMap:
         raster = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
         spec = parser.ContextWindowSpec(sizes=sizes, canonical_input=sizes[0])
 
-        seen = []
+        seen, seen_centers = [], []
 
         class Recorder:
             label_ids = [1]
 
-            def probs_batch(self, x):
+            def probs_batch(self, x, centers):
                 seen.append(x)
+                seen_centers.append(centers)
                 return np.ones((len(x), 1))
 
         parser.build_grid_map(raster, Recorder(), spec, stride=stride)
@@ -215,6 +244,10 @@ class TestBuildGridMap:
         )
         got = np.concatenate(seen)
         assert got.tobytes() == (want.transpose(0, 3, 1, 2).astype(np.float64) / 255.0).tobytes()
+        want_centers = [[int(cy), int(cx)] for cy in cys for cx in cxs for _ in sizes]
+        got_centers = np.concatenate(seen_centers)
+        assert got_centers.dtype == np.int64
+        assert got_centers.tolist() == want_centers
         sizes_seen = [len(x) for x in seen]
         assert all(n == parser.WINDOW_BATCH for n in sizes_seen[:-1])
         assert len(want) == 1 or sizes_seen[-1] > 1
@@ -243,9 +276,21 @@ class TestBuildGridMap:
                 stride=0,
             )
 
+    @pytest.mark.parametrize(
+        "weights", [(np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1e308, 1e308, 1e308), (0.0, 1.0, 1.0), (1.0, 1.0)]
+    )
+    def test_bad_scale_weights_rejected_before_classifier(self, weights):
+        truth = np.ones((8, 8), dtype=np.int32)
+        oc = Counting(truth, n_classes=2)
+        spec = parser.ContextWindowSpec(sizes=(2, 4, 8), canonical_input=2)
+        raster = np.zeros((8, 8, 3), dtype=np.uint8)
+        with pytest.raises(ConfigError, match="scale weights"):
+            parser.build_grid_map(raster, oc, spec, stride=2, scale_weights=weights)
+        assert oc.calls == 0
+
     def test_classifier_failure_wrapped(self):
         class Broken:
-            def probs_at(self, raster, y, x):
+            def probs_batch(self, windows, centers):
                 raise ShapeError("boom")
 
         raster = np.zeros((4, 4, 3), dtype=np.uint8)
@@ -354,7 +399,7 @@ class TestParseImage:
         raster = np.zeros((16, 16, 3), dtype=np.uint8)
 
         class Broken:
-            def probs_at(self, raster, y, x):
+            def probs_batch(self, windows, centers):
                 raise ShapeError("boom")
 
         with pytest.raises(ClassifierError, match="^grid: "):
@@ -365,14 +410,6 @@ class TestParseImage:
     )
     def test_segment_settings_checked_before_grid(self, bad):
         raster, truth = make_scene(n_classes=3, size=32, seed=2)
-
-        class Counting(parser.OracleClassifier):
-            calls = 0
-
-            def probs_at(self, raster, y, x):
-                self.calls += 1
-                return super().probs_at(raster, y, x)
-
         base = dict(window_sizes=(8,), stride=4, min_size=4)
         oc = Counting(truth)
         parser.parse_image(raster, oc, parser.ParseConfig(**base))
