@@ -173,56 +173,61 @@ def init_params(cfg: BackboneConfig, seed: int) -> dict[str, T.Tensor]:
     return params
 
 
-def _stage(x: T.Tensor, params, i: int, stride: int) -> T.Tensor:
-    x = T.relu(T.bias_add(T.conv2d(x, params[f"stage{i}.conv1.w"], 1, 1), params[f"stage{i}.conv1.b"]))
-    return T.relu(T.bias_add(T.conv2d(x, params[f"stage{i}.conv2.w"], stride, 1), params[f"stage{i}.conv2.b"]))
+def _stage(x, params, i: int, stride: int, ops):
+    x = ops.relu(ops.bias_add(ops.conv2d(x, params[f"stage{i}.conv1.w"], 1, 1), params[f"stage{i}.conv1.b"]))
+    return ops.relu(ops.bias_add(ops.conv2d(x, params[f"stage{i}.conv2.w"], stride, 1), params[f"stage{i}.conv2.b"]))
 
 
-def backbone_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor]) -> FeaturePyramid:
-    shape = image.data.shape
+def backbone_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor], ops=T) -> FeaturePyramid:
+    shape = image.shape
     if shape[-3:] != (3, cfg.input_size, cfg.input_size):
         raise ShapeError(f"expected [3,{cfg.input_size},{cfg.input_size}] image, got {shape}")
-    f1 = _stage(image, params, 1, cfg.stage_strides[0])
-    f2 = _stage(f1, params, 2, cfg.stage_strides[1])
-    f3 = _stage(f2, params, 3, cfg.stage_strides[2])
+    f1 = _stage(image, params, 1, cfg.stage_strides[0], ops)
+    f2 = _stage(f1, params, 2, cfg.stage_strides[1], ops)
+    f3 = _stage(f2, params, 3, cfg.stage_strides[2], ops)
     return FeaturePyramid(f1, f2, f3)
 
 
-def attention_fuse(sf: T.Tensor, df: T.Tensor, aw: AttentionWeights) -> T.Tensor:
+def attention_fuse(sf: T.Tensor, df: T.Tensor, aw: AttentionWeights, ops=T) -> T.Tensor:
     """AF = SF + SF * sigmoid(reduce_conv(upsample(DF)))."""
-    sh, sw = sf.data.shape[-2:]
-    dh, dw = df.data.shape[-2:]
+    sh, sw = sf.shape[-2:]
+    dh, dw = df.shape[-2:]
     if dh < 1 or sh % dh != 0 or sw % dw != 0 or sh // dh != sw // dw:
         raise ShapeError(f"deep {dh}x{dw} does not divide shallow {sh}x{sw}")
-    up = T.upsample_nearest(df, sh // dh)
-    sam = T.sigmoid(T.bias_add(T.conv2d(up, aw.reduce_conv, 1, 0), aw.bias))
-    if sam.data.shape != sf.data.shape:
-        raise ShapeError(f"attention map {sam.data.shape} does not match shallow {sf.data.shape}")
-    return T.add(sf, T.mul(sf, sam))
+    up = ops.upsample_nearest(df, sh // dh)
+    sam = ops.sigmoid(ops.bias_add(ops.conv2d(up, aw.reduce_conv, 1, 0), aw.bias))
+    if sam.shape != sf.shape:
+        raise ShapeError(f"attention map {sam.shape} does not match shallow {sf.shape}")
+    return sf + sf * sam
 
 
 def _attn(params, s: int) -> AttentionWeights:
     return AttentionWeights(params[f"attn{s}.w"], params[f"attn{s}.b"])
 
 
-def han_forward(p: FeaturePyramid, params: dict[str, T.Tensor]) -> list[T.Tensor]:
+def han_forward(p: FeaturePyramid, params: dict[str, T.Tensor], ops=T) -> list[T.Tensor]:
     """Chain attention deep to shallow: [AF1, AF2, AF3] with AF3 = F3."""
     af3 = p.f3
-    af2 = attention_fuse(p.f2, af3, _attn(params, 2))
-    af1 = attention_fuse(p.f1, af2, _attn(params, 1))
+    af2 = attention_fuse(p.f2, af3, _attn(params, 2), ops)
+    af1 = attention_fuse(p.f1, af2, _attn(params, 1), ops)
     return [af1, af2, af3]
 
 
-def msc_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor]) -> list[list[T.Tensor]]:
-    """Logits per task per stream: out[t][s] from GAP(AF_{s+1}) -> linear head."""
-    streams = han_forward(backbone_forward(image, cfg, params), params)
-    pooled = [T.global_avg_pool(af) for af in streams]
+def _msc(image, cfg: BackboneConfig, params, ops) -> list[list]:
+    streams = han_forward(backbone_forward(image, cfg, params, ops), params, ops)
+    pooled = [ops.global_avg_pool(af) for af in streams]
     out = []
     for t in range(len(cfg.num_classes_per_task)):
         out.append(
-            [T.linear(pooled[s], params[f"head.g{t}.s{s + 1}.w"], params[f"head.g{t}.s{s + 1}.b"]) for s in range(3)]
+            [ops.linear(pooled[s], params[f"head.g{t}.s{s + 1}.w"], params[f"head.g{t}.s{s + 1}.b"]) for s in range(3)]
         )
     return out
+
+
+def msc_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor]) -> list[list[T.Tensor]]:
+    """Logits per task per stream: out[t][s] from GAP(AF_{s+1}) -> linear head.
+    The layers take ``ops``: ``T`` here, ``T.arrays`` in the classifier's graph-free pass."""
+    return _msc(image, cfg, params, T)
 
 
 def msc_loss(
@@ -591,9 +596,9 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 class TileClassifier:
     """Inference wrapper: patch in, stream-fused class probabilities out.
 
-    Stream logits are softmaxed per stream and combined with the
-    checkpoint's stream weights (weighted mean), so deeper streams carry
-    more of the final probability mass.
+    A graph-free float32 forward pass (the checkpoint's precision); its logits
+    are softmaxed per stream in float64 and combined with the checkpoint's
+    stream weights (weighted mean), so deeper streams carry more of the mass.
     """
 
     def __init__(self, ckpt: Checkpoint):
@@ -601,7 +606,7 @@ class TileClassifier:
         self.msc = ckpt.msc
         self.labels = list(ckpt.labels)
         self.label_ids = list(ckpt.label_ids)
-        self._params = {name: T.tensor(data) for name, data in ckpt.params.items()}
+        self._params = {name: np.asarray(data, dtype=np.float32) for name, data in ckpt.params.items()}
 
     @property
     def input_size(self) -> int:
@@ -617,5 +622,5 @@ class TileClassifier:
         del centers
         if patches.ndim != 4 or patches.shape[1:] != (3, self.input_size, self.input_size):
             raise ShapeError(f"expected [B,3,{self.input_size},{self.input_size}], got {patches.shape}")
-        logits = msc_forward(T.tensor(patches), self.config, self._params)[0]
-        return fuse(np.stack([_softmax_rows(z.data) for z in logits], axis=-2), self.msc.stream_weights)
+        logits = _msc(patches.astype(np.float32), self.config, self._params, T.arrays)[0]
+        return fuse(np.stack([_softmax_rows(z.astype(np.float64)) for z in logits], axis=-2), self.msc.stream_weights)

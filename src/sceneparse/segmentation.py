@@ -88,29 +88,26 @@ def _edges_8(h: int, w: int, color: np.ndarray):
     and their weights, sorted by weight.
 
     Slot s of pixel lo holds its edge to lo + 1, lo + w - 1, lo + w or
-    lo + w + 1.  The order among equal weights is whatever the sort leaves,
-    which graph_segment's partition does not depend on."""
+    lo + w + 1; a slot without that neighbor weighs +inf and sorts past the
+    m real edges.  The order among equal weights is whatever the sort
+    leaves, which graph_segment's partition does not depend on."""
     img = color.reshape(h, w, 3)
-    wgt = np.zeros((h, w, 4))
-    valid = np.zeros((h, w, 4), dtype=bool)
+    wgt = np.full((h, w, 4), np.inf)
     for s, (dy, dx) in enumerate(((0, 1), (1, -1), (1, 0), (1, 1))):
         x0, x1 = max(0, -dx), w - max(0, dx)
         d = img[: h - dy, x0:x1] - img[dy:, x0 + dx : x1 + dx]
-        wgt[: h - dy, x0:x1, s] = np.sqrt((d * d).sum(axis=2))
-        valid[: h - dy, x0:x1, s] = True
-    slot = np.flatnonzero(valid)
-    wgt = wgt.reshape(-1)[slot]
-    order = np.argsort(wgt, kind="quicksort")
+        d *= d
+        wgt[: h - dy, x0:x1, s] = np.sqrt(d.sum(axis=2))
+    m = 4 * h * w - 3 * h - 3 * w + 2
     # each edge-sized array is dropped as soon as it is used, and the ends
-    # are written in place: at 1024^2 every such array is 34 MB
-    wgt = wgt[order]
-    slot = slot[order]
-    del order
-    ends = np.empty((2, slot.size), dtype=np.intp)
+    # are written in place: at 1024^2 a float64 or int64 one is 34 MB
+    slot = np.argsort(wgt.reshape(-1), kind="quicksort")[:m]
+    wgt = wgt.reshape(-1)[slot]
+    ends = np.empty((2, m), dtype=np.int32 if h * w < 2**31 else np.intp)
     np.right_shift(slot, 2, out=ends[0])
     np.bitwise_and(slot, 3, out=slot)
     # mode='clip' (the offsets are 0..3 anyway) writes to out unbuffered
-    np.take(np.array([1, w - 1, w, w + 1]), slot, out=ends[1], mode="clip")
+    np.take(np.array([1, w - 1, w, w + 1], dtype=ends.dtype), slot, out=ends[1], mode="clip")
     ends[1] += ends[0]
     return ends, wgt
 

@@ -4,7 +4,9 @@ Values are stored as float64 numpy arrays.  Every operation builds the
 backward graph eagerly; :func:`backward` runs the reverse sweep from a
 scalar loss.  Non-finite values (NaN/Inf) are an error state -- they are
 not checked op-by-op for speed, callers guard loss values with
-:func:`check_finite`.
+:func:`check_finite`.  Each network op's forward value comes from a plain
+array kernel that keeps its input's dtype; :data:`arrays` holds those
+kernels under the ops' names, so layer code can run on plain arrays too.
 
 Image-shaped operations (:func:`conv2d`, :func:`upsample_nearest`,
 :func:`global_avg_pool`) take a single ``[C, H, W]`` tensor or a batched
@@ -15,6 +17,7 @@ Image-shaped operations (:func:`conv2d`, :func:`upsample_nearest`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,10 +38,9 @@ __all__ = [
     "global_avg_pool",
     "linear",
     "bias_add",
-    "concat",
+    "arrays",
     "tsum",
     "cross_entropy",
-    "binary_cross_entropy",
     "backward",
     "check_finite",
     "OptimizerState",
@@ -131,23 +133,25 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _result(a.data * c, (a,), bwd)
 
 
+def _relu(x: np.ndarray) -> np.ndarray:
+    out = np.fmax(x, 0.0)
+    out += 0.0  # -0.0 becomes +0.0, as a select on x > 0 gives
+    return out
+
+
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
     def bwd(out):
         _accum(a, out.grad * mask)
 
-    return _result(np.where(mask, a.data, 0.0), (a,), bwd)
+    return _result(_relu(a.data), (a,), bwd)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # two-branch form never exponentiates a positive argument
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # never exponentiates a positive argument; for x >= 0 the numerator is 1
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -194,21 +198,18 @@ def _as_batched(x: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
     raise ShapeError(f"{what} expects [C,H,W] or [N,C,H,W], got {x.shape}")
 
 
-def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation over an input zero-padded by ``pad`` on each side.
-
-    ``inp`` is [C,H,W] or [N,C,H,W]; ``kernel`` is [C_out,C_in,kH,kW].
-    Output spatial size is floor((H + 2*pad - kH)/stride) + 1.
-    """
+def _conv2d_windows(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """[C,H,W] or [N,C,H,W] input and [C_out,C,kH,kW] kernel -> the output
+    and the [N,C,H',W',kH,kW] window view of the padded input it was made of."""
     if stride < 1:
         raise ShapeError(f"stride must be >= 1, got {stride}")
     if pad < 0:
         raise ShapeError(f"pad must be >= 0, got {pad}")
-    if kernel.data.ndim != 4:
-        raise ShapeError(f"kernel must be 4-D, got {kernel.data.shape}")
-    x, squeeze = _as_batched(inp.data, "conv2d")
+    if kernel.ndim != 4:
+        raise ShapeError(f"kernel must be 4-D, got {kernel.shape}")
+    x, squeeze = _as_batched(x, "conv2d")
     n, c, h, w = x.shape
-    c_out, c_in, kh, kw = kernel.data.shape
+    c_out, c_in, kh, kw = kernel.shape
     if c_in != c:
         raise ShapeError(f"kernel expects {c_in} input channels, input has {c}")
     if kh > h + 2 * pad or kw > w + 2 * pad:
@@ -219,14 +220,28 @@ def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor
     # im2col + GEMM; the output is laid out [C_out, N, H', W'] and returned as
     # an [N, C_out, H', W'] view of it
     k = c * kh * kw
-    kmat = kernel.data.reshape(c_out, k)
     if h_out == w_out == 1:
         # sample-major, as einsum laid out this case: for small products BLAS
         # sums in an order that depends on the operands' layout
         cols = windows.reshape(n, k).T
     else:
         cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(k, n * h_out * w_out)
-    out = (kmat @ cols).reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
+    out = (kernel.reshape(c_out, k) @ cols).reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
+    return out[0] if squeeze else out, windows
+
+
+def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+    """2-D cross-correlation over an input zero-padded by ``pad`` on each side.
+
+    ``inp`` is [C,H,W] or [N,C,H,W]; ``kernel`` is [C_out,C_in,kH,kW].
+    Output spatial size is floor((H + 2*pad - kH)/stride) + 1.
+    """
+    out, windows = _conv2d_windows(inp.data, kernel.data, stride, pad)
+    n, c, h_out, w_out, kh, kw = windows.shape
+    h, w = inp.data.shape[-2:]
+    c_out, k = kernel.data.shape[0], c * kh * kw
+    kmat = kernel.data.reshape(c_out, k)
+    squeeze = inp.data.ndim == 3
 
     def bwd(res):
         g = res.grad if not squeeze else res.grad[None]
@@ -239,7 +254,7 @@ def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor
             del rows  # not alive during the input gradient's GEMM
         if inp.requires_grad:
             dcols = (kmat.T.copy() @ gm).reshape(c, kh, kw, n, h_out, w_out)
-            dxp = np.zeros((c, n) + xp.shape[2:])  # channel-major, so each dcols[:, i, j] adds in place
+            dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))  # channel-major, so each dcols[:, i, j] adds in place
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[:, i, j]
@@ -248,15 +263,19 @@ def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor
                 dx = dx[:, :, pad : pad + h, pad : pad + w]
             _accum(inp, dx[0] if squeeze else dx)
 
-    return _result(out[0] if squeeze else out, (inp, kernel), bwd)
+    return _result(out, (inp, kernel), bwd)
+
+
+def _upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:
+    if factor < 1:
+        raise ShapeError(f"factor must be >= 1, got {factor}")
+    _as_batched(x, "upsample_nearest")
+    return np.repeat(np.repeat(x, factor, axis=-2), factor, axis=-1)
 
 
 def upsample_nearest(inp: Tensor, factor: int) -> Tensor:
     """Nearest-neighbor upsampling: out[.., y, x] = in[.., y // factor, x // factor]."""
-    if factor < 1:
-        raise ShapeError(f"factor must be >= 1, got {factor}")
-    x, squeeze = _as_batched(inp.data, "upsample_nearest")
-    out = np.repeat(np.repeat(x, factor, axis=2), factor, axis=3)
+    squeeze = inp.data.ndim == 3
 
     def bwd(res):
         g = res.grad if not squeeze else res.grad[None]
@@ -264,80 +283,80 @@ def upsample_nearest(inp: Tensor, factor: int) -> Tensor:
         pooled = g.reshape(n, c, fh // factor, factor, fw // factor, factor).sum(axis=(3, 5))
         _accum(inp, pooled[0] if squeeze else pooled)
 
-    return _result(out[0] if squeeze else out, (inp,), bwd)
+    return _result(_upsample_nearest(inp.data, factor), (inp,), bwd)
+
+
+def _global_avg_pool(x: np.ndarray) -> np.ndarray:
+    _as_batched(x, "global_avg_pool")
+    if x.shape[-2] < 1 or x.shape[-1] < 1:
+        raise ShapeError("empty spatial extent")
+    return x.mean(axis=(-2, -1))
 
 
 def global_avg_pool(inp: Tensor) -> Tensor:
     """Per-channel spatial mean: [C,H,W] -> [C] or [N,C,H,W] -> [N,C]."""
     x, squeeze = _as_batched(inp.data, "global_avg_pool")
-    n, c, h, w = x.shape
-    if h < 1 or w < 1:
-        raise ShapeError("empty spatial extent")
-    out = x.mean(axis=(2, 3))
 
     def bwd(res):
         g = res.grad if not squeeze else res.grad[None]
-        dx = np.broadcast_to(g[:, :, None, None] / (h * w), x.shape)
+        dx = np.broadcast_to(g[:, :, None, None] / (x.shape[2] * x.shape[3]), x.shape)
         _accum(inp, dx[0] if squeeze else dx.copy())
 
-    return _result(out[0] if squeeze else out, (inp,), bwd)
+    return _result(_global_avg_pool(inp.data), (inp,), bwd)
+
+
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+        raise ShapeError(f"bad head shapes {w.shape}, {b.shape}")
+    if x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"linear expects {w.shape[1]} features, got {x.shape}")
+    return x @ w.T + b
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map ``x @ weight.T + bias`` for [C] or [B,C] inputs."""
-    w, b = weight.data, bias.data
-    if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-        raise ShapeError(f"bad head shapes {w.shape}, {b.shape}")
-    if x.data.shape[-1] != w.shape[1]:
-        raise ShapeError(f"linear expects {w.shape[1]} features, got {x.data.shape}")
-    batched = x.data.ndim == 2
-    out = x.data @ w.T + b
 
     def bwd(res):
         g = res.grad
-        _accum(x, g @ w)
-        if batched:
+        _accum(x, g @ weight.data)
+        if x.data.ndim == 2:
             _accum(weight, g.T @ x.data)
             _accum(bias, g.sum(axis=0))
         else:
             _accum(weight, np.outer(g, x.data))
             _accum(bias, g)
 
-    return _result(out, (x, weight, bias), bwd)
+    return _result(_linear(x.data, weight.data, bias.data), (x, weight, bias), bwd)
+
+
+def _bias_add(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    _as_batched(x, "bias_add")
+    if b.ndim != 1 or b.shape[0] != x.shape[-3]:
+        raise ShapeError(f"bias {b.shape} does not match {x.shape[-3]} channels")
+    return x + b[:, None, None]
 
 
 def bias_add(inp: Tensor, bias: Tensor) -> Tensor:
     """Add a per-channel bias vector to a [C,H,W] or [N,C,H,W] map."""
-    x, squeeze = _as_batched(inp.data, "bias_add")
-    b = bias.data
-    if b.ndim != 1 or b.shape[0] != x.shape[1]:
-        raise ShapeError(f"bias {b.shape} does not match {x.shape[1]} channels")
-    out = x + b[None, :, None, None]
+    squeeze = inp.data.ndim == 3
 
     def bwd(res):
         g = res.grad if not squeeze else res.grad[None]
         _accum(inp, res.grad)
         _accum(bias, g.sum(axis=(0, 2, 3)))
 
-    return _result(out[0] if squeeze else out, (inp, bias), bwd)
+    return _result(_bias_add(inp.data, bias.data), (inp, bias), bwd)
 
 
-def concat(parts: list[Tensor]) -> Tensor:
-    """Concatenate along the last axis; all other axes must agree."""
-    if not parts:
-        raise ShapeError("concat of nothing")
-    lead = parts[0].data.shape[:-1]
-    for p in parts[1:]:
-        if p.data.shape[:-1] != lead:
-            raise ShapeError(f"concat leading shapes differ: {lead} vs {p.data.shape[:-1]}")
-    widths = [p.data.shape[-1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-
-    def bwd(out):
-        for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, out.grad[..., a:b])
-
-    return _result(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), bwd)
+arrays = SimpleNamespace(
+    conv2d=lambda x, kernel, stride=1, pad=0: _conv2d_windows(x, kernel, stride, pad)[0],
+    bias_add=_bias_add,
+    relu=_relu,
+    sigmoid=_sigmoid,
+    upsample_nearest=_upsample_nearest,
+    global_avg_pool=_global_avg_pool,
+    linear=_linear,
+)
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -374,27 +393,6 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
         p[np.arange(b), t] -= 1.0
         g = float(out.grad) * p / b
         _accum(logits, g[0] if z.ndim == 1 else g)
-
-    return _result(loss, (logits,), bwd)
-
-
-def binary_cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean sigmoid binary cross-entropy in the stabilized logit form.
-
-    Per label: max(z, 0) - z*t + log(1 + exp(-|z|)), averaged over every
-    (sample, label) element.  Targets must be 0/1 and match the logit shape.
-    """
-    z = logits.data
-    t = np.asarray(targets, dtype=np.float64)
-    if t.shape != z.shape:
-        raise ShapeError(f"targets {t.shape} do not match logits {z.shape}")
-    if t.size and not np.all((t == 0.0) | (t == 1.0)):
-        raise ShapeError("targets must be multi-hot (0/1)")
-    per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    loss = float(per.mean())
-
-    def bwd(out):
-        _accum(logits, float(out.grad) * (_sigmoid(z) - t) / z.size)
 
     return _result(loss, (logits,), bwd)
 

@@ -69,6 +69,7 @@ def desk(tmp_path_factory):
 # ------------------------------------------------------- gradient integrity
 
 
+@pytest.mark.slow
 def test_gradient_integrity():
     cfg = model.BackboneConfig(input_size=32, stage_channels=(8, 16, 32), num_classes_per_task=(3, 4))
     params = model.init_params(cfg, seed=0)
@@ -322,6 +323,7 @@ def test_oracle_pipeline():
 # --------------------------------------------------------- desk-scale learning
 
 
+@pytest.mark.slow
 def test_desk_scale_learning(desk):
     assert desk["held_oa"] >= 0.95, f"held-out OA {desk['held_oa']:.4f}"
     assert desk["identical"], "repeated training did not give a bit-identical checkpoint"
@@ -336,6 +338,7 @@ def test_desk_scale_learning(desk):
 # --------------------------------------------------- task weighting direction
 
 
+@pytest.mark.slow
 def test_task_weighting_direction(tmp_path):
     tex = synthdata.default_texture_classes(8, noise_sigma=25.0)
     mspec = synthdata.SceneSpec(

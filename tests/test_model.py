@@ -15,6 +15,7 @@ from sceneparse.errors import (
     NumericError,
     ShapeError,
 )
+from sceneparse.fusion import fuse
 
 SMALL = model.BackboneConfig(input_size=8, stage_channels=(2, 3, 4), num_classes_per_task=(3,))
 
@@ -476,13 +477,25 @@ class TestCheckpointFormat:
 
 def stream_fusion_loops(clf, patches):
     """The stream fusion TileClassifier.probs_batch ran before it called
-    fusion.fuse: softmax per stream, zeros, += each weighted stream."""
-    logits = model.msc_forward(T.tensor(patches), clf.config, clf._params)[0]
+    fusion.fuse: softmax per stream, zeros, += each weighted stream, over
+    the logits of the classifier's own float32 forward."""
+    logits = model._msc(patches.astype(np.float32), clf.config, clf._params, T.arrays)[0]
     w = np.asarray(clf.msc.stream_weights)
     fused = np.zeros((patches.shape[0], clf.n_classes))
     for ws, z in zip(w, logits):
-        fused += ws * model._softmax_rows(z.data)
+        fused += ws * model._softmax_rows(z.astype(np.float64))
     return fused / w.sum()
+
+
+DESK = model.BackboneConfig(input_size=32, stage_channels=(8, 16, 32), num_classes_per_task=(8,))
+F32_TOLERANCE = 1e-5  # largest change of a fused probability from the float64 forward
+
+
+def probs_float64(ckpt, patches):
+    """The classifier's probabilities from the float64 autodiff forward."""
+    params = {name: T.tensor(v) for name, v in ckpt.params.items()}
+    logits = model.msc_forward(T.tensor(patches), ckpt.config, params)[0]
+    return fuse(np.stack([model._softmax_rows(z.data) for z in logits], axis=-2), ckpt.msc.stream_weights)
 
 
 class TestTileClassifier:
@@ -508,6 +521,34 @@ class TestTileClassifier:
         clf = model.TileClassifier(model.Checkpoint(SMALL, msc, ["a", "b", "c"], [1, 2, 3], params))
         patches = np.random.Generator(np.random.PCG64(seed)).random((37, 3, 8, 8))
         assert clf.probs_batch(patches).tobytes() == stream_fusion_loops(clf, patches).tobytes()
+
+    @pytest.mark.parametrize("cfg", [SMALL, DESK], ids=["small", "desk"])
+    @pytest.mark.parametrize("batch", [1, 64, 65])
+    def test_array_forward_float64_bit_equal(self, cfg, batch):
+        # SMALL's last stage is 1x1, which takes conv2d's sample-major branch
+        params = {name: t.data for name, t in model.init_params(cfg, seed=batch).items()}
+        x = np.random.Generator(np.random.PCG64(batch)).random((batch, 3, cfg.input_size, cfg.input_size))
+        want = model.msc_forward(T.tensor(x), cfg, {name: T.tensor(v) for name, v in params.items()})
+        got = model._msc(x, cfg, params, T.arrays)
+        for z_got, z_want in zip(got[0], want[0]):
+            assert z_got.dtype == np.float64
+            assert z_got.tobytes() == z_want.data.tobytes()
+
+    def _check_float32(self, ckpt, x):
+        got, want = model.TileClassifier(ckpt).probs_batch(x), probs_float64(ckpt, x)
+        assert got.dtype == np.float64
+        assert np.abs(got - want).max() <= F32_TOLERANCE
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+    def test_float32_within_tolerance_random_desk(self):
+        params = {name: t.data for name, t in model.init_params(DESK, seed=5).items()}
+        ckpt = model.Checkpoint(DESK, model.MSCConfig(mu_g=1.0, mu_m=0.0), list("abcdefgh"), list(range(1, 9)), params)
+        self._check_float32(ckpt, np.random.Generator(np.random.PCG64(11)).random((65, 3, 32, 32)))
+
+    def test_float32_within_tolerance_trained_small(self, tmp_path):
+        ckpt, man = self._trained(tmp_path)
+        model.save_checkpoint(ckpt, str(tmp_path / "m.ckpt"))
+        self._check_float32(model.load_checkpoint(str(tmp_path / "m.ckpt")), model.load_tiles(man, 8)[0])
 
     def test_properties(self, tmp_path):
         ckpt, _ = self._trained(tmp_path)

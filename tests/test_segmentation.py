@@ -320,6 +320,34 @@ def _edges_8_stable(h, w, color):
     return lo, hi, wgt[order]
 
 
+def _edges_8_masked(h: int, w: int, color: np.ndarray):
+    """The edge build that the +inf-filled one replaced, verbatim: the valid
+    slots kept by a boolean mask and compacted before the sort."""
+    img = color.reshape(h, w, 3)
+    wgt = np.zeros((h, w, 4))
+    valid = np.zeros((h, w, 4), dtype=bool)
+    for s, (dy, dx) in enumerate(((0, 1), (1, -1), (1, 0), (1, 1))):
+        x0, x1 = max(0, -dx), w - max(0, dx)
+        d = img[: h - dy, x0:x1] - img[dy:, x0 + dx : x1 + dx]
+        wgt[: h - dy, x0:x1, s] = np.sqrt((d * d).sum(axis=2))
+        valid[: h - dy, x0:x1, s] = True
+    slot = np.flatnonzero(valid)
+    wgt = wgt.reshape(-1)[slot]
+    order = np.argsort(wgt, kind="quicksort")
+    # each edge-sized array is dropped as soon as it is used, and the ends
+    # are written in place: at 1024^2 every such array is 34 MB
+    wgt = wgt[order]
+    slot = slot[order]
+    del order
+    ends = np.empty((2, slot.size), dtype=np.intp)
+    np.right_shift(slot, 2, out=ends[0])
+    np.bitwise_and(slot, 3, out=slot)
+    # mode='clip' (the offsets are 0..3 anyway) writes to out unbuffered
+    np.take(np.array([1, w - 1, w, w + 1]), slot, out=ends[1], mode="clip")
+    ends[1] += ends[0]
+    return ends, wgt
+
+
 def _graph_segment_chunked(image, k=segmentation.DEFAULT_K, min_size=segmentation.DEFAULT_MIN_SIZE):
     """The graph_segment that the level-synchronous one replaced: every edge
     in (weight, lo, hi) order through the chunk-prefiltered sequential
@@ -491,6 +519,38 @@ class TestGraphSegment:
                 for k in (30.0, 100.0, 300.0, 900.0)
             ]
             assert all(a >= b for a, b in zip(counts, counts[1:])), counts
+
+
+class TestEdges8:
+    """_edges_8 against the masked build it replaced: the same edges, and
+    graph_segment's same maps whatever order the sort leaves ties in."""
+
+    def _rasters(self, rng):
+        for h, w in ((1, 1), (1, 9), (9, 1), (2, 7), (17, 23), (40, 31)):
+            yield h, w, rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
+            yield h, w, _palette_image(rng, h, w, int(rng.integers(2, 5)))
+
+    def test_same_edges(self, rng):
+        for h, w, img in self._rasters(rng):
+            color = img.reshape(-1, 3).astype(np.float64)
+            ends, ew = segmentation._edges_8(h, w, color)
+            old_ends, old_ew = _edges_8_masked(h, w, color)
+            assert ends.dtype == np.int32 and ew.dtype == np.float64
+            assert ends.shape == (2, 4 * h * w - 3 * h - 3 * w + 2)
+            assert (np.diff(ew) >= 0).all()
+            key = np.lexsort((ends[1], ends[0], ew))
+            old_key = np.lexsort((old_ends[1], old_ends[0], old_ew))
+            assert ew[key].tobytes() == old_ew[old_key].tobytes()
+            assert np.array_equal(ends[:, key], old_ends[:, old_key])
+
+    def test_same_maps(self, monkeypatch, rng):
+        cases = [(img, k, min_size) for _, _, img in self._rasters(rng) for k, min_size in ((1.0, 1), (300.0, 8))]
+        cases.append((make_scene(n_classes=4, size=96, n_points=8, seed=1, noise=20.0)[0], 300.0, 64))
+        with monkeypatch.context() as m:
+            m.setattr(segmentation, "_edges_8", _edges_8_masked)
+            want = [segmentation.graph_segment(img, k, min_size) for img, k, min_size in cases]
+        for (img, k, min_size), old in zip(cases, want):
+            assert _same_map(segmentation.graph_segment(img, k, min_size), old), (img.shape, k, min_size)
 
 
 class TestLevelSynchronous:
