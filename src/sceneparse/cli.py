@@ -18,27 +18,14 @@ import argparse
 import json
 import os
 import sys
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import model, parser, segmentation, synthdata, taxonomy
-from .errors import (
-    ChecksumError,
-    ConfigError,
-    DataError,
-    EmptyError,
-    EmptyImageError,
-    ExtentMismatchError,
-    FormatVersionError,
-    IncompatibleCheckpointError,
-    IoError,
-    LabelRangeError,
-    LengthMismatchError,
-    NumericError,
-    ParseError,
-    SceneParseError,
-)
-from .fusion import DEFAULT_SCALE_WEIGHTS
+from .errors import ConfigError, DataError, ExtentMismatchError, IoError, SceneParseError
 from .metrics import (
     accumulate_cm,
     average_accuracy,
@@ -52,35 +39,6 @@ from .metrics import (
 from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-EXIT_CHECKPOINT = 5
-
-_CONFIG_ERRORS = (ConfigError,)
-_DATA_ERRORS = (
-    DataError,
-    IoError,
-    ParseError,
-    EmptyImageError,
-    ExtentMismatchError,
-    LengthMismatchError,
-    LabelRangeError,
-    EmptyError,
-)
-_CHECKPOINT_ERRORS = (IncompatibleCheckpointError, FormatVersionError, ChecksumError)
-
-
-def _exit_code(e: SceneParseError) -> int:
-    if isinstance(e, _CHECKPOINT_ERRORS):
-        return EXIT_CHECKPOINT
-    if isinstance(e, NumericError):
-        return EXIT_NUMERIC
-    if isinstance(e, _DATA_ERRORS):
-        return EXIT_DATA
-    if isinstance(e, _CONFIG_ERRORS):
-        return EXIT_CONFIG
-    return 1
 
 
 def _root_path(path: str) -> str:
@@ -90,147 +48,106 @@ def _root_path(path: str) -> str:
     return path
 
 
-def _known_keys(cfg: dict, known: frozenset, where: str = "") -> dict:
-    """cfg, if every key is one the command reads; a misspelt key would
-    otherwise be ignored without a word."""
-    unknown = sorted(set(cfg) - known)
-    if unknown:
-        names = ", ".join(repr(f"{where}{key}") for key in unknown)
-        raise ConfigError(f"unknown config field {names}; known: {', '.join(sorted(known))}")
-    return cfg
-
-
-def _load_config(path: str, known: frozenset) -> dict:
+def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             cfg = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not UTF-8, or not JSON
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    return _known_keys(cfg, known)
+    return cfg
 
 
-def _require(cfg: dict, field: str):
-    if field not in cfg:
-        raise ConfigError(f"config field {field!r} is missing")
-    return cfg[field]
+def _check(value, kind, where: str):
+    """value as the annotated type ``kind``, if the JSON value fits it: int,
+    float (which takes an int too), bool, str, dict, ``X | None``, or a tuple
+    read from a list.  A tuple of one repeated type takes a list of any
+    length, which the dataclass checks; the mixed (epoch, divisor) pair
+    takes exactly two."""
+    args = typing.get_args(kind)
+    if isinstance(kind, types.UnionType):
+        return None if value is None else _check(value, args[0], where)
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"config field {where!r} must be a list, got {value!r}")
+        if len(set(args) - {...}) == 1:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"config field {where!r} must be a list of {len(args)}, got {value!r}")
+        return tuple(_check(v, a, f"{where}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+        name = "an object" if kind is dict else kind.__name__
+        raise ConfigError(f"config field {where!r} must be {name}, got {value!r}")
+    if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"config field {where!r} is beyond the float range, got {value!r}")
+    return value
+
+
+def _config(cls, raw, where: str, **defaults):
+    """cls built from the JSON object ``raw``, the config section ``where``
+    ("" for the top level).
+
+    Its keys are the fields of cls, less those marked ``json: False``, and
+    each value is checked against its field's type.  An absent key takes
+    ``defaults``, else the field's own default.  Errors name a key as
+    ``where.key``."""
+    prefix = f"{where}." if where else ""
+    known = [f for f in fields(cls) if f.metadata.get("json", True)]
+    unknown = sorted(set(raw) - {f.name for f in known})
+    if unknown:
+        names = ", ".join(repr(prefix + key) for key in unknown)
+        raise ConfigError(f"unknown config field {names}; known: {', '.join(sorted(f.name for f in known))}")
+    hints = typing.get_type_hints(cls)
+    values = {**defaults, **{key: _check(value, hints[key], prefix + key) for key, value in raw.items()}}
+    for f in known:
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config field {prefix + f.name!r} is missing")
+    return cls(**values)
+
+
+@dataclass(frozen=True)
+class _TrainFile:
+    """The keys of a train config; model, train and msc are sections."""
+
+    model: dict
+    manifests: tuple[str, ...]
+    out_checkpoint: str
+    train: dict = field(default_factory=dict)
+    msc: dict = field(default_factory=dict)
+    labels: tuple[str, ...] | None = None
+    label_ids: tuple[int, ...] | None = None
+    out_trace: str | None = None
+
+
+@dataclass(frozen=True)
+class _FinetuneFile:
+    """The keys of a finetune config; train and msc are sections."""
+
+    base_checkpoint: str
+    num_classes_per_task: tuple[int, ...]
+    manifests: tuple[str, ...]
+    out_checkpoint: str
+    train: dict = field(default_factory=dict)
+    msc: dict = field(default_factory=dict)
+    labels: tuple[str, ...] | None = None
+    label_ids: tuple[int, ...] | None = None
+
+
+def _write_json(path: str, obj, **dump_args) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(obj, f, **dump_args)
+    except OSError as e:
+        raise IoError(f"cannot write {path}: {e}") from e
 
 
 def _print_header(title: str, pairs: dict) -> None:
     print(f"[{title}]")
     for k, v in pairs.items():
-        print(f"  {k} = {v}")
-
-
-_NUMBER = (int, float)
-_KIND_NAMES = {int: "an integer", _NUMBER: "a number", bool: "true or false", str: "a string"}
-
-
-def _typed(value, kind, where: str):
-    """value if it is of `kind`; a JSON boolean is never a number here."""
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise ConfigError(f"config field {where!r} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return value
-
-
-def _typed_list(value, kind, where: str) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"config field {where!r} must be a list, got {value!r}")
-    return tuple(_typed(v, kind, f"{where}[{i}]") for i, v in enumerate(value))
-
-
-def _optional(cfg: dict, key: str, check, kind):
-    """cfg[key] passed through check(value, kind, key); absent or null is None."""
-    value = cfg.get(key)
-    return None if value is None else check(value, kind, key)
-
-
-def _section(raw, name: str, known: frozenset) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config field {name!r} must be an object, got {raw!r}")
-    return _known_keys(raw, known, f"{name}.")
-
-
-# the keys each config reader takes; any other key is a ConfigError
-_MODEL_KEYS = frozenset({"input_size", "stage_channels", "stage_strides", "num_classes_per_task"})
-_TRAIN_SECTION_KEYS = frozenset(
-    {"epochs", "batch_size", "lr", "momentum", "weight_decay", "schedule", "seed", "augment"}
-)
-_MSC_KEYS = frozenset({"stream_weights", "mu_g", "mu_m"})
-_TRAIN_KEYS = frozenset(
-    {"model", "train", "msc", "manifests", "labels", "label_ids", "out_checkpoint", "out_trace"}
-)
-_FINETUNE_KEYS = frozenset(
-    {"base_checkpoint", "num_classes_per_task", "train", "msc", "manifests", "labels", "label_ids", "out_checkpoint"}
-)
-_PARSE_KEYS = frozenset(
-    {"window_sizes", "stride", "scale_weights", "k", "min_size", "target_count", "expected_labels"}
-)
-
-
-def _backbone_config(raw) -> model.BackboneConfig:
-    raw = _section(raw, "model", _MODEL_KEYS)
-    return model.BackboneConfig(
-        input_size=_typed(_require(raw, "input_size"), int, "model.input_size"),
-        stage_channels=_typed_list(raw.get("stage_channels", (8, 16, 32)), int, "model.stage_channels"),
-        stage_strides=_typed_list(raw.get("stage_strides", (2, 2, 2)), int, "model.stage_strides"),
-        num_classes_per_task=_typed_list(raw.get("num_classes_per_task", (8,)), int, "model.num_classes_per_task"),
-    )
-
-
-def _schedule(value) -> tuple:
-    if not isinstance(value, (list, tuple)) or any(not isinstance(st, (list, tuple)) or len(st) != 2 for st in value):
-        raise ConfigError(f"config field 'train.schedule' must be a list of [epoch, divisor] pairs, got {value!r}")
-    return tuple(
-        (_typed(e, int, f"train.schedule[{i}][0]"), _typed(d, _NUMBER, f"train.schedule[{i}][1]"))
-        for i, (e, d) in enumerate(value)
-    )
-
-
-def _train_config(raw, lr_default: float = 0.01, epochs_default: int = 50) -> model.TrainConfig:
-    raw = _section(raw, "train", _TRAIN_SECTION_KEYS)
-    return model.TrainConfig(
-        epochs=_typed(raw.get("epochs", epochs_default), int, "train.epochs"),
-        batch_size=_typed(raw.get("batch_size", 32), int, "train.batch_size"),
-        lr=_typed(raw.get("lr", lr_default), _NUMBER, "train.lr"),
-        momentum=_typed(raw.get("momentum", 0.9), _NUMBER, "train.momentum"),
-        weight_decay=_typed(raw.get("weight_decay", 0.005), _NUMBER, "train.weight_decay"),
-        schedule=_schedule(raw.get("schedule", ((20, 10.0), (40, 10.0)))),
-        seed=_typed(raw.get("seed", 0), int, "train.seed"),
-        augment=_typed(raw.get("augment", True), bool, "train.augment"),
-    )
-
-
-def _msc_config(raw, n_tasks: int) -> model.MSCConfig:
-    raw = _section(raw, "msc", _MSC_KEYS)
-    if raw:
-        return model.MSCConfig(
-            stream_weights=_typed_list(raw.get("stream_weights", DEFAULT_SCALE_WEIGHTS), _NUMBER, "msc.stream_weights"),
-            mu_g=_typed(raw.get("mu_g", 0.5 if n_tasks == 2 else 1.0), _NUMBER, "msc.mu_g"),
-            mu_m=_typed(raw.get("mu_m", 0.5 if n_tasks == 2 else 0.0), _NUMBER, "msc.mu_m"),
-        )
-    if n_tasks == 2:
-        return model.MSCConfig()
-    return model.MSCConfig(mu_g=1.0, mu_m=0.0)
-
-
-def _train_header(hyper: model.TrainConfig, msc: model.MSCConfig) -> dict:
-    return {
-        "epochs": hyper.epochs,
-        "batch_size": hyper.batch_size,
-        "lr": hyper.lr,
-        "momentum": hyper.momentum,
-        "weight_decay": hyper.weight_decay,
-        "schedule": list(hyper.schedule),
-        "seed": hyper.seed,
-        "augment": hyper.augment,
-        "stream_weights": list(msc.stream_weights),
-        "mu_g": msc.mu_g,
-        "mu_m": msc.mu_m,
-    }
+        print(f"  {k} = {list(v) if isinstance(v, tuple) else v}")
 
 
 def _print_epoch(epoch: int, mean_loss: float) -> None:
@@ -238,58 +155,45 @@ def _print_epoch(epoch: int, mean_loss: float) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config, _TRAIN_KEYS)
-    bb = _backbone_config(_require(cfg, "model"))
-    manifest_paths = [_root_path(p) for p in _require(cfg, "manifests")]
+    job = _config(_TrainFile, _load_config(args.config), "")
+    bb = _config(model.BackboneConfig, job.model, "model")
+    manifest_paths = [_root_path(p) for p in job.manifests]
     manifests = [taxonomy.load_manifest(p) for p in manifest_paths]
-    hyper = _train_config(cfg.get("train", {}))
-    msc = _msc_config(cfg.get("msc", {}), len(manifests))
-    out_path = _root_path(_require(cfg, "out_checkpoint"))
-    _print_header("train", {**_train_header(hyper, msc), "manifests": manifest_paths, "out": out_path})
+    hyper = _config(model.TrainConfig, job.train, "train")
+    msc = _config(model.MSCConfig, job.msc, "msc", **model.default_task_weights(len(manifests)))
+    out_path = _root_path(job.out_checkpoint)
+    _print_header("train", {**asdict(hyper), **asdict(msc), "manifests": manifest_paths, "out": out_path})
 
     ckpt, trace = model.train(
-        bb, manifests, hyper, msc=msc, labels=cfg.get("labels"), label_ids=cfg.get("label_ids"), on_epoch=_print_epoch
+        bb, manifests, hyper, msc=msc, labels=job.labels, label_ids=job.label_ids, on_epoch=_print_epoch
     )
     model.save_checkpoint(ckpt, out_path)
     print(f"checkpoint written: {out_path}")
-    if cfg.get("out_trace"):
-        trace_path = _root_path(cfg["out_trace"])
-        with open(trace_path, "w", encoding="utf-8") as f:
-            json.dump({"loss_trace": trace}, f)
+    if job.out_trace:
+        trace_path = _root_path(job.out_trace)
+        _write_json(trace_path, {"loss_trace": trace})
         print(f"loss trace written: {trace_path}")
     return EXIT_OK
 
 
 def cmd_finetune(args) -> int:
-    cfg = _load_config(args.config, _FINETUNE_KEYS)
-    base = model.load_checkpoint(_root_path(_require(cfg, "base_checkpoint")))
-    manifest_paths = [_root_path(p) for p in _require(cfg, "manifests")]
+    job = _config(_FinetuneFile, _load_config(args.config), "")
+    base = model.load_checkpoint(_root_path(job.base_checkpoint))
+    manifest_paths = [_root_path(p) for p in job.manifests]
     manifests = [taxonomy.load_manifest(p) for p in manifest_paths]
-    new_classes = _typed_list(_require(cfg, "num_classes_per_task"), int, "num_classes_per_task")
-    hyper = _train_config(cfg.get("train", {}), lr_default=model.FINE_TUNE_LR)
-    if "schedule" not in cfg.get("train", {}):
-        hyper = model.TrainConfig(
-            epochs=hyper.epochs,
-            batch_size=hyper.batch_size,
-            lr=hyper.lr,
-            momentum=hyper.momentum,
-            weight_decay=hyper.weight_decay,
-            schedule=(),
-            seed=hyper.seed,
-            augment=hyper.augment,
-        )
-    msc = _msc_config(cfg.get("msc", {}), len(manifests))
-    out_path = _root_path(_require(cfg, "out_checkpoint"))
-    _print_header("finetune", {**_train_header(hyper, msc), "base": cfg["base_checkpoint"], "out": out_path})
+    hyper = _config(model.TrainConfig, job.train, "train", lr=model.FINE_TUNE_LR, schedule=())
+    msc = _config(model.MSCConfig, job.msc, "msc", **model.default_task_weights(len(manifests)))
+    out_path = _root_path(job.out_checkpoint)
+    _print_header("finetune", {**asdict(hyper), **asdict(msc), "base": job.base_checkpoint, "out": out_path})
 
     ckpt, _ = model.fine_tune(
         base,
-        new_classes,
+        job.num_classes_per_task,
         manifests,
         hyper=hyper,
         msc=msc,
-        labels=cfg.get("labels"),
-        label_ids=cfg.get("label_ids"),
+        labels=job.labels,
+        label_ids=job.label_ids,
         on_epoch=_print_epoch,
     )
     model.save_checkpoint(ckpt, out_path)
@@ -367,27 +271,16 @@ def cmd_parse(args) -> int:
             raise ConfigError("either --checkpoint or --oracle-truth is required")
         classifier = model.TileClassifier(model.load_checkpoint(_root_path(args.checkpoint)))
 
-    cfg = {}
-    if args.config:
-        cfg = _load_config(args.config, _PARSE_KEYS)
-    pcfg = parser.ParseConfig(
-        window_sizes=_optional(cfg, "window_sizes", _typed_list, int),
-        stride=_optional(cfg, "stride", _typed, int),
-        scale_weights=_optional(cfg, "scale_weights", _typed_list, _NUMBER),
-        k=_typed(cfg.get("k", segmentation.DEFAULT_K), _NUMBER, "k"),
-        min_size=_typed(cfg.get("min_size", segmentation.DEFAULT_MIN_SIZE), int, "min_size"),
-        target_count=_optional(cfg, "target_count", _typed, int),
-        keep_probs=args.dump_grid is not None,
-        expected_labels=_optional(cfg, "expected_labels", _typed_list, str),
-    )
+    cfg = _load_config(args.config) if args.config else {}
+    pcfg = _config(parser.ParseConfig, cfg, "", keep_probs=args.dump_grid is not None)
     spec, stride, weights = parser.resolve_windows(classifier, pcfg)
     _print_header(
         "parse",
         {
             "input": args.input,
-            "windows": list(spec.sizes),
+            "windows": spec.sizes,
             "stride": stride,
-            "scale_weights": list(weights),
+            "scale_weights": weights,
             "k": pcfg.k,
             "min_size": pcfg.min_size,
             "target_count": pcfg.target_count,
@@ -411,73 +304,64 @@ def cmd_parse(args) -> int:
             "width": grid.width,
             "class_ids": grid.class_ids,
         }
-        with open(args.dump_grid + ".meta", "w", encoding="utf-8") as f:
-            json.dump(meta, f, sort_keys=True)
+        _write_json(args.dump_grid + ".meta", meta, sort_keys=True)
         print(f"grid map written: {args.dump_grid}")
     return EXIT_OK
 
 
-def _read_label_tsv(path: str) -> dict[str, int]:
-    out = {}
+def _read_tsv(path: str, layout: str, record) -> list:
+    """record(fields) for each line of a UTF-8 TSV file, skipping blank lines
+    and # comments; DataError naming path:line if a line is not UTF-8 or
+    record raises ValueError (a wrong field count, a number that does not
+    parse)."""
     try:
-        with open(path, encoding="utf-8") as f:
-            for ln, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise DataError(f"{path}:{ln}: expected 'sample_id<TAB>label'")
-                out[fields[0]] = int(fields[1])
+        with open(path, "rb") as f:
+            lines = f.read().splitlines()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
+    out = []
+    for ln, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+            if line and not line.startswith("#"):
+                out.append(record(line.split("\t")))
+        except ValueError as e:
+            raise DataError(f"{path}:{ln}: expected {layout!r}: {e}") from e
     return out
+
+
+def _read_label_tsv(path: str) -> dict[str, int]:
+    def record(fields):
+        sample_id, label = fields
+        return sample_id, int(label)
+
+    return dict(_read_tsv(path, "sample_id<TAB>label", record))
 
 
 def _read_scores_tsv(path: str) -> tuple[list[str], np.ndarray]:
-    ids, rows = [], []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for ln, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) < 2:
-                    raise DataError(f"{path}:{ln}: expected 'sample_id<TAB>score...'")
-                ids.append(fields[0])
-                rows.append([float(x) for x in fields[1:]])
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
+    def record(fields):
+        sample_id, first, *rest = fields
+        return sample_id, [float(x) for x in (first, *rest)]
+
+    rows = _read_tsv(path, "sample_id<TAB>score...", record)
     if not rows:
         raise DataError(f"{path}: no score rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if any(len(r) != len(rows[0][1]) for _, r in rows):
         raise DataError(f"{path}: ragged score rows")
-    return ids, np.asarray(rows)
+    return [i for i, _ in rows], np.asarray([r for _, r in rows])
 
 
 def _read_labelsets_tsv(path: str) -> dict[str, list[int]]:
-    out = {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            for ln, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise DataError(f"{path}:{ln}: expected 'sample_id<TAB>l1,l2,...'")
-                out[fields[0]] = [int(x) for x in fields[1].split(",") if x != ""]
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
-    return out
+    def record(fields):
+        sample_id, labels = fields
+        return sample_id, [int(x) for x in labels.split(",") if x != ""]
+
+    return dict(_read_tsv(path, "sample_id<TAB>l1,l2,...", record))
 
 
 def _write_report(path: str | None, report: dict) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(report, f, sort_keys=True, indent=2)
+        _write_json(path, report, sort_keys=True, indent=2)
         print(f"report written: {path}")
 
 
@@ -505,6 +389,8 @@ def cmd_eval(args) -> int:
     elif args.mode == "tile":
         pred = _read_label_tsv(args.pred)
         truth = _read_label_tsv(args.truth)
+        if not truth:
+            raise DataError(f"{args.truth}: no label rows")
         missing = sorted(set(truth) - set(pred))
         if missing:
             raise DataError(f"{len(missing)} samples missing predictions (first: {missing[0]})")
@@ -609,7 +495,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SceneParseError as e:
         print(f"error: {e}", file=sys.stderr)
-        return _exit_code(e)
+        return e.exit_code
 
 
 if __name__ == "__main__":

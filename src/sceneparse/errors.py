@@ -2,12 +2,17 @@
 
 
 class SceneParseError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  ``exit_code`` is the command
+    line's exit status for the error: 2 configuration, 3 data or input,
+    4 numeric failure, 5 checkpoint or class-table mismatch, 1 anything
+    else."""
+
+    exit_code = 1
 
 
 # taxonomy / manifests
 class ParseError(SceneParseError):
-    pass
+    exit_code = 3
 
 
 class CycleError(SceneParseError):
@@ -38,35 +43,37 @@ class GraphError(SceneParseError):
 class NumericError(SceneParseError):
     """A loss or intermediate value became NaN/Inf."""
 
+    exit_code = 4
+
 
 # training / checkpoints
 class DataError(SceneParseError):
-    pass
+    exit_code = 3
 
 
 class ConfigError(SceneParseError):
-    pass
+    exit_code = 2
 
 
 class IoError(SceneParseError):
-    pass
+    exit_code = 3
 
 
 class FormatVersionError(SceneParseError):
-    pass
+    exit_code = 5
 
 
 class ChecksumError(SceneParseError):
-    pass
+    exit_code = 5
 
 
 class IncompatibleCheckpointError(SceneParseError):
-    pass
+    exit_code = 5
 
 
 # segmentation / parsing
 class EmptyImageError(SceneParseError):
-    pass
+    exit_code = 3
 
 
 class OutOfBoundsError(SceneParseError):
@@ -78,17 +85,17 @@ class ClassifierError(SceneParseError):
 
 
 class ExtentMismatchError(SceneParseError):
-    pass
+    exit_code = 3
 
 
 # metrics
 class EmptyError(SceneParseError):
-    pass
+    exit_code = 3
 
 
 class LengthMismatchError(SceneParseError):
-    pass
+    exit_code = 3
 
 
 class LabelRangeError(SceneParseError):
-    pass
+    exit_code = 3

@@ -10,9 +10,10 @@ same order, so the deepest stream carries the largest default weight.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .fusion import check_weights, fuse
+from .fusion import DEFAULT_SCALE_WEIGHTS, check_weights, fuse
 from .netpbm import read_ppm
 from .taxonomy import DatasetManifest
 
@@ -36,6 +37,7 @@ __all__ = [
     "BackboneConfig",
     "MSCConfig",
     "TrainConfig",
+    "default_task_weights",
     "FeaturePyramid",
     "AttentionWeights",
     "Checkpoint",
@@ -72,7 +74,10 @@ class BackboneConfig:
         object.__setattr__(self, "stage_strides", tuple(self.stage_strides))
         object.__setattr__(self, "num_classes_per_task", tuple(self.num_classes_per_task))
         if len(self.stage_channels) != 3 or len(self.stage_strides) != 3:
-            raise ConfigError("exactly 3 stages required")
+            raise ConfigError(
+                f"exactly 3 stages required, got stage_channels {self.stage_channels}"
+                f" and stage_strides {self.stage_strides}"
+            )
         if any(c < 1 for c in self.stage_channels):
             raise ConfigError(f"bad stage channels {self.stage_channels}")
         if any(s < 1 for s in self.stage_strides):
@@ -81,14 +86,17 @@ class BackboneConfig:
         for s in self.stage_strides:
             total *= s
         if self.input_size < 1 or self.input_size % total != 0:
-            raise ConfigError(f"input_size {self.input_size} not divisible by cumulative stride {total}")
+            raise ConfigError(
+                f"input_size {self.input_size} not divisible by cumulative stride {total}"
+                f" of stage_strides {self.stage_strides}"
+            )
         if not self.num_classes_per_task or any(k < 1 for k in self.num_classes_per_task):
-            raise ConfigError(f"bad class counts {self.num_classes_per_task}")
+            raise ConfigError(f"bad class counts num_classes_per_task {self.num_classes_per_task}")
 
 
 @dataclass(frozen=True)
 class MSCConfig:
-    stream_weights: tuple[float, float, float] = (0.25, 0.5, 1.0)
+    stream_weights: tuple[float, float, float] = DEFAULT_SCALE_WEIGHTS
     mu_g: float = 0.5
     mu_m: float = 0.5
 
@@ -96,7 +104,9 @@ class MSCConfig:
         weights = check_weights(self.stream_weights, 3, "stream weights")
         object.__setattr__(self, "stream_weights", tuple(weights.tolist()))
         if not (self.mu_g >= 0 and self.mu_m >= 0 and abs(self.mu_g + self.mu_m - 1.0) <= 1e-12):
-            raise ConfigError(f"task weights must be non-negative and sum to 1, got {self.mu_g}, {self.mu_m}")
+            raise ConfigError(
+                f"task weights mu_g, mu_m must be non-negative and sum to 1, got {self.mu_g}, {self.mu_m}"
+            )
 
 
 @dataclass(frozen=True)
@@ -112,13 +122,24 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "schedule", tuple((int(e), float(d)) for e, d in self.schedule))
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError(f"bad epochs/batch {self.epochs}/{self.batch_size}")
-        if self.lr < 0 or self.momentum < 0 or self.weight_decay < 0:
-            raise ConfigError("lr, momentum, weight_decay must be >= 0")
+        if self.epochs < 0 or self.batch_size < 1 or self.seed < 0:
+            raise ConfigError(f"bad epochs/batch_size/seed {self.epochs}/{self.batch_size}/{self.seed}")
+        if not all(0 <= v < math.inf for v in (self.lr, self.momentum, self.weight_decay)):
+            raise ConfigError(
+                "lr, momentum, weight_decay must be finite and >= 0,"
+                f" got {self.lr}, {self.momentum}, {self.weight_decay}"
+            )
+        if not all(0 < d < math.inf for _, d in self.schedule):
+            raise ConfigError(f"schedule divisors must be finite and > 0, got {self.schedule}")
 
 
 FINE_TUNE_LR = 0.001
+
+
+def default_task_weights(n_tasks: int) -> dict[str, float]:
+    """The MSCConfig task weights for ``n_tasks`` that differ from its
+    defaults: one task trains the main task alone (mu_g 1, mu_m 0)."""
+    return {} if n_tasks == 2 else {"mu_g": 1.0, "mu_m": 0.0}
 
 
 @dataclass
@@ -330,7 +351,7 @@ def train(
             f"{len(manifests)} manifests but {len(cfg.num_classes_per_task)} head tasks configured"
         )
     if msc is None:
-        msc = MSCConfig(mu_g=1.0, mu_m=0.0) if len(manifests) == 1 else MSCConfig()
+        msc = MSCConfig(**default_task_weights(len(manifests)))
     if len(manifests) == 1 and msc.mu_m != 0.0:
         raise ConfigError("auxiliary weight is non-zero but no auxiliary manifest given")
 
@@ -403,17 +424,7 @@ def train(
         labels=list(labels),
         label_ids=list(label_ids),
         params={name: p.data.copy() for name, p in params.items()},
-        meta={
-            "epochs": hyper.epochs,
-            "batch_size": hyper.batch_size,
-            "lr": hyper.lr,
-            "momentum": hyper.momentum,
-            "weight_decay": hyper.weight_decay,
-            "schedule": [list(x) for x in hyper.schedule],
-            "seed": hyper.seed,
-            "augment": hyper.augment,
-            "loss_trace": trace,
-        },
+        meta={**asdict(hyper), "loss_trace": trace},
     )
     return ckpt, trace
 
@@ -440,12 +451,7 @@ def fine_tune(
         raise IncompatibleCheckpointError(f"bad class counts {new_classes_per_task}")
     if hyper is None:
         hyper = TrainConfig(lr=FINE_TUNE_LR, schedule=())
-    cfg = BackboneConfig(
-        input_size=base.config.input_size,
-        stage_channels=base.config.stage_channels,
-        stage_strides=base.config.stage_strides,
-        num_classes_per_task=new_classes_per_task,
-    )
+    cfg = replace(base.config, num_classes_per_task=new_classes_per_task)
 
     overrides = {}
     for name, shape in param_shapes(cfg).items():
@@ -474,17 +480,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     n_floats = len(payload) // 4
     header = {
         "format_version": FORMAT_VERSION,
-        "config": {
-            "input_size": ckpt.config.input_size,
-            "stage_channels": list(ckpt.config.stage_channels),
-            "stage_strides": list(ckpt.config.stage_strides),
-            "num_classes_per_task": list(ckpt.config.num_classes_per_task),
-        },
-        "msc": {
-            "stream_weights": list(ckpt.msc.stream_weights),
-            "mu_g": ckpt.msc.mu_g,
-            "mu_m": ckpt.msc.mu_m,
-        },
+        "config": asdict(ckpt.config),
+        "msc": asdict(ckpt.msc),
         "labels": list(ckpt.labels),
         "label_ids": list(ckpt.label_ids),
         "meta": ckpt.meta,
@@ -554,17 +551,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise ChecksumError("payload checksum mismatch")
 
     try:
-        cfg = BackboneConfig(
-            input_size=header["config"]["input_size"],
-            stage_channels=tuple(header["config"]["stage_channels"]),
-            stage_strides=tuple(header["config"]["stage_strides"]),
-            num_classes_per_task=tuple(header["config"]["num_classes_per_task"]),
-        )
-        msc = MSCConfig(
-            stream_weights=tuple(header["msc"]["stream_weights"]),
-            mu_g=header["msc"]["mu_g"],
-            mu_m=header["msc"]["mu_m"],
-        )
+        cfg = BackboneConfig(**header["config"])
+        msc = MSCConfig(**header["msc"])
         manifest = [(name, tuple(shape)) for name, shape in header["params"]]
         labels = list(header["labels"])
         label_ids = [int(i) for i in header["label_ids"]]
@@ -586,11 +574,6 @@ def load_checkpoint(path: str) -> Checkpoint:
     if offset != n_floats:
         raise ChecksumError(f"manifest covers {offset} floats, payload has {n_floats}")
     return Checkpoint(cfg, msc, labels, label_ids, params, dict(header.get("meta", {})))
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 class TileClassifier:
@@ -623,4 +606,4 @@ class TileClassifier:
         if patches.ndim != 4 or patches.shape[1:] != (3, self.input_size, self.input_size):
             raise ShapeError(f"expected [B,3,{self.input_size},{self.input_size}], got {patches.shape}")
         logits = _msc(patches.astype(np.float32), self.config, self._params, T.arrays)[0]
-        return fuse(np.stack([_softmax_rows(z.astype(np.float64)) for z in logits], axis=-2), self.msc.stream_weights)
+        return fuse(np.stack([T.arrays.softmax(z.astype(np.float64)) for z in logits], axis=-2), self.msc.stream_weights)

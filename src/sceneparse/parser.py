@@ -10,7 +10,7 @@ output label ids (the classifier's label table), not raw head indices.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -241,7 +241,7 @@ class ParseConfig:
     k: float = DEFAULT_K
     min_size: int = DEFAULT_MIN_SIZE
     target_count: int | None = None
-    keep_probs: bool = False
+    keep_probs: bool = field(default=False, metadata={"json": False})  # set by parse --dump-grid
     expected_labels: tuple[str, ...] | None = None
 
 

@@ -242,23 +242,26 @@ def class_histogram(
 def load_manifest(path) -> DatasetManifest:
     samples = []
     try:
-        f = open(path, "r", encoding="utf-8")
+        with open(path, "rb") as f:
+            lines = f.read().splitlines()
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    with f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (3, 5):
-                raise ParseError(f"line {lineno}: expected 3 or 5 fields, got {len(parts)}")
-            try:
-                label = int(parts[2])
-                lon_lat = (float(parts[3]), float(parts[4])) if len(parts) == 5 else None
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            samples.append(SceneSample(parts[0], parts[1], label, lon_lat))
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (3, 5):
+            raise ParseError(f"line {lineno}: expected 3 or 5 fields, got {len(parts)}")
+        try:
+            label = int(parts[2])
+            lon_lat = (float(parts[3]), float(parts[4])) if len(parts) == 5 else None
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        samples.append(SceneSample(parts[0], parts[1], label, lon_lat))
     return DatasetManifest(samples)
 
 

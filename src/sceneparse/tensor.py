@@ -3,10 +3,10 @@
 Values are stored as float64 numpy arrays.  Every operation builds the
 backward graph eagerly; :func:`backward` runs the reverse sweep from a
 scalar loss.  Non-finite values (NaN/Inf) are an error state -- they are
-not checked op-by-op for speed, callers guard loss values with
-:func:`check_finite`.  Each network op's forward value comes from a plain
-array kernel that keeps its input's dtype; :data:`arrays` holds those
-kernels under the ops' names, so layer code can run on plain arrays too.
+not checked op-by-op for speed, callers guard loss values.  Each network
+op's forward value comes from a plain array kernel that keeps its input's
+dtype; :data:`arrays` holds those kernels under the ops' names, so layer
+code can run on plain arrays too, and the softmax over the last axis.
 
 Image-shaped operations (:func:`conv2d`, :func:`upsample_nearest`,
 :func:`global_avg_pool`) take a single ``[C, H, W]`` tensor or a batched
@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GraphError, NumericError, ShapeError
+from .errors import GraphError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -32,7 +32,6 @@ __all__ = [
     "scale",
     "relu",
     "sigmoid",
-    "softmax",
     "conv2d",
     "upsample_nearest",
     "global_avg_pool",
@@ -42,7 +41,6 @@ __all__ = [
     "tsum",
     "cross_entropy",
     "backward",
-    "check_finite",
     "OptimizerState",
     "sgd_step",
     "check_gradients",
@@ -164,30 +162,10 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, stabilized by max subtraction."""
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    s = _softmax(a.data)
-
-    def bwd(out):
-        inner = (out.grad * s).sum(axis=-1, keepdims=True)
-        _accum(a, s * (out.grad - inner))
-
-    return _result(s, (a,), bwd)
-
-
-def activate(a: Tensor, kind: str) -> Tensor:
-    if kind == "sigmoid":
-        return sigmoid(a)
-    if kind == "relu":
-        return relu(a)
-    if kind == "softmax":
-        return softmax(a)
-    raise ShapeError(f"unknown activation kind {kind!r}")
 
 
 def _as_batched(x: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
@@ -356,6 +334,7 @@ arrays = SimpleNamespace(
     upsample_nearest=_upsample_nearest,
     global_avg_pool=_global_avg_pool,
     linear=_linear,
+    softmax=_softmax,
 )
 
 
@@ -436,11 +415,6 @@ def backward(loss: Tensor, params: list[Tensor] | None = None) -> None:
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
-
-
-def check_finite(t: Tensor, context: str = "value") -> None:
-    if not np.all(np.isfinite(t.data)):
-        raise NumericError(f"non-finite {context}")
 
 
 @dataclass

@@ -376,6 +376,7 @@ def test_task_weighting_direction(tmp_path):
 # ------------------------------------------------------- end-to-end trained
 
 
+@pytest.mark.slow
 def test_end_to_end_trained_parse(desk):
     spec = synthdata.SceneSpec(
         classes=desk["textures"], layout=synthdata.VoronoiLayout(n_points=14), height=512, width=512

@@ -700,3 +700,268 @@ class TestDataRoot:
             assert (workdir / "root.ckpt").exists()
         finally:
             del os.environ["SCENEPARSE_DATA_ROOT"]
+
+
+class TestMalformedInputs:
+    """Bad text inputs exit with their error's code and name the file and line."""
+
+    @pytest.mark.parametrize(
+        "mode,name,text",
+        [
+            ("tile", "pred", b"a\t0\nb\tx\n"),
+            ("tile", "truth", b"a\t0\n\xff\t1\n"),
+            ("multilabel", "scores", b"a\t0.9\t0.6\nb\tzz\t0.8\n"),
+            ("multilabel", "scores", b"a\t0.9\t0.6\n\xffb\t0.2\t0.8\n"),
+            ("multilabel", "truth", b"a\t0,1\nb\t1,y\n"),
+            ("multilabel", "truth", b"a\t0,1\nb\t\xff\n"),
+        ],
+    )
+    def test_eval_tsv_exit_3(self, tmp_path, capsys, mode, name, text):
+        files = {
+            "pred": "a\t0\nb\t1\n",
+            "scores": "a\t0.9\t0.6\nb\t0.2\t0.8\n",
+            "truth": "a\t0\nb\t1\n" if mode == "tile" else "a\t0,1\nb\t1\n",
+        }
+        for key, good in files.items():
+            (tmp_path / f"{key}.tsv").write_bytes(text if key == name else good.encode())
+        source = "--pred" if mode == "tile" else "--scores"
+        path = tmp_path / ("pred.tsv" if mode == "tile" else "scores.tsv")
+        assert run("eval", "--mode", mode, source, str(path), "--truth", str(tmp_path / "truth.tsv")) == 3
+        assert f"{tmp_path / name}.tsv:2: " in capsys.readouterr().err
+
+    def test_empty_tile_truth_exit_3(self, tmp_path, capsys):
+        (tmp_path / "pred.tsv").write_text("a\t0\n")
+        (tmp_path / "truth.tsv").write_text("# no rows\n")
+        pred, truth = str(tmp_path / "pred.tsv"), str(tmp_path / "truth.tsv")
+        assert run("eval", "--mode", "tile", "--pred", pred, "--truth", truth) == 3
+        assert "no label rows" in capsys.readouterr().err
+
+    def test_unwritable_report_exit_3(self, tmp_path, capsys):
+        (tmp_path / "p.tsv").write_text("a\t0\n")
+        tsv, report = str(tmp_path / "p.tsv"), str(tmp_path / "nodir" / "r.json")
+        assert run("eval", "--mode", "tile", "--pred", tsv, "--truth", tsv, "--report", report) == 3
+        assert f"cannot write {report}" in capsys.readouterr().err
+
+    def test_unwritable_trace_exit_3(self, workdir, tmp_path, capsys):
+        cfg = json.loads((workdir / "train.json").read_text())
+        cfg["train"]["epochs"] = 1
+        cfg["out_checkpoint"] = str(tmp_path / "x.ckpt")
+        cfg["out_trace"] = str(tmp_path / "nodir" / "t.json")
+        (tmp_path / "t.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", str(tmp_path / "t.json")) == 3
+        assert f"cannot write {cfg['out_trace']}" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_exit_3(self, workdir, tmp_path, capsys):
+        (tmp_path / "m.tsv").write_bytes(b"# tiles\n\xfft0\tt0.ppm\t0\n")
+        cfg = json.loads((workdir / "train.json").read_text())
+        cfg["manifests"] = [str(tmp_path / "m.tsv")]
+        cfg["out_checkpoint"] = str(tmp_path / "x.ckpt")
+        (tmp_path / "t.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", str(tmp_path / "t.json")) == 3
+        assert f"{tmp_path / 'm.tsv'}:2: " in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_2(self, tmp_path):
+        (tmp_path / "t.json").write_bytes(b'{"model": "\xff"}')
+        assert run("train", "--config", str(tmp_path / "t.json")) == 2
+
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("train", "schedule", [[0, 0.0]], "schedule divisors"),
+            ("train", "schedule", [[1, -10.0]], "schedule divisors"),
+            ("train", "lr", float("nan"), "lr, momentum, weight_decay must be finite"),
+            ("train", "weight_decay", float("inf"), "lr, momentum, weight_decay must be finite"),
+            ("train", "seed", -1, "seed"),
+            ("train", "momentum", 10**400, "train.momentum"),
+            (None, "manifests", 5, "manifests"),
+            (None, "labels", [1, 2, 3], "labels[0]"),
+            (None, "out_checkpoint", ["x.ckpt"], "out_checkpoint"),
+        ],
+    )
+    def test_bad_value_exit_2(self, workdir, tmp_path, capsys, section, key, value, message):
+        cfg = json.loads((workdir / "train.json").read_text())
+        cfg["out_checkpoint"] = str(tmp_path / "x.ckpt")
+        (cfg if section is None else cfg[section])[key] = value
+        (tmp_path / "t.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", str(tmp_path / "t.json")) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
+
+    def test_finetune_base_checkpoint_must_be_a_path(self, workdir, tmp_path, capsys):
+        cfg = {
+            "base_checkpoint": [str(workdir / "m.ckpt")],
+            "num_classes_per_task": [3],
+            "manifests": [str(workdir / "tiles" / "manifest.tsv")],
+            "out_checkpoint": str(tmp_path / "x.ckpt"),
+        }
+        (tmp_path / "ft.json").write_text(json.dumps(cfg))
+        assert run("finetune", "--config", str(tmp_path / "ft.json")) == 2
+        assert "'base_checkpoint' must be str" in capsys.readouterr().err
+
+    def test_keep_probs_is_not_a_parse_key(self, workdir, tmp_path, capsys):
+        (tmp_path / "p.json").write_text(json.dumps({"keep_probs": True}))
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--oracle-truth", str(workdir / "scene" / "truth.pgm"),
+                "--config", str(tmp_path / "p.json"),
+            )
+            == 2
+        )
+        assert "unknown config field 'keep_probs'" in capsys.readouterr().err
+
+
+def _error_classes():
+    from sceneparse import errors
+
+    return [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.SceneParseError)]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+    def test_exit_code_matches_the_old_mapping(self, monkeypatch, capsys, cls):
+        from sceneparse import errors as E
+
+        # cli.main's mapping before each error class carried its exit code, first match wins
+        old = [
+            ((E.IncompatibleCheckpointError, E.FormatVersionError, E.ChecksumError), 5),
+            ((E.NumericError,), 4),
+            (
+                (E.DataError, E.IoError, E.ParseError, E.EmptyImageError, E.ExtentMismatchError,
+                 E.LengthMismatchError, E.LabelRangeError, E.EmptyError),
+                3,
+            ),
+            ((E.ConfigError,), 2),
+        ]
+        want = next((code for classes, code in old if issubclass(cls, classes)), 1)
+        assert cls.exit_code == want
+
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_segment", fail)
+        assert run("segment", "--input", "in.ppm", "--output", "out.pgm") == want
+        assert capsys.readouterr().err == "error: boom\n"
+
+
+class _ReadDone(Exception):
+    """Raised in place of the pipeline step that follows reading a config."""
+
+
+def _json_values():
+    from hypothesis import strategies as st
+
+    scalars = (
+        st.integers()
+        | st.just(10**400)
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.booleans()
+        | st.text(max_size=6)
+        | st.none()
+    )
+    return st.recursive(
+        scalars, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+def _read_only(argv, stubs):
+    """cli.main(argv) with each (module, name) in stubs raising _ReadDone:
+    (exit code, stderr), where reaching a stub counts as exit 0."""
+    import contextlib
+    import io
+
+    def done(*args, **kwargs):
+        raise _ReadDone
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        for module, name in stubs:
+            mp.setattr(module, name, done)
+        try:
+            code = cli.main(list(argv))
+        except _ReadDone:
+            code = 0
+    return code, err.getvalue()
+
+
+def _named(key: str, err: str) -> bool:
+    return key in err or key.replace("_", " ") in err
+
+
+TRAIN_KEYS = [
+    ("model", k) for k in ("input_size", "stage_channels", "stage_strides", "num_classes_per_task")
+] + [
+    ("train", k) for k in ("epochs", "batch_size", "lr", "momentum", "weight_decay", "schedule", "seed", "augment")
+] + [("msc", k) for k in ("stream_weights", "mu_g", "mu_m")] + [(None, "labels"), (None, "label_ids")]
+FINETUNE_KEYS = [(s, k) for s, k in TRAIN_KEYS if s != "model"] + [(None, "num_classes_per_task")]
+PARSE_KEYS = ["window_sizes", "stride", "scale_weights", "k", "min_size", "target_count", "expected_labels"]
+
+
+class TestConfigProperties:
+    """Any JSON value under a documented key is read, or rejected with exit 2
+    naming the key; never a traceback.  Training and parsing are stubbed out,
+    so only the reading runs."""
+
+    @staticmethod
+    def _put(cfg, section, key, value):
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+        return cfg
+
+    def test_train_config(self, workdir):
+        from hypothesis import given
+        from hypothesis import strategies as st
+
+        from sceneparse import model
+
+        @given(st.sampled_from(TRAIN_KEYS), _json_values())
+        def check(where, value):
+            cfg = self._put(json.loads((workdir / "train.json").read_text()), *where, value)
+            (workdir / "prop_train.json").write_text(json.dumps(cfg))
+            code, err = _read_only(["train", "--config", str(workdir / "prop_train.json")], [(model, "train")])
+            assert code == 0 or (code == 2 and _named(where[1], err)), (where, value, code, err)
+
+        check()
+
+    def test_finetune_config(self, workdir):
+        from hypothesis import given
+        from hypothesis import strategies as st
+
+        from sceneparse import model
+
+        base = {
+            "base_checkpoint": str(workdir / "m.ckpt"),
+            "num_classes_per_task": [3],
+            "manifests": [str(workdir / "tiles" / "manifest.tsv")],
+            "out_checkpoint": str(workdir / "prop_ft.ckpt"),
+        }
+
+        @given(st.sampled_from(FINETUNE_KEYS), _json_values())
+        def check(where, value):
+            cfg = self._put(json.loads(json.dumps(base)), *where, value)
+            (workdir / "prop_ft.json").write_text(json.dumps(cfg))
+            code, err = _read_only(["finetune", "--config", str(workdir / "prop_ft.json")], [(model, "fine_tune")])
+            assert code == 0 or (code == 2 and _named(where[1], err)), (where, value, code, err)
+
+        check()
+
+    def test_parse_config(self, workdir):
+        from hypothesis import given
+        from hypothesis import strategies as st
+
+        from sceneparse import parser
+
+        @given(st.sampled_from(PARSE_KEYS), _json_values())
+        def check(key, value):
+            (workdir / "prop_parse.json").write_text(json.dumps({key: value}))
+            argv = [
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(workdir / "prop_parse.pgm"),
+                "--oracle-truth", str(workdir / "scene" / "truth.pgm"),
+                "--config", str(workdir / "prop_parse.json"),
+            ]
+            code, err = _read_only(argv, [(parser, "parse_image")])
+            assert code == 0 or (code == 2 and _named(key, err)), (key, value, code, err)
+
+        check()

@@ -67,6 +67,22 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="stream weights"):
             model.MSCConfig(stream_weights=weights)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"lr": float("nan")}, "finite"),
+            ({"momentum": float("inf")}, "finite"),
+            ({"weight_decay": float("nan")}, "finite"),
+            ({"schedule": ((0, 0.0),)}, "schedule divisors"),
+            ({"schedule": ((5, -10.0),)}, "schedule divisors"),
+            ({"schedule": ((5, float("inf")),)}, "schedule divisors"),
+            ({"seed": -1}, "seed"),
+        ],
+    )
+    def test_train_config_rejects_bad_numbers(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            model.TrainConfig(**kwargs)
+
     def test_param_shapes_order_and_sizes(self):
         shapes = model.param_shapes(SMALL)
         names = list(shapes)
@@ -483,7 +499,7 @@ def stream_fusion_loops(clf, patches):
     w = np.asarray(clf.msc.stream_weights)
     fused = np.zeros((patches.shape[0], clf.n_classes))
     for ws, z in zip(w, logits):
-        fused += ws * model._softmax_rows(z.astype(np.float64))
+        fused += ws * T.arrays.softmax(z.astype(np.float64))
     return fused / w.sum()
 
 
@@ -495,7 +511,7 @@ def probs_float64(ckpt, patches):
     """The classifier's probabilities from the float64 autodiff forward."""
     params = {name: T.tensor(v) for name, v in ckpt.params.items()}
     logits = model.msc_forward(T.tensor(patches), ckpt.config, params)[0]
-    return fuse(np.stack([model._softmax_rows(z.data) for z in logits], axis=-2), ckpt.msc.stream_weights)
+    return fuse(np.stack([T.arrays.softmax(z.data) for z in logits], axis=-2), ckpt.msc.stream_weights)
 
 
 class TestTileClassifier:

@@ -6,7 +6,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from sceneparse import model
 from sceneparse import tensor as T
-from sceneparse.errors import GraphError, NumericError, ShapeError
+from sceneparse.errors import GraphError, ShapeError
 
 
 def finite_diff(loss_fn, param, h=1e-6):
@@ -180,22 +180,13 @@ class TestElementwise:
             assert got[i] == pytest.approx(1 / (1 + math.exp(-x[i])), abs=1e-15)
 
     def test_softmax_rows_sum_to_one(self, rng):
-        x = T.tensor(rng.normal(size=(5, 7)) * 30)
-        s = T.softmax(x).data
+        s = T.arrays.softmax(rng.normal(size=(5, 7)) * 30)
         assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-12)
         assert (s >= 0).all()
 
     def test_softmax_shift_invariant(self, rng):
         x = rng.normal(size=(4,))
-        a = T.softmax(T.tensor(x)).data
-        b = T.softmax(T.tensor(x + 1000.0)).data
-        assert np.allclose(a, b, atol=1e-12)
-
-    def test_activate_dispatch(self, rng):
-        x = T.tensor(rng.normal(size=(3,)))
-        assert np.array_equal(T.activate(x, "relu").data, T.relu(x).data)
-        with pytest.raises(ShapeError):
-            T.activate(x, "tanh")
+        assert np.allclose(T.arrays.softmax(x), T.arrays.softmax(x + 1000.0), atol=1e-12)
 
     def test_gradients(self, rng):
         a = T.tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -380,11 +371,6 @@ class TestBackwardSemantics:
         y = T.tsum(T.add(T.mul(x, x), x))
         T.backward(y, [x])
         assert x.grad == pytest.approx(np.array([7.0]))
-
-    def test_check_finite(self):
-        with pytest.raises(NumericError):
-            T.check_finite(T.tensor(np.array([1.0, np.nan])))
-        T.check_finite(T.tensor(np.array([1.0, 2.0])))
 
 
 class TestSgd:
