@@ -7,7 +7,6 @@ import numpy as np
 
 from sceneparse import synthdata
 from sceneparse.netpbm import write_pgm, write_ppm
-from sceneparse.taxonomy import expand_labels, load_bundled_taxonomy
 
 out = tempfile.mkdtemp(prefix="sceneparse_demo1_")
 print("writing to", out)
@@ -43,12 +42,3 @@ print("tiles written:", len(manifest.samples))
 # total count under a power-law profile.
 counts = synthdata.long_tail_counts(n_classes=8, total=400, exponent=1.2)
 print("long-tail counts:", counts, "sum", sum(counts))
-
-# The bundled land-use taxonomy gives the hierarchical label space used
-# for real manifests: leaves are the trainable classes, expand_labels
-# walks a leaf up to its ancestors for multi-label targets.
-tax = load_bundled_taxonomy()
-print("taxonomy:", len(tax), "nodes,", len(tax.leaf_ids), "leaves")
-leaf = min(tax.leaf_ids)
-chain = [tax.node(i).name for i in sorted(expand_labels(tax, leaf))]
-print("example leaf with ancestors:", " > ".join(chain))

@@ -90,12 +90,11 @@ def _config(cls, raw, where: str, **defaults):
     """cls built from the JSON object ``raw``, the config section ``where``
     ("" for the top level).
 
-    Its keys are the fields of cls, less those marked ``json: False``, and
-    each value is checked against its field's type.  An absent key takes
-    ``defaults``, else the field's own default.  Errors name a key as
-    ``where.key``."""
+    Its keys are the fields of cls, and each value is checked against its
+    field's type.  An absent key takes ``defaults``, else the field's own
+    default.  Errors name a key as ``where.key``."""
     prefix = f"{where}." if where else ""
-    known = [f for f in fields(cls) if f.metadata.get("json", True)]
+    known = fields(cls)
     unknown = sorted(set(raw) - {f.name for f in known})
     if unknown:
         names = ", ".join(repr(prefix + key) for key in unknown)
@@ -272,7 +271,7 @@ def cmd_parse(args) -> int:
         classifier = model.TileClassifier(model.load_checkpoint(_root_path(args.checkpoint)))
 
     cfg = _load_config(args.config) if args.config else {}
-    pcfg = _config(parser.ParseConfig, cfg, "", keep_probs=args.dump_grid is not None)
+    pcfg = _config(parser.ParseConfig, cfg, "")
     spec, stride, weights = parser.resolve_windows(classifier, pcfg)
     _print_header(
         "parse",

@@ -10,25 +10,9 @@ class SceneParseError(Exception):
     exit_code = 1
 
 
-# taxonomy / manifests
+# manifests
 class ParseError(SceneParseError):
     exit_code = 3
-
-
-class CycleError(SceneParseError):
-    pass
-
-
-class DanglingParentError(SceneParseError):
-    pass
-
-
-class UnknownLabelError(SceneParseError):
-    pass
-
-
-class CountError(SceneParseError):
-    pass
 
 
 # tensor engine
@@ -74,10 +58,6 @@ class IncompatibleCheckpointError(SceneParseError):
 # segmentation / parsing
 class EmptyImageError(SceneParseError):
     exit_code = 3
-
-
-class OutOfBoundsError(SceneParseError):
-    pass
 
 
 class ClassifierError(SceneParseError):

@@ -18,7 +18,6 @@ from .errors import EmptyError, LabelRangeError, LengthMismatchError, ShapeError
 __all__ = [
     "ConfusionMatrix",
     "accumulate_cm",
-    "merge_cms",
     "overall_accuracy",
     "average_accuracy",
     "per_class_accuracy",
@@ -26,7 +25,6 @@ __all__ = [
     "miou",
     "multihot",
     "multilabel_metrics",
-    "per_class_recall",
     "average_precision",
     "mean_average_precision",
 ]
@@ -72,12 +70,6 @@ def accumulate_cm(preds, truths, n_classes: int, void_id: int | None = None) -> 
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (p.astype(np.int64), t.astype(np.int64)), 1)
     return ConfusionMatrix(counts)
-
-
-def merge_cms(cms: list[ConfusionMatrix]) -> ConfusionMatrix:
-    if not cms:
-        raise EmptyError("no matrices to merge")
-    return ConfusionMatrix(sum(cm.counts for cm in cms))
 
 
 def overall_accuracy(cm: ConfusionMatrix) -> float:
@@ -187,27 +179,6 @@ def multilabel_metrics(scores, truths, tau: float = 0.5) -> dict:
     orr = float(tp_all / gp_all)
     of1 = 0.0 if op + orr == 0 else 2 * op * orr / (op + orr)
     return {"CP": cp, "CR": cr, "CF1": cf1, "OP": op, "OR": orr, "OF1": of1}
-
-
-def per_class_recall(scores, truths, tau: float = 0.5) -> np.ndarray:
-    """Recall per label at threshold ``tau``, over labels with positives.
-
-    Returned in label-id order so two thresholds can be compared
-    entry-by-entry.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2:
-        raise ShapeError(f"scores must be [images, labels], got {s.shape}")
-    if not 0.0 < tau < 1.0:
-        raise ShapeError(f"tau must be in (0,1), got {tau}")
-    hot = _as_multihot(truths, s.shape[1])
-    pred = s > tau
-    tp = (pred & hot).sum(axis=0).astype(np.float64)
-    gp = hot.sum(axis=0).astype(np.float64)
-    with_truth = gp > 0
-    if not with_truth.any():
-        raise EmptyError("no label has a ground-truth positive")
-    return tp[with_truth] / gp[with_truth]
 
 
 def average_precision(scores_1d, positives_1d) -> float:

@@ -276,8 +276,9 @@ def msc_loss(
 
 def load_tiles(manifest: DatasetManifest, input_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Read every tile into [M,3,s,s] float64 in [0,1] plus int64 labels."""
-    images = np.empty((len(manifest.samples), 3, input_size, input_size))
     labels = np.empty(len(manifest.samples), dtype=np.int64)
+    if not manifest.samples:
+        return np.empty((0, 3, input_size, input_size)), labels
     for i, s in enumerate(manifest.samples):
         try:
             rgb = read_ppm(s.raster_path)
@@ -285,6 +286,8 @@ def load_tiles(manifest: DatasetManifest, input_size: int) -> tuple[np.ndarray, 
             raise DataError(f"sample {s.sample_id}: {e}") from e
         if rgb.shape != (input_size, input_size, 3):
             raise DataError(f"sample {s.sample_id}: tile is {rgb.shape[:2]}, expected {input_size}x{input_size}")
+        if i == 0:  # after the first shape check, so a wrong input_size is a DataError, not a huge allocation
+            images = np.empty((len(manifest.samples), 3, input_size, input_size))
         images[i] = rgb.transpose(2, 0, 1) / 255.0
         labels[i] = s.fine_label
     return images, labels

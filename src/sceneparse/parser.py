@@ -10,7 +10,7 @@ output label ids (the classifier's label table), not raw head indices.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .errors import (
     ConfigError,
     ExtentMismatchError,
     IncompatibleCheckpointError,
-    OutOfBoundsError,
     SceneParseError,
     ShapeError,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "ParseConfig",
     "OracleClassifier",
     "reflect_indices",
-    "extract_context_windows",
     "build_grid_map",
     "default_scale_weights",
     "resolve_windows",
@@ -57,8 +55,8 @@ class ContextWindowSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        if not self.sizes or any(s < 1 for s in self.sizes):
-            raise ConfigError(f"window sizes must be >= 1, got {self.sizes}")
+        if not self.sizes or any(not 1 <= s <= np.iinfo(np.int64).max for s in self.sizes):
+            raise ConfigError(f"window sizes must be >= 1 and fit int64, got {self.sizes}")
         if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
             raise ConfigError(f"window sizes must be strictly increasing, got {self.sizes}")
         if self.canonical_input < 1:
@@ -69,35 +67,16 @@ def reflect_indices(start: int | np.ndarray, length: int, n: int) -> np.ndarray:
     """Indices start..start+length-1 folded into [0, n) by edge reflection
     (period 2n-2, edge samples not repeated).  An array of starts gives one
     row of indices per start."""
-    idx = np.asarray(start, dtype=np.int64)[..., None] + np.arange(length)
+    return _reflect(np.asarray(start, dtype=np.int64)[..., None] + np.arange(length), n)
+
+
+def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
+    """Any int64 indices folded into [0, n) as reflect_indices folds them."""
     if n == 1:
         return np.zeros_like(idx)
     period = 2 * n - 2
     idx = np.abs(idx) % period
     return np.where(idx >= n, period - idx, idx)
-
-
-def _resize_nearest(patch: np.ndarray, out_size: int) -> np.ndarray:
-    src = patch.shape[0]
-    idx = (np.arange(out_size) * src) // out_size
-    return patch[np.ix_(idx, idx)]
-
-
-def extract_context_windows(raster: np.ndarray, center: tuple[int, int], spec: ContextWindowSpec) -> list[np.ndarray]:
-    """Windows of every configured size centered on `center`, each resized
-    to [canonical, canonical, 3]."""
-    h, w = raster.shape[:2]
-    cy, cx = int(center[0]), int(center[1])
-    if not (0 <= cy < h and 0 <= cx < w):
-        raise OutOfBoundsError(f"center ({cy},{cx}) outside {h}x{w} raster")
-    out = []
-    for size in spec.sizes:
-        half = size // 2
-        rows = reflect_indices(cy - half, size, h)
-        cols = reflect_indices(cx - half, size, w)
-        win = raster[np.ix_(rows, cols)]
-        out.append(_resize_nearest(win, spec.canonical_input))
-    return out
 
 
 @dataclass
@@ -115,7 +94,7 @@ class SemanticGridMap:
     width: int
     cell_labels: np.ndarray
     class_ids: list[int]
-    cell_probs: np.ndarray | None = None
+    cell_probs: np.ndarray
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -134,10 +113,14 @@ def _cell_centers(extent: int, stride: int, origin: int) -> np.ndarray:
 
 
 def _window_index_table(centers: np.ndarray, size: int, extent: int, out_size: int) -> np.ndarray:
-    """[len(centers), out_size] raster indices: the reflect-padded window of
-    ``size`` around each center, nearest-resized to ``out_size`` samples, as
-    extract_context_windows picks them along one axis."""
-    return reflect_indices(centers - size // 2, size, extent)[:, (np.arange(out_size) * size) // out_size]
+    """[len(centers), out_size] raster indices along one axis: the window of
+    ``size`` around each center, nearest-resized to ``out_size`` samples and
+    folded into the raster by edge reflection.  Only the kept samples are
+    reflected, and sample i's offset floor(i * size / out_size) is computed
+    without forming i * size, which overflows int64 for huge windows."""
+    i = np.arange(out_size)
+    offs = i * (size // out_size) + (i * (size % out_size)) // out_size
+    return _reflect((centers - size // 2)[:, None] + offs, extent)
 
 
 def build_grid_map(
@@ -145,8 +128,7 @@ def build_grid_map(
     classifier,
     spec: ContextWindowSpec,
     stride: int,
-    scale_weights=None,
-    keep_probs: bool = False,
+    scale_weights: tuple[float, ...],
 ) -> SemanticGridMap:
     """Classify every grid cell's context windows and fuse across scales.
 
@@ -159,8 +141,6 @@ def build_grid_map(
         raise ShapeError(f"expected [H,W,3] raster, got {raster.shape}")
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
-    if scale_weights is None:
-        scale_weights = default_scale_weights(len(spec.sizes))
     w = check_weights(scale_weights, len(spec.sizes), "scale weights")
 
     h, width = raster.shape[:2]
@@ -211,7 +191,7 @@ def build_grid_map(
         width=width,
         cell_labels=id_table[labels],
         class_ids=class_ids,
-        cell_probs=fused if keep_probs else None,
+        cell_probs=fused,
     )
 
 
@@ -241,7 +221,6 @@ class ParseConfig:
     k: float = DEFAULT_K
     min_size: int = DEFAULT_MIN_SIZE
     target_count: int | None = None
-    keep_probs: bool = field(default=False, metadata={"json": False})  # set by parse --dump-grid
     expected_labels: tuple[str, ...] | None = None
 
 
@@ -321,14 +300,7 @@ def parse_image(
         check_settings(config.k, config.min_size, config.target_count)
 
     with _stage("grid"):
-        grid = build_grid_map(
-            raster,
-            classifier,
-            spec,
-            stride,
-            scale_weights=weights,
-            keep_probs=config.keep_probs,
-        )
+        grid = build_grid_map(raster, classifier, spec, stride, weights)
     with _stage("segment"):
         regions = graph_segment(raster, config.k, config.min_size)
         if config.target_count is not None:

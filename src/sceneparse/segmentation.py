@@ -42,7 +42,6 @@ __all__ = [
     "graph_segment",
     "merge_regions",
     "check_settings",
-    "region_stats",
     "write_region_map",
     "read_region_map",
     "DEFAULT_K",
@@ -391,17 +390,9 @@ def _similarities(a, b, hist, areas, lo, hi, total: int, wts) -> np.ndarray:
     return wts["color"] * color_sim + wts["size"] * size_sim + wts["fill"] * fill_sim
 
 
-def merge_regions(
-    image: np.ndarray,
-    rm: RegionMap,
-    target_count: int,
-    sim_weights: dict | None = None,
-) -> RegionMap:
+def merge_regions(image: np.ndarray, rm: RegionMap, target_count: int) -> RegionMap:
     """Greedy highest-similarity merging of adjacent regions down to target_count."""
     check_settings(target_count=target_count)
-    wts = dict(DEFAULT_SIM_WEIGHTS if sim_weights is None else sim_weights)
-    if set(wts) != {"color", "size", "fill"} or any(not 0 <= v < math.inf for v in wts.values()):
-        raise ConfigError(f"sim_weights needs finite non-negative color/size/fill, got {wts}")
     color = _check_image(image)
     if not ((color >= 0) & (color <= 255)).all():
         raise DataError("pixel values must lie in [0, 255] for the color histograms")
@@ -431,7 +422,7 @@ def merge_regions(
     # keys are distinct, so the pops do not depend on the push order.
     parent = list(range(count))
     version = [0] * count
-    sims = _similarities(pa, pb, hist, areas, lo, hi, total, wts).tolist()
+    sims = _similarities(pa, pb, hist, areas, lo, hi, total, DEFAULT_SIM_WEIGHTS).tolist()
     heap = [(-sim, a, b, 0, 0) for sim, a, b in zip(sims, pa.tolist(), pb.tolist())]
     heapq.heapify(heap)
     live = count
@@ -447,32 +438,13 @@ def merge_regions(
         _join_neighbors(neighbors, a, b)
         version[a] += 1
         nbs = list(neighbors[a])
-        for nb, sim in zip(nbs, _similarities(a, nbs, hist, areas, lo, hi, total, wts).tolist()):
+        for nb, sim in zip(nbs, _similarities(a, nbs, hist, areas, lo, hi, total, DEFAULT_SIM_WEIGHTS).tolist()):
             x, y = (a, nb) if a < nb else (nb, a)
             heapq.heappush(heap, (-sim, x, y, version[x], version[y]))
         live -= 1
 
     merged, final = _relabel_dense(_pointer_jump(np.asarray(parent))[labels])
     return RegionMap(merged, final)
-
-
-def region_stats(rm: RegionMap) -> dict:
-    """Recount areas and verify the partition/connectivity invariants."""
-    labels = rm.labels
-    flat = labels.ravel()
-    ids_ok = flat.min() >= 0 and flat.max() < rm.region_count if flat.size else False
-    dense_ok = ids_ok and np.unique(flat).size == rm.region_count
-    areas = np.bincount(flat, minlength=rm.region_count) if ids_ok else np.zeros(rm.region_count, dtype=np.int64)
-    if dense_ok:
-        _, cc = _four_cc(flat, labels.shape[0], labels.shape[1])
-        connectivity_ok = cc == rm.region_count
-    else:
-        connectivity_ok = False
-    return {
-        "region_count": rm.region_count,
-        "areas": areas,
-        "connectivity_ok": bool(connectivity_ok and dense_ok),
-    }
 
 
 def write_region_map(path, rm: RegionMap) -> None:

@@ -261,7 +261,7 @@ def generate_tile_dataset(
             write_ppm(path, tile)
             samples.append(SceneSample(sample_id=f"t{index:05d}", raster_path=path, fine_label=ci))
             index += 1
-    return DatasetManifest(samples=samples, taxonomy_ref=f"synthetic:{n}")
+    return DatasetManifest(samples=samples)
 
 
 def long_tail_counts(n_classes: int, total: int, exponent: float) -> list[int]:

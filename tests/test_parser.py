@@ -7,7 +7,6 @@ from sceneparse.errors import (
     ConfigError,
     ExtentMismatchError,
     IncompatibleCheckpointError,
-    OutOfBoundsError,
     ShapeError,
 )
 from tests.conftest import make_scene
@@ -52,6 +51,31 @@ def oracle_grid_loops(truth, n_classes, h, w, stride):
             fused[gy, gx] = p  # every scale sees the same center pixel
             labels[gy, gx] = np.argmax(p)
     return fused, labels
+
+
+def _resize_nearest(patch: np.ndarray, out_size: int) -> np.ndarray:
+    src = patch.shape[0]
+    idx = (np.arange(out_size) * src) // out_size
+    return patch[np.ix_(idx, idx)]
+
+
+def extract_context_windows(
+    raster: np.ndarray, center: tuple[int, int], spec: parser.ContextWindowSpec
+) -> list[np.ndarray]:
+    """Windows of every configured size centered on `center`, each resized
+    to [canonical, canonical, 3]."""
+    h, w = raster.shape[:2]
+    cy, cx = int(center[0]), int(center[1])
+    if not (0 <= cy < h and 0 <= cx < w):
+        raise IndexError(f"center ({cy},{cx}) outside {h}x{w} raster")
+    out = []
+    for size in spec.sizes:
+        half = size // 2
+        rows = parser.reflect_indices(cy - half, size, h)
+        cols = parser.reflect_indices(cx - half, size, w)
+        win = raster[np.ix_(rows, cols)]
+        out.append(_resize_nearest(win, spec.canonical_input))
+    return out
 
 
 class Counting(parser.OracleClassifier):
@@ -99,13 +123,13 @@ class TestContextWindows:
     def test_interior_window_is_direct_slice(self, rng):
         raster = rng.integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
         spec = parser.ContextWindowSpec(sizes=(8,), canonical_input=8)
-        (win,) = parser.extract_context_windows(raster, (20, 20), spec)
+        (win,) = extract_context_windows(raster, (20, 20), spec)
         assert np.array_equal(win, raster[16:24, 16:24])
 
     def test_resize_matches_index_formula(self, rng):
         raster = rng.integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
         spec = parser.ContextWindowSpec(sizes=(8, 16), canonical_input=8)
-        win8, win16 = parser.extract_context_windows(raster, (20, 20), spec)
+        win8, win16 = extract_context_windows(raster, (20, 20), spec)
         big = raster[12:28, 12:28]
         for y in range(8):
             for x in range(8):
@@ -115,21 +139,35 @@ class TestContextWindows:
     def test_border_window_matches_numpy_pad(self, rng):
         raster = rng.integers(0, 256, size=(12, 12, 3), dtype=np.uint8)
         spec = parser.ContextWindowSpec(sizes=(9,), canonical_input=9)
-        (win,) = parser.extract_context_windows(raster, (0, 11), spec)
+        (win,) = extract_context_windows(raster, (0, 11), spec)
         padded = np.pad(raster, ((4, 4), (4, 4), (0, 0)), mode="reflect")
         assert np.array_equal(win, padded[0:9, 11:20])
 
     def test_window_larger_than_raster(self, rng):
         raster = rng.integers(0, 256, size=(6, 6, 3), dtype=np.uint8)
         spec = parser.ContextWindowSpec(sizes=(24,), canonical_input=24)
-        (win,) = parser.extract_context_windows(raster, (3, 3), spec)
+        (win,) = extract_context_windows(raster, (3, 3), spec)
         assert win.shape == (24, 24, 3)
 
     def test_center_out_of_bounds(self, rng):
         raster = rng.integers(0, 256, size=(6, 6, 3), dtype=np.uint8)
         spec = parser.ContextWindowSpec(sizes=(4,), canonical_input=4)
-        with pytest.raises(OutOfBoundsError):
-            parser.extract_context_windows(raster, (6, 0), spec)
+        with pytest.raises(IndexError):
+            extract_context_windows(raster, (6, 0), spec)
+
+
+class TestWindowIndexTable:
+    @pytest.mark.parametrize("size", [1, 5, 9, 40, 2**31 + 3, 2**62, 2**63 - 1])
+    def test_matches_python_int_oracle(self, size):
+        centers = parser._cell_centers(13, 4, 2)
+        for out_size in (1, 3, 8):
+            got = parser._window_index_table(centers, size, 13, out_size)
+            assert got.shape == (len(centers), out_size)
+            for row, c in zip(got.tolist(), centers.tolist()):
+                # exact integers for sample i's index; reflection repeats every
+                # 24 = 2 * (13 - 1) pixels, so the bounce walk starts from it mod 24
+                want = [reflect_loops((c - size // 2 + i * size // out_size) % 24, 1, 13)[0] for i in range(out_size)]
+                assert row == want, (size, out_size)
 
 
 class TestOracleClassifier:
@@ -161,7 +199,11 @@ class TestBuildGridMap:
         truth = np.array([[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]])
         raster = np.zeros((4, 4, 3), dtype=np.uint8)
         grid = parser.build_grid_map(
-            raster, parser.OracleClassifier(truth), parser.ContextWindowSpec(sizes=(2,), canonical_input=2), stride=2
+            raster,
+            parser.OracleClassifier(truth),
+            parser.ContextWindowSpec(sizes=(2,), canonical_input=2),
+            stride=2,
+            scale_weights=(1.0,),
         )
         assert grid.grid_shape == (2, 2)
         # centers at (1,1),(1,3),(3,1),(3,3)
@@ -182,9 +224,9 @@ class TestBuildGridMap:
         truth = rng.integers(0, 7, size=shape)
         raster = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
         spec = parser.ContextWindowSpec(sizes=sizes, canonical_input=sizes[0])
-        grid = parser.build_grid_map(
-            raster, parser.OracleClassifier(truth, n_classes=5), spec, stride, scale_weights=weights, keep_probs=True
-        )
+        if weights is None:
+            weights = parser.default_scale_weights(len(sizes))
+        grid = parser.build_grid_map(raster, parser.OracleClassifier(truth, n_classes=5), spec, stride, weights)
         fused, labels = oracle_grid_loops(truth, 5, *shape, stride)
         assert grid.cell_probs.tobytes() == fused.tobytes()
         assert np.array_equal(grid.cell_labels, np.arange(1, 6, dtype=np.int32)[labels])
@@ -198,12 +240,12 @@ class TestBuildGridMap:
         clf = model.TileClassifier(model.Checkpoint(SMALL, msc, ["a", "b", "c"], [1, 2, 3], params))
         raster = make_scene(n_classes=3, size=48, seed=4)[0]
         spec = parser.windows_for_classifier(8)
-        grid = parser.build_grid_map(raster, clf, spec, stride=4, keep_probs=True)
+        grid = parser.build_grid_map(raster, clf, spec, stride=4, scale_weights=parser.default_scale_weights(3))
 
         # the whole-batch path: every window converted to float64 up front
         cys = parser._cell_centers(48, 4, 2)
         flat = np.stack(
-            [win for cy in cys for cx in cys for win in parser.extract_context_windows(raster, (int(cy), int(cx)), spec)]
+            [win for cy in cys for cx in cys for win in extract_context_windows(raster, (int(cy), int(cx)), spec)]
         )
         assert len(flat) > 256
         x = flat.transpose(0, 3, 1, 2).astype(np.float64) / 255.0
@@ -236,11 +278,11 @@ class TestBuildGridMap:
                 seen_centers.append(centers)
                 return np.ones((len(x), 1))
 
-        parser.build_grid_map(raster, Recorder(), spec, stride=stride)
+        parser.build_grid_map(raster, Recorder(), spec, stride, parser.default_scale_weights(len(sizes)))
         cys = parser._cell_centers(shape[0], stride, stride // 2)
         cxs = parser._cell_centers(shape[1], stride, stride // 2)
         want = np.stack(
-            [win for cy in cys for cx in cxs for win in parser.extract_context_windows(raster, (int(cy), int(cx)), spec)]
+            [win for cy in cys for cx in cxs for win in extract_context_windows(raster, (int(cy), int(cx)), spec)]
         )
         got = np.concatenate(seen)
         assert got.tobytes() == (want.transpose(0, 3, 1, 2).astype(np.float64) / 255.0).tobytes()
@@ -261,7 +303,7 @@ class TestBuildGridMap:
             parser.OracleClassifier(truth, n_classes=2),
             parser.ContextWindowSpec(sizes=(2,), canonical_input=2),
             stride=2,
-            keep_probs=True,
+            scale_weights=(1.0,),
         )
         assert grid.cell_probs.shape == (2, 2, 2)
         assert np.allclose(grid.cell_probs.sum(axis=2), 1.0)
@@ -274,6 +316,7 @@ class TestBuildGridMap:
                 parser.OracleClassifier(np.ones((4, 4))),
                 parser.ContextWindowSpec(sizes=(2,), canonical_input=2),
                 stride=0,
+                scale_weights=(1.0,),
             )
 
     @pytest.mark.parametrize(
@@ -296,7 +339,7 @@ class TestBuildGridMap:
         raster = np.zeros((4, 4, 3), dtype=np.uint8)
         with pytest.raises(ClassifierError):
             parser.build_grid_map(
-                raster, Broken(), parser.ContextWindowSpec(sizes=(2,), canonical_input=2), stride=2
+                raster, Broken(), parser.ContextWindowSpec(sizes=(2,), canonical_input=2), stride=2, scale_weights=(1.0,)
             )
 
 
@@ -310,6 +353,7 @@ class TestIntegrateSemantics:
             width=w,
             cell_labels=cells,
             class_ids=sorted(set(cells.ravel().tolist())),
+            cell_probs=np.zeros(cells.shape + (0,)),  # the vote reads only cell_labels
         )
 
     def test_hand_vote(self):
@@ -364,7 +408,7 @@ class TestParseImage:
         raster, truth = make_scene(n_classes=4, size=96, seed=11)
         oc = parser.OracleClassifier(truth)
         grid = parser.build_grid_map(
-            raster, oc, parser.ContextWindowSpec(sizes=(8,), canonical_input=8), stride=4
+            raster, oc, parser.ContextWindowSpec(sizes=(8,), canonical_input=8), stride=4, scale_weights=(1.0,)
         )
         out = parser.integrate_semantics(grid, truth_regions(truth))
         assert (out == truth).all()

@@ -1,195 +1,7 @@
-import numpy as np
 import pytest
 
-from sceneparse.errors import (
-    CountError,
-    DanglingParentError,
-    ParseError,
-    UnknownLabelError,
-)
-from sceneparse.taxonomy import (
-    DatasetManifest,
-    LabelNode,
-    LabelTaxonomy,
-    SceneSample,
-    class_histogram,
-    expand_labels,
-    load_bundled_taxonomy,
-    load_manifest,
-    load_taxonomy,
-    split_manifest,
-    write_manifest,
-    write_taxonomy,
-)
-
-THREE_LEVEL = """\
-0\troot_a\t1\t-
-1\tmid_a\t2\t0
-2\tleaf_a\t3\t1
-3\troot_b\t1\t-
-4\tleaf_b\t2\t3
-"""
-
-
-def _random_taxonomy(rng, n_roots=3, n_mid=6, n_leaf=12):
-    nodes = [LabelNode(i, f"r{i}", 1, None) for i in range(n_roots)]
-    for i in range(n_mid):
-        parent = int(rng.integers(0, n_roots))
-        nodes.append(LabelNode(n_roots + i, f"m{i}", 2, parent))
-    for i in range(n_leaf):
-        parent = n_roots + int(rng.integers(0, n_mid))
-        nodes.append(LabelNode(n_roots + n_mid + i, f"l{i}", 3, parent))
-    return LabelTaxonomy(nodes)
-
-
-class TestBundledSchema:
-    def test_counts(self):
-        tax = load_bundled_taxonomy()
-        assert len(tax) == 73
-        assert len(tax.root_ids) == 8
-        assert tax.count_at_level(2) == 28
-        assert len(tax.leaf_ids) == 51
-
-    def test_structure_valid(self):
-        tax = load_bundled_taxonomy()
-        for n in tax.nodes:
-            if n.parent is not None:
-                assert tax.node(n.parent).level == n.level - 1
-
-
-class TestLoadTaxonomy:
-    def test_parse_three_level(self):
-        tax = load_taxonomy(THREE_LEVEL)
-        assert len(tax) == 5
-        assert tax.root_ids == (0, 3)
-        assert tax.leaf_ids == frozenset({2, 4})
-
-    def test_round_trip(self, tmp_path):
-        tax = load_taxonomy(THREE_LEVEL)
-        p = tmp_path / "tax.tsv"
-        write_taxonomy(p, tax)
-        again = load_taxonomy(p.read_text())
-        assert [(n.id, n.name, n.level, n.parent) for n in again.nodes] == [
-            (n.id, n.name, n.level, n.parent) for n in tax.nodes
-        ]
-
-    def test_bad_field_count(self):
-        with pytest.raises(ParseError):
-            load_taxonomy("0\ta\t1\n")
-
-    def test_dangling_parent(self):
-        with pytest.raises(DanglingParentError):
-            load_taxonomy("0\ta\t1\t-\n1\tb\t2\t9\n")
-
-    def test_noncontiguous_ids(self):
-        with pytest.raises(ParseError):
-            load_taxonomy("0\ta\t1\t-\n2\tb\t1\t-\n")
-
-    def test_empty_document(self):
-        with pytest.raises(ParseError):
-            load_taxonomy("# only a comment\n")
-
-
-class TestExpandLabels:
-    def test_three_level_chain(self):
-        tax = load_taxonomy(THREE_LEVEL)
-        assert expand_labels(tax, 2) == (0, 1, 2)
-
-    def test_single_root_leaf(self):
-        tax = load_taxonomy("0\tonly\t1\t-\n")
-        assert expand_labels(tax, 0) == (0,)
-
-    def test_non_leaf_rejected(self):
-        tax = load_taxonomy(THREE_LEVEL)
-        with pytest.raises(UnknownLabelError):
-            expand_labels(tax, 0)
-
-    def test_matches_parent_walk_oracle(self, rng):
-        tax = _random_taxonomy(rng)
-        for leaf in sorted(tax.leaf_ids):
-            chain = []
-            cur = leaf
-            while cur is not None:
-                chain.append(cur)
-                cur = tax.nodes[cur].parent
-            assert expand_labels(tax, leaf) == tuple(reversed(chain))
-            assert len(expand_labels(tax, leaf)) == tax.node(leaf).level
-            assert expand_labels(tax, leaf)[0] in tax.root_ids
-
-
-def _manifest(n, label=0):
-    return DatasetManifest([SceneSample(f"s{i}", f"t{i}.ppm", label) for i in range(n)])
-
-
-class TestSplitManifest:
-    def test_zero_train(self):
-        m = _manifest(5)
-        train, test = split_manifest(m, 0, seed=0)
-        assert len(train) == 0 and len(test) == 5
-
-    def test_partition_properties(self):
-        m = _manifest(100)
-        train, test = split_manifest(m, 30, seed=3)
-        ids_train = {s.sample_id for s in train.samples}
-        ids_test = {s.sample_id for s in test.samples}
-        assert len(train) == 30 and len(test) == 70
-        assert not ids_train & ids_test
-        assert ids_train | ids_test == {s.sample_id for s in m.samples}
-
-    def test_million_scale_protocol(self):
-        m = DatasetManifest(
-            [SceneSample(f"s{i}", "x", 0) for i in range(1_000_848)]
-        )
-        train, test = split_manifest(m, 10_000, seed=0)
-        assert len(train) == 10_000
-        assert len(test) == 990_848
-
-    def test_deterministic_and_seed_sensitive(self):
-        m = _manifest(60)
-        a1 = {s.sample_id for s in split_manifest(m, 20, seed=5)[0].samples}
-        a2 = {s.sample_id for s in split_manifest(m, 20, seed=5)[0].samples}
-        b = {s.sample_id for s in split_manifest(m, 20, seed=6)[0].samples}
-        assert a1 == a2
-        assert a1 != b
-
-    def test_out_of_range(self):
-        with pytest.raises(CountError):
-            split_manifest(_manifest(3), 4, seed=0)
-        with pytest.raises(CountError):
-            split_manifest(_manifest(3), -1, seed=0)
-
-
-class TestClassHistogram:
-    def test_empty(self):
-        tax = load_taxonomy(THREE_LEVEL)
-        assert class_histogram(DatasetManifest([]), tax).sum() == 0
-
-    def test_ancestors_counted(self):
-        tax = load_taxonomy(THREE_LEVEL)
-        m = _manifest(3, label=2)
-        fine = class_histogram(m, tax)
-        assert fine[2] == 3 and fine.sum() == 3
-        expanded = class_histogram(m, tax, expanded=True)
-        assert expanded[0] == 3 and expanded[1] == 3 and expanded[2] == 3
-
-    def test_matches_recount_oracle(self, rng):
-        tax = _random_taxonomy(rng)
-        leaves = sorted(tax.leaf_ids)
-        labels = [leaves[int(rng.integers(0, len(leaves)))] for _ in range(200)]
-        m = DatasetManifest([SceneSample(f"s{i}", "x", l) for i, l in enumerate(labels)])
-        got = class_histogram(m, tax, expanded=True)
-        want = np.zeros(len(tax), dtype=np.int64)
-        for l in labels:
-            cur = l
-            while cur is not None:
-                want[cur] += 1
-                cur = tax.nodes[cur].parent
-        assert np.array_equal(got, want)
-
-    def test_non_leaf_label_rejected(self):
-        tax = load_taxonomy(THREE_LEVEL)
-        with pytest.raises(UnknownLabelError):
-            class_histogram(_manifest(1, label=0), tax)
+from sceneparse.errors import ParseError
+from sceneparse.taxonomy import DatasetManifest, SceneSample, load_manifest, write_manifest
 
 
 class TestManifestIo:
@@ -198,8 +10,7 @@ class TestManifestIo:
             [
                 SceneSample("a", "a.ppm", 3),
                 SceneSample("b", "b.ppm", 1, (12.5, -3.25)),
-            ],
-            taxonomy_ref="synthetic:4",
+            ]
         )
         p = tmp_path / "m.tsv"
         write_manifest(p, m)
