@@ -180,7 +180,7 @@ def param_shapes(cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(cfg: BackboneConfig, seed: int) -> dict[str, T.Tensor]:
-    """Kaiming-uniform weights (bound sqrt(6/fan_in)), zero biases; seeded."""
+    """float64 Kaiming-uniform weights (bound sqrt(6/fan_in)), zero biases; seeded."""
     rng = np.random.Generator(np.random.PCG64(seed))
     params: dict[str, T.Tensor] = {}
     for name, shape in param_shapes(cfg).items():
@@ -275,10 +275,12 @@ def msc_loss(
 
 
 def load_tiles(manifest: DatasetManifest, input_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read every tile into [M,3,s,s] float64 in [0,1] plus int64 labels."""
+    """Read every tile into [M,3,s,s] float32 in [0,1], the precision training
+    and the classifier run in, plus int64 labels.  Each value is the float64
+    quotient pixel / 255 rounded once to float32."""
     labels = np.empty(len(manifest.samples), dtype=np.int64)
     if not manifest.samples:
-        return np.empty((0, 3, input_size, input_size)), labels
+        return np.empty((0, 3, input_size, input_size), dtype=np.float32), labels
     for i, s in enumerate(manifest.samples):
         try:
             rgb = read_ppm(s.raster_path)
@@ -287,7 +289,7 @@ def load_tiles(manifest: DatasetManifest, input_size: int) -> tuple[np.ndarray, 
         if rgb.shape != (input_size, input_size, 3):
             raise DataError(f"sample {s.sample_id}: tile is {rgb.shape[:2]}, expected {input_size}x{input_size}")
         if i == 0:  # after the first shape check, so a wrong input_size is a DataError, not a huge allocation
-            images = np.empty((len(manifest.samples), 3, input_size, input_size))
+            images = np.empty((len(manifest.samples), 3, input_size, input_size), dtype=np.float32)
         images[i] = rgb.transpose(2, 0, 1) / 255.0
         labels[i] = s.fine_label
     return images, labels
@@ -326,6 +328,12 @@ def _default_labels(cfg: BackboneConfig) -> tuple[list[str], list[int]]:
     return [f"class_{i + 1}" for i in range(k)], [i + 1 for i in range(k)]
 
 
+def _trainable(values: np.ndarray) -> T.Tensor:
+    """A float32 copy of ``values`` to train: SGD runs in the precision the
+    checkpoint stores."""
+    return T.tensor(np.array(values, dtype=np.float32), requires_grad=True)
+
+
 def train(
     cfg: BackboneConfig,
     manifests: list[DatasetManifest],
@@ -342,8 +350,9 @@ def train(
     ``init_overrides`` replaces matching freshly-initialized parameters
     before the first step (used to warm-start from a checkpoint).
     ``on_epoch(epoch, mean_loss)`` is called as each epoch ends.  Returns
-    the checkpoint and the per-epoch mean loss trace.  Fully deterministic
-    for a fixed (seed, config, data).
+    the checkpoint and the per-epoch mean loss trace.  The parameters train
+    in float32, the precision the checkpoint stores; each loss is a float64
+    scalar.  Fully deterministic for a fixed (seed, config, data).
     """
     if not manifests or any(not m.samples for m in manifests):
         raise ConfigError("training needs at least one non-empty manifest")
@@ -366,12 +375,12 @@ def train(
             raise DataError(f"task {t}: label outside [0, {k})")
         data.append((images, targets))
 
-    params = init_params(cfg, hyper.seed)
-    if init_overrides:
-        for name, values in init_overrides.items():
-            if name not in params or params[name].data.shape != values.shape:
-                raise IncompatibleCheckpointError(f"override {name} does not fit this architecture")
-            params[name] = T.tensor(values.copy(), requires_grad=True)
+    init = {name: p.data for name, p in init_params(cfg, hyper.seed).items()}
+    for name, values in (init_overrides or {}).items():
+        if name not in init or init[name].shape != values.shape:
+            raise IncompatibleCheckpointError(f"override {name} does not fit this architecture")
+        init[name] = values
+    params = {name: _trainable(values) for name, values in init.items()}
     plist = list(params.values())
     state = T.OptimizerState(
         lr=hyper.lr,
@@ -567,12 +576,12 @@ def load_checkpoint(path: str) -> Checkpoint:
     if len(labels) != cfg.num_classes_per_task[0] or len(label_ids) != len(labels):
         raise FormatVersionError("label table does not cover the main task's classes")
 
-    flat = np.frombuffer(payload, dtype="<f4")
+    flat = np.frombuffer(payload, dtype="<f4").astype(np.float32)  # native and writable
     params = {}
     offset = 0
     for name, shape in manifest:
         n = int(np.prod(shape))
-        params[name] = flat[offset : offset + n].astype(np.float64).reshape(shape)
+        params[name] = flat[offset : offset + n].reshape(shape)
         offset += n
     if offset != n_floats:
         raise ChecksumError(f"manifest covers {offset} floats, payload has {n_floats}")

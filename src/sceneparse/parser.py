@@ -139,8 +139,8 @@ def build_grid_map(
     """
     if raster.ndim != 3 or raster.shape[2] != 3:
         raise ShapeError(f"expected [H,W,3] raster, got {raster.shape}")
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
+    if not 1 <= stride <= np.iinfo(np.int64).max:
+        raise ConfigError(f"stride must be >= 1 and fit int64, got {stride}")
     w = check_weights(scale_weights, len(spec.sizes), "scale weights")
 
     h, width = raster.shape[:2]

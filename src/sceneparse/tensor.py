@@ -1,6 +1,9 @@
 """Dense tensor engine with reverse-mode differentiation and SGD.
 
-Values are stored as float64 numpy arrays.  Every operation builds the
+Values are float32 or float64 numpy arrays: a tensor keeps a float32 or
+float64 input's dtype and stores anything else as float64, and every op
+computes in its inputs' dtype.  Training runs in float32, the checkpoint's
+precision; the gradient checks run in float64.  Every operation builds the
 backward graph eagerly; :func:`backward` runs the reverse sweep from a
 scalar loss.  Non-finite values (NaN/Inf) are an error state -- they are
 not checked op-by-op for speed, callers guard loss values.  Each network
@@ -51,7 +54,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in (np.float32, np.float64) else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -176,9 +180,9 @@ def _as_batched(x: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
     raise ShapeError(f"{what} expects [C,H,W] or [N,C,H,W], got {x.shape}")
 
 
-def _conv2d_windows(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
+def _conv2d_cols(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
     """[C,H,W] or [N,C,H,W] input and [C_out,C,kH,kW] kernel -> the output
-    and the [N,C,H',W',kH,kW] window view of the padded input it was made of."""
+    and the [C*kH*kW, N*H'*W'] im2col matrix of the padded input it was made of."""
     if stride < 1:
         raise ShapeError(f"stride must be >= 1, got {stride}")
     if pad < 0:
@@ -205,7 +209,7 @@ def _conv2d_windows(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) ->
     else:
         cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(k, n * h_out * w_out)
     out = (kernel.reshape(c_out, k) @ cols).reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
-    return out[0] if squeeze else out, windows
+    return out[0] if squeeze else out, cols
 
 
 def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -214,25 +218,23 @@ def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor
     ``inp`` is [C,H,W] or [N,C,H,W]; ``kernel`` is [C_out,C_in,kH,kW].
     Output spatial size is floor((H + 2*pad - kH)/stride) + 1.
     """
-    out, windows = _conv2d_windows(inp.data, kernel.data, stride, pad)
-    n, c, h_out, w_out, kh, kw = windows.shape
+    out, cols = _conv2d_cols(inp.data, kernel.data, stride, pad)
+    c_out, c, kh, kw = kernel.data.shape
     h, w = inp.data.shape[-2:]
-    c_out, k = kernel.data.shape[0], c * kh * kw
-    kmat = kernel.data.reshape(c_out, k)
+    h_out, w_out = out.shape[-2:]
     squeeze = inp.data.ndim == 3
+    n = 1 if squeeze else out.shape[0]
+    kmat = kernel.data.reshape(c_out, -1)
 
     def bwd(res):
         g = res.grad if not squeeze else res.grad[None]
         gm = g.transpose(1, 0, 2, 3).reshape(c_out, n * h_out * w_out)
         if kernel.requires_grad:
-            # a second, row-major copy of the windows rather than cols.T:
-            # BLAS sums small products in an order that depends on layout
-            rows = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, k)
-            _accum(kernel, (gm @ rows).reshape(kernel.data.shape))
-            del rows  # not alive during the input gradient's GEMM
+            _accum(kernel, (gm @ cols.T).reshape(kernel.data.shape))  # the forward's im2col matrix
         if inp.requires_grad:
             dcols = (kmat.T.copy() @ gm).reshape(c, kh, kw, n, h_out, w_out)
-            dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))  # channel-major, so each dcols[:, i, j] adds in place
+            # channel-major, so each dcols[:, i, j] adds in place; in the gradient's dtype
+            dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[:, i, j]
@@ -327,7 +329,7 @@ def bias_add(inp: Tensor, bias: Tensor) -> Tensor:
 
 
 arrays = SimpleNamespace(
-    conv2d=lambda x, kernel, stride=1, pad=0: _conv2d_windows(x, kernel, stride, pad)[0],
+    conv2d=lambda x, kernel, stride=1, pad=0: _conv2d_cols(x, kernel, stride, pad)[0],
     bias_add=_bias_add,
     relu=_relu,
     sigmoid=_sigmoid,

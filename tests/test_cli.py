@@ -836,6 +836,23 @@ class TestMalformedInputs:
             == code
         )
 
+    @pytest.mark.parametrize("stride,code", [(2**63 - 1, 0), (2**63, 2), (92233720368547758070, 2)])
+    def test_huge_stride_no_traceback(self, tmp_path, capsys, stride, code):
+        # one cell per axis up to the int64 limit; beyond it a config error
+        assert run("synth", "--kind", "scene", "--out-dir", str(tmp_path / "s"), "--size", "32", "--seed", "1") == 0
+        (tmp_path / "p.json").write_text(json.dumps({"window_sizes": [8], "stride": stride}))
+        assert (
+            run(
+                "parse", "--input", str(tmp_path / "s" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--oracle-truth", str(tmp_path / "s" / "truth.pgm"),
+                "--config", str(tmp_path / "p.json"),
+            )
+            == code
+        )
+        if code:
+            assert "fit int64" in capsys.readouterr().err
+
 
 def _error_classes():
     from sceneparse import errors
