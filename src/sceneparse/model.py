@@ -31,6 +31,7 @@ from .errors import (
 )
 from .fusion import DEFAULT_SCALE_WEIGHTS, check_weights, fuse
 from .netpbm import read_ppm
+from .parser import window_chunks
 from .taxonomy import DatasetManifest
 
 __all__ = [
@@ -210,13 +211,17 @@ def backbone_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.T
 
 
 def attention_fuse(sf: T.Tensor, df: T.Tensor, aw: AttentionWeights, ops=T) -> T.Tensor:
-    """AF = SF + SF * sigmoid(reduce_conv(upsample(DF)))."""
+    """AF = SF + SF * sigmoid(reduce_conv(upsample(DF))).
+
+    The 1x1 conv, its bias and the sigmoid act pixel by pixel, so they
+    commute with nearest upsampling: they run at the deep map's resolution
+    and their result is upsampled, a quarter of the pixels at stride 2."""
     sh, sw = sf.shape[-2:]
     dh, dw = df.shape[-2:]
     if dh < 1 or sh % dh != 0 or sw % dw != 0 or sh // dh != sw // dw:
         raise ShapeError(f"deep {dh}x{dw} does not divide shallow {sh}x{sw}")
-    up = ops.upsample_nearest(df, sh // dh)
-    sam = ops.sigmoid(ops.bias_add(ops.conv2d(up, aw.reduce_conv, 1, 0), aw.bias))
+    gate = ops.sigmoid(ops.bias_add(ops.conv2d(df, aw.reduce_conv, 1, 0), aw.bias))
+    sam = ops.upsample_nearest(gate, sh // dh)
     if sam.shape != sf.shape:
         raise ShapeError(f"attention map {sam.shape} does not match shallow {sf.shape}")
     return sf + sf * sam
@@ -612,10 +617,15 @@ class TileClassifier:
         return self.config.num_classes_per_task[0]
 
     def probs_batch(self, patches: np.ndarray, centers: np.ndarray | None = None) -> np.ndarray:
-        """[B,3,s,s] float tiles in [0,1] -> [B,N] fused probabilities.
-        The window centers are not used."""
+        """[B,3,s,s] float tiles in [0,1] -> [B,N] fused probabilities,
+        in the parser's chunks of windows, so a large batch holds one
+        chunk's activations at a time.  The window centers are not used."""
         del centers
         if patches.ndim != 4 or patches.shape[1:] != (3, self.input_size, self.input_size):
             raise ShapeError(f"expected [B,3,{self.input_size},{self.input_size}], got {patches.shape}")
-        logits = _msc(patches.astype(np.float32), self.config, self._params, T.arrays)[0]
-        return fuse(np.stack([T.arrays.softmax(z.astype(np.float64)) for z in logits], axis=-2), self.msc.stream_weights)
+        parts = []
+        for a, b in window_chunks(len(patches)):
+            logits = _msc(patches[a:b].astype(np.float32), self.config, self._params, T.arrays)[0]
+            probs = np.stack([T.arrays.softmax(z.astype(np.float64)) for z in logits], axis=-2)
+            parts.append(fuse(probs, self.msc.stream_weights))
+        return np.concatenate(parts)

@@ -9,6 +9,7 @@ output label ids (the classifier's label table), not raw head indices.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -41,9 +42,30 @@ __all__ = [
 PAPER_WINDOW_SIZES = (56, 112, 224)
 
 # windows per classifier call: at 64 the first conv's im2col matrix for a
-# 32-px classifier is 27 x 65536 float64 (14 MB) rather than 56 MB at 256,
-# and the forward passes of a 1024^2 parse ran a third faster
+# 32-px classifier is 27 x 65536 float32 (7 MB) rather than 28 MB at 256,
+# and the forward passes of a 1024^2 parse ran a third faster (measured in
+# float64)
 WINDOW_BATCH = 64
+
+
+def window_chunks(n: int) -> list[tuple[int, int]]:
+    """[start, stop) ranges that split n windows into classifier calls of
+    WINDOW_BATCH.  A lone last window joins the chunk before it: BLAS runs a
+    one-window batch on other kernels, whose sums can differ in the last bit
+    from those of the windows batched with it."""
+    cuts = list(range(WINDOW_BATCH, n, WINDOW_BATCH))
+    if cuts and n - cuts[-1] == 1:
+        cuts.pop()
+    bounds = [0, *cuts, n]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _physical_memory() -> int | None:
+    """This machine's memory in bytes, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -151,24 +173,28 @@ def build_grid_map(
     class_ids = list(getattr(classifier, "label_ids", []))
 
     n_scales, side = len(spec.sizes), spec.canonical_input
+    n_windows = gh * gw * n_scales
+    # the uint8 windows of every cell and one chunk of them in float64, in
+    # Python ints: a huge window must fail here, not in a many-GB allocation
+    need = side * side * 3 * (n_windows + 8 * min(n_windows, WINDOW_BATCH + 1))
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ConfigError(
+            f"{side}x{side}-px windows for {gh * gw} cells at {n_scales} scales need"
+            f" {need / 2**30:.3g} GiB, more than this machine's {memory / 2**30:.3g} GiB"
+        )
     # one fancy index per scale gathers every cell's window at once
     patches = np.empty((gh, gw, n_scales, side, side, 3), dtype=raster.dtype)
     for s, size in enumerate(spec.sizes):
         rows = _window_index_table(cys, size, h, side)
         cols = _window_index_table(cxs, size, width, side)
         patches[:, :, s] = raster[rows[:, None, :, None], cols[None, :, None, :]]
-    flat = patches.reshape(gh * gw * n_scales, side, side, 3)
+    flat = patches.reshape(n_windows, side, side, 3)
     centers = np.repeat(np.stack(np.meshgrid(cys, cxs, indexing="ij"), axis=-1).reshape(gh * gw, 2), n_scales, axis=0)
 
-    starts = list(range(0, len(flat), WINDOW_BATCH))
-    if len(starts) > 1 and len(flat) % WINDOW_BATCH == 1:
-        # a lone last window joins the chunk before it: BLAS runs a
-        # one-window batch on other kernels, whose sums can differ in the
-        # last bit from those of the windows batched with it
-        starts.pop()
     parts = []
     try:
-        for a, b in zip(starts, starts[1:] + [len(flat)]):
+        for a, b in window_chunks(n_windows):
             # each chunk goes to float64 on its own, so only one chunk's copy
             # is alive at a time rather than the whole batch's
             windows = flat[a:b].transpose(0, 3, 1, 2).astype(np.float64) / 255.0

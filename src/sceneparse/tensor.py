@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GraphError, ShapeError
 
@@ -180,9 +179,22 @@ def _as_batched(x: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
     raise ShapeError(f"{what} expects [C,H,W] or [N,C,H,W], got {x.shape}")
 
 
+def _taps(k: int, n_in: int, n_out: int, stride: int, pad: int):
+    """For each offset t of a k-wide kernel along one axis whose window reads
+    real input, not padding, at some output: (t, the slice of those outputs,
+    the slice of the input rows they read at t)."""
+    for t in range(k):
+        lo = max(0, -((t - pad) // stride))  # first output whose row t - pad + stride * o is >= 0
+        hi = min(n_out, (n_in - 1 + pad - t) // stride + 1)  # past the last one whose row is < n_in
+        if hi > lo:
+            start = t - pad + stride * lo
+            yield t, slice(lo, hi), slice(start, start + stride * (hi - lo - 1) + 1, stride)
+
+
 def _conv2d_cols(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
     """[C,H,W] or [N,C,H,W] input and [C_out,C,kH,kW] kernel -> the output
-    and the [C*kH*kW, N*H'*W'] im2col matrix of the padded input it was made of."""
+    and the [C*kH*kW, N*H'*W'] im2col matrix it was made of, whose entries
+    for windows over the padding are zero."""
     if stride < 1:
         raise ShapeError(f"stride must be >= 1, got {stride}")
     if pad < 0:
@@ -196,18 +208,26 @@ def _conv2d_cols(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> tu
         raise ShapeError(f"kernel expects {c_in} input channels, input has {c}")
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    h_out, w_out = windows.shape[2], windows.shape[3]
-    # im2col + GEMM; the output is laid out [C_out, N, H', W'] and returned as
-    # an [N, C_out, H', W'] view of it
+    h_out = (h + 2 * pad - kh) // stride + 1
+    w_out = (w + 2 * pad - kw) // stride + 1
+    # im2col + GEMM: one slice write per tap (i, j) from the unpadded input
+    # into a zeroed buffer, whose zeros stand in for the padding.  The output
+    # is laid out [C_out, N, H', W'] and returned as an [N, C_out, H', W'] view
     k = c * kh * kw
     if h_out == w_out == 1:
         # sample-major, as einsum laid out this case: for small products BLAS
         # sums in an order that depends on the operands' layout
-        cols = windows.reshape(n, k).T
+        buf = np.zeros((n, c, kh, kw), dtype=x.dtype)
+        cols = buf.reshape(n, k).T
+        windows = buf.transpose(1, 2, 3, 0)[..., None, None]
     else:
-        cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(k, n * h_out * w_out)
+        windows = np.zeros((c, kh, kw, n, h_out, w_out), dtype=x.dtype)
+        cols = windows.reshape(k, n * h_out * w_out)
+    # windows is the [C, kH, kW, N, H', W'] view of cols
+    xc = x.transpose(1, 0, 2, 3)
+    for i, oy, iy in _taps(kh, h, h_out, stride, pad):
+        for j, ox, ix in _taps(kw, w, w_out, stride, pad):
+            windows[:, i, j, :, oy, ox] = xc[:, :, iy, ix]
     out = (kernel.reshape(c_out, k) @ cols).reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
     return out[0] if squeeze else out, cols
 
@@ -233,14 +253,13 @@ def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor
             _accum(kernel, (gm @ cols.T).reshape(kernel.data.shape))  # the forward's im2col matrix
         if inp.requires_grad:
             dcols = (kmat.T.copy() @ gm).reshape(c, kh, kw, n, h_out, w_out)
-            # channel-major, so each dcols[:, i, j] adds in place; in the gradient's dtype
-            dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[:, i, j]
-            dx = dxp.transpose(1, 0, 2, 3)
-            if pad:
-                dx = dx[:, :, pad : pad + h, pad : pad + w]
+            # col2im over the taps that read real input, in (i, j) order;
+            # channel-major, so each tap adds in place, in the gradient's dtype
+            dx = np.zeros((c, n, h, w), dtype=dcols.dtype)
+            for i, oy, iy in _taps(kh, h, h_out, stride, pad):
+                for j, ox, ix in _taps(kw, w, w_out, stride, pad):
+                    dx[:, :, iy, ix] += dcols[:, i, j, :, oy, ox]
+            dx = dx.transpose(1, 0, 2, 3)
             _accum(inp, dx[0] if squeeze else dx)
 
     return _result(out, (inp, kernel), bwd)

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -819,6 +820,40 @@ class TestMalformedInputs:
         (tmp_path / "t.json").write_text(json.dumps(cfg))
         assert run("train", "--config", str(tmp_path / "t.json")) == 3
         assert f"expected {2**40}x{2**40}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exponent", [20, 40])
+    def test_parse_huge_checkpoint_input_size_exit_2(self, workdir, tmp_path, capsys, exponent):
+        # a checkpoint's parameters do not depend on its input size; its
+        # windows are refused before they are gathered
+        from sceneparse import model
+
+        base = model.load_checkpoint(str(workdir / "m.ckpt"))
+        cfg = model.BackboneConfig(**{**asdict(base.config), "input_size": 2**exponent})
+        model.save_checkpoint(model.Checkpoint(cfg, base.msc, base.labels, base.label_ids, base.params),
+                              str(tmp_path / "huge.ckpt"))
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--checkpoint", str(tmp_path / "huge.ckpt"),
+            )
+            == 2
+        )
+        assert f"grid: {2**exponent}x{2**exponent}-px windows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", [2**20, 2**40])
+    def test_oracle_parse_huge_smallest_window_exit_2(self, workdir, tmp_path, capsys, size):
+        (tmp_path / "p.json").write_text(json.dumps({"window_sizes": [size]}))
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--oracle-truth", str(workdir / "scene" / "truth.pgm"),
+                "--config", str(tmp_path / "p.json"),
+            )
+            == 2
+        )
+        assert f"grid: {size}x{size}-px windows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("size,code", [(2**62, 0), (2**63 - 1, 0), (2**63, 2)])
     def test_huge_window_no_traceback(self, tmp_path, size, code):

@@ -25,6 +25,20 @@ model.save_checkpoint(ckpt, os.path.join(out, "m.ckpt"))
 with open(os.path.join(out, "m.ckpt"), "rb") as f:
     print(hashlib.sha256(f.read()).hexdigest())
 
+# one SGD step of the desk classifier: 32-px tiles of 8 classes at batch 32
+desk8 = model.BackboneConfig(input_size=32, stage_channels=(8, 16, 32), num_classes_per_task=(8,))
+spec8 = synthdata.SceneSpec(
+    classes=synthdata.default_texture_classes(8),
+    layout=synthdata.GridLayout(rows=1, cols=8),
+    height=32,
+    width=256,
+)
+man8 = synthdata.generate_tile_dataset(spec8, 4, 32, 0, os.path.join(out, "desk"))
+ckpt, _ = model.train(desk8, [man8], model.TrainConfig(epochs=1, batch_size=32, lr=0.002, schedule=(), seed=0))
+model.save_checkpoint(ckpt, os.path.join(out, "desk.ckpt"))
+with open(os.path.join(out, "desk.ckpt"), "rb") as f:
+    print(hashlib.sha256(f.read()).hexdigest())
+
 desk = model.BackboneConfig(input_size=32, stage_channels=(8, 16, 32), num_classes_per_task=(3,))
 params = {name: t.data for name, t in model.init_params(desk, seed=5).items()}
 clf = model.TileClassifier(model.Checkpoint(desk, model.MSCConfig(mu_g=1.0, mu_m=0.0), ["a", "b", "c"], [1, 2, 3], params))
@@ -50,5 +64,5 @@ def test_same_bytes_with_one_and_two_blas_threads(tmp_path):
     (tmp_path / "two").mkdir()
     one = run_with_threads(1, tmp_path / "one")
     two = run_with_threads(2, tmp_path / "two")
-    assert len(one) == 2
+    assert len(one) == 3
     assert one == two

@@ -295,6 +295,50 @@ class TestBuildGridMap:
         assert len(want) == 1 or sizes_seen[-1] > 1
         assert sizes_seen[-1] <= parser.WINDOW_BATCH + 1
 
+    def test_window_chunks_rule(self):
+        for n in range(0, 4 * parser.WINDOW_BATCH + 3):
+            chunks = parser.window_chunks(n)
+            assert chunks[0][0] == 0 and chunks[-1][1] == n
+            assert all(b == c for (_, b), (c, _) in zip(chunks, chunks[1:]))
+            sizes = [b - a for a, b in chunks]
+            assert all(m == parser.WINDOW_BATCH for m in sizes[:-1])
+            assert sizes[-1] > 1 or n <= 1
+            assert sizes[-1] <= parser.WINDOW_BATCH + 1
+
+    @pytest.mark.parametrize("window_batch", [16, 33, 128])
+    def test_cell_probs_independent_of_window_batch(self, monkeypatch, window_batch):
+        # the classifier's GEMMs sum each window alike at any batch of two or more
+        cfg = model.BackboneConfig(input_size=32, stage_channels=(8, 16, 32), num_classes_per_task=(3,))
+        params = {name: t.data for name, t in model.init_params(cfg, seed=5).items()}
+        msc = model.MSCConfig(mu_g=1.0, mu_m=0.0)
+        clf = model.TileClassifier(model.Checkpoint(cfg, msc, ["a", "b", "c"], [1, 2, 3], params))
+        raster = np.random.Generator(np.random.PCG64(9)).integers(0, 256, size=(96, 112, 3), dtype=np.uint8)
+        args = (raster, clf, parser.windows_for_classifier(32), 16, parser.default_scale_weights(3))
+        want = parser.build_grid_map(*args).cell_probs
+        monkeypatch.setattr(parser, "WINDOW_BATCH", window_batch)
+        assert parser.build_grid_map(*args).cell_probs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("side", [2**20, 2**40])
+    def test_huge_window_rejected_before_gather(self, side):
+        oc = Counting(np.ones((8, 8), dtype=np.int32), n_classes=2)
+        spec = parser.ContextWindowSpec(sizes=(side,), canonical_input=side)
+        with pytest.raises(ConfigError, match=f"{side}x{side}-px windows"):
+            parser.build_grid_map(np.zeros((8, 8, 3), dtype=np.uint8), oc, spec, stride=4, scale_weights=(1.0,))
+        assert oc.calls == 0
+
+    def test_window_memory_counted_against_the_machine(self, monkeypatch):
+        # 4 cells x 2 scales of 4x4x3 bytes, plus those 8 windows in float64
+        oc = Counting(np.ones((8, 8), dtype=np.int32), n_classes=2)
+        spec = parser.ContextWindowSpec(sizes=(4, 8), canonical_input=4)
+        args = (np.zeros((8, 8, 3), dtype=np.uint8), oc, spec, 4, (1.0, 1.0))
+        monkeypatch.setattr(parser, "_physical_memory", lambda: 8 * 48 * 9 - 1)
+        with pytest.raises(ConfigError, match="need"):
+            parser.build_grid_map(*args)
+        monkeypatch.setattr(parser, "_physical_memory", lambda: 8 * 48 * 9)
+        assert parser.build_grid_map(*args).cell_labels.shape == (2, 2)
+        monkeypatch.setattr(parser, "_physical_memory", lambda: None)
+        assert parser.build_grid_map(*args).cell_labels.shape == (2, 2)
+
     def test_keep_probs(self):
         truth = np.ones((4, 4), dtype=np.int32)
         raster = np.zeros((4, 4, 3), dtype=np.uint8)

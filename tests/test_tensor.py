@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from sceneparse import model
@@ -81,6 +83,44 @@ def conv2d_einsum(inp, kernel, stride=1, pad=0):
                 for j in range(kw):
                     dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[..., i, j]
             dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
+            T._accum(inp, dx[0] if squeeze else dx)
+
+    return T._result(out[0] if squeeze else out, (inp, kernel), bwd)
+
+
+def conv2d_padded(inp, kernel, stride=1, pad=0):
+    """The conv2d that built its im2col matrix from an ``np.pad`` copy of the
+    input through a strided window view, and summed its input gradient into
+    a padded buffer before slicing it, kept as a bit-exact oracle.  It copies
+    its im2col matrix to row-major order: that reshape returned a strided
+    view only for degenerate shapes (a 1x1 kernel at stride > 1, or a kernel
+    as wide as the padded input), for which BLAS sums in another order."""
+    x, squeeze = T._as_batched(inp.data, "conv2d")
+    n, c, h, w = x.shape
+    c_out, _, kh, kw = kernel.data.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    h_out, w_out = windows.shape[2], windows.shape[3]
+    k = c * kh * kw
+    if h_out == w_out == 1:
+        cols = np.ascontiguousarray(windows.reshape(n, k)).T
+    else:
+        cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(k, n * h_out * w_out)
+    kmat = kernel.data.reshape(c_out, k)
+    out = (kmat @ cols).reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
+
+    def bwd(res):
+        g = res.grad if not squeeze else res.grad[None]
+        gm = g.transpose(1, 0, 2, 3).reshape(c_out, n * h_out * w_out)
+        if kernel.requires_grad:
+            T._accum(kernel, (gm @ cols.T).reshape(kernel.data.shape))
+        if inp.requires_grad:
+            dcols = (kmat.T.copy() @ gm).reshape(c, kh, kw, n, h_out, w_out)
+            dxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[:, i, j]
+            dx = dxp.transpose(1, 0, 2, 3)[:, :, pad : pad + h, pad : pad + w]
             T._accum(inp, dx[0] if squeeze else dx)
 
     return T._result(out[0] if squeeze else out, (inp, kernel), bwd)
@@ -241,6 +281,77 @@ class TestConv2d:
         w = T.tensor(rng.normal(size=(2, 4, 3, 3)))
         with pytest.raises(ShapeError):
             T.conv2d(x, w)
+
+
+def conv_run(conv, sweep, x, w, stride, pad, upstream):
+    """Output, input gradient and kernel gradient of one conv under a loss
+    that weighs its output by ``upstream``."""
+    xt = T.tensor(x.copy(), requires_grad=True)
+    wt = T.tensor(w.copy(), requires_grad=True)
+    out = conv(xt, wt, stride, pad)
+    sweep(T.tsum(T.mul(out, T.tensor(upstream))), [xt, wt])
+    return out.data, xt.grad, wt.grad
+
+
+class TestConv2dPaddingFree:
+    """conv2d fills its im2col matrix and sums its input gradient over each
+    tap's valid output range, with no padded copy; bytes and memory layout
+    must equal the padded oracle's."""
+
+    @settings(max_examples=150)
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 3),
+        c_out=st.integers(1, 3),
+        h=st.integers(1, 7),
+        w=st.integers(1, 7),
+        kh=st.integers(1, 4),
+        kw=st.integers(1, 4),
+        stride=st.integers(1, 5),
+        pad=st.integers(0, 5),
+        unbatched=st.booleans(),
+        f32=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=2, c=2, c_out=3, h=3, w=4, kh=2, kw=2, stride=1, pad=3, unbatched=False, f32=True, seed=0)  # pad >= k
+    @example(n=2, c=2, c_out=2, h=7, w=7, kh=1, kw=2, stride=4, pad=1, unbatched=False, f32=False, seed=1)  # stride > k
+    @example(n=1, c=1, c_out=1, h=1, w=2, kh=4, kw=3, stride=1, pad=2, unbatched=True, f32=True, seed=2)  # empty taps
+    @example(n=3, c=2, c_out=2, h=3, w=3, kh=3, kw=3, stride=1, pad=0, unbatched=False, f32=False, seed=3)  # 1x1 out
+    @example(n=3, c=2, c_out=2, h=2, w=2, kh=3, kw=3, stride=2, pad=1, unbatched=False, f32=True, seed=4)  # 1x1 out
+    def test_bytes_equal_padded_oracle(self, n, c, c_out, h, w, kh, kw, stride, pad, unbatched, f32, seed):
+        if kh > h + 2 * pad or kw > w + 2 * pad:
+            with pytest.raises(ShapeError):
+                T.conv2d(T.tensor(np.zeros((n, c, h, w))), T.tensor(np.zeros((c_out, c, kh, kw))), stride, pad)
+            return
+        rng = np.random.Generator(np.random.PCG64(seed))
+        dtype = np.float32 if f32 else np.float64
+        x = rng.normal(size=(n, c, h, w)).astype(dtype)
+        x = x[0] if unbatched else x
+        kernel = rng.normal(size=(c_out, c, kh, kw)).astype(dtype)
+        h_out, w_out = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+        upstream = rng.normal(size=(c_out, h_out, w_out) if unbatched else (n, c_out, h_out, w_out)).astype(dtype)
+        want = conv_run(conv2d_padded, T.backward, x, kernel, stride, pad, upstream)
+        got = conv_run(T.conv2d, T.backward, x, kernel, stride, pad, upstream)
+        for g, e, what in zip(got, want, ("output", "input gradient", "kernel gradient")):
+            assert g.dtype == e.dtype == dtype, what
+            assert g.strides == e.strides, what
+            assert g.tobytes() == e.tobytes(), what
+
+    @pytest.mark.parametrize("n_in,k,stride,pad", [(5, 3, 1, 1), (7, 3, 3, 1), (1, 4, 1, 2), (2, 1, 4, 3), (6, 2, 5, 0)])
+    def test_tap_ranges_read_only_real_input(self, n_in, k, stride, pad):
+        # every (tap, output) pair whose padded row lands inside the input is
+        # listed once, with the input row it reads
+        n_out = (n_in + 2 * pad - k) // stride + 1
+        want = {
+            (t, o, t + stride * o - pad)
+            for t in range(k)
+            for o in range(n_out)
+            if 0 <= t + stride * o - pad < n_in
+        }
+        got = set()
+        for t, outs, ins in T._taps(k, n_in, n_out, stride, pad):
+            got |= {(t, o, r) for o, r in zip(range(n_out)[outs], range(n_in)[ins], strict=True)}
+        assert got == want
 
 
 class TestUpsampleAndPool:
@@ -542,20 +653,13 @@ KERNEL_GRAD_RTOL = 1e-12  # float64 kernel gradient against the einsum's
 
 
 class TestEinsumOracles:
-    def _run(self, conv, sweep, x, w, stride, pad, upstream):
-        xt = T.tensor(x.copy(), requires_grad=True)
-        wt = T.tensor(w.copy(), requires_grad=True)
-        out = conv(xt, wt, stride, pad)
-        sweep(T.tsum(T.mul(out, T.tensor(upstream))), [xt, wt])
-        return out.data, xt.grad, wt.grad
-
     @pytest.mark.parametrize("x_shape,w_shape,stride,pad", ORACLE_CASES)
     def test_conv_bit_equal(self, rng, x_shape, w_shape, stride, pad):
         x = rng.normal(size=x_shape)
         w = rng.normal(size=w_shape)
         upstream = rng.normal(size=conv2d_einsum(T.tensor(x), T.tensor(w), stride, pad).data.shape)
-        want = self._run(conv2d_einsum, backward_zero_prefill, x, w, stride, pad, upstream)
-        got = self._run(T.conv2d, T.backward, x, w, stride, pad, upstream)
+        want = conv_run(conv2d_einsum, backward_zero_prefill, x, w, stride, pad, upstream)
+        got = conv_run(T.conv2d, T.backward, x, w, stride, pad, upstream)
         for g, e, what in zip(got, want, ("output", "input gradient", "kernel gradient")):
             # the memory order decides how later reductions sum; the stride
             # of a length-1 axis is never stepped
