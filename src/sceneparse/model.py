@@ -195,22 +195,22 @@ def init_params(cfg: BackboneConfig, seed: int) -> dict[str, T.Tensor]:
     return params
 
 
-def _stage(x, params, i: int, stride: int, ops):
-    x = ops.relu(ops.bias_add(ops.conv2d(x, params[f"stage{i}.conv1.w"], 1, 1), params[f"stage{i}.conv1.b"]))
-    return ops.relu(ops.bias_add(ops.conv2d(x, params[f"stage{i}.conv2.w"], stride, 1), params[f"stage{i}.conv2.b"]))
+def _stage(x: T.Tensor, params: dict[str, T.Tensor], i: int, stride: int) -> T.Tensor:
+    x = T.relu(T.bias_add(T.conv2d(x, params[f"stage{i}.conv1.w"], 1, 1), params[f"stage{i}.conv1.b"]))
+    return T.relu(T.bias_add(T.conv2d(x, params[f"stage{i}.conv2.w"], stride, 1), params[f"stage{i}.conv2.b"]))
 
 
-def backbone_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor], ops=T) -> FeaturePyramid:
+def backbone_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor]) -> FeaturePyramid:
     shape = image.shape
-    if shape[-3:] != (3, cfg.input_size, cfg.input_size):
-        raise ShapeError(f"expected [3,{cfg.input_size},{cfg.input_size}] image, got {shape}")
-    f1 = _stage(image, params, 1, cfg.stage_strides[0], ops)
-    f2 = _stage(f1, params, 2, cfg.stage_strides[1], ops)
-    f3 = _stage(f2, params, 3, cfg.stage_strides[2], ops)
+    if shape[1:] != (3, cfg.input_size, cfg.input_size):
+        raise ShapeError(f"expected [N,3,{cfg.input_size},{cfg.input_size}] images, got {shape}")
+    f1 = _stage(image, params, 1, cfg.stage_strides[0])
+    f2 = _stage(f1, params, 2, cfg.stage_strides[1])
+    f3 = _stage(f2, params, 3, cfg.stage_strides[2])
     return FeaturePyramid(f1, f2, f3)
 
 
-def attention_fuse(sf: T.Tensor, df: T.Tensor, aw: AttentionWeights, ops=T) -> T.Tensor:
+def attention_fuse(sf: T.Tensor, df: T.Tensor, aw: AttentionWeights) -> T.Tensor:
     """AF = SF + SF * sigmoid(reduce_conv(upsample(DF))).
 
     The 1x1 conv, its bias and the sigmoid act pixel by pixel, so they
@@ -220,8 +220,8 @@ def attention_fuse(sf: T.Tensor, df: T.Tensor, aw: AttentionWeights, ops=T) -> T
     dh, dw = df.shape[-2:]
     if dh < 1 or sh % dh != 0 or sw % dw != 0 or sh // dh != sw // dw:
         raise ShapeError(f"deep {dh}x{dw} does not divide shallow {sh}x{sw}")
-    gate = ops.sigmoid(ops.bias_add(ops.conv2d(df, aw.reduce_conv, 1, 0), aw.bias))
-    sam = ops.upsample_nearest(gate, sh // dh)
+    gate = T.sigmoid(T.bias_add(T.conv2d(df, aw.reduce_conv, 1, 0), aw.bias))
+    sam = T.upsample_nearest(gate, sh // dh)
     if sam.shape != sf.shape:
         raise ShapeError(f"attention map {sam.shape} does not match shallow {sf.shape}")
     return sf + sf * sam
@@ -231,29 +231,23 @@ def _attn(params, s: int) -> AttentionWeights:
     return AttentionWeights(params[f"attn{s}.w"], params[f"attn{s}.b"])
 
 
-def han_forward(p: FeaturePyramid, params: dict[str, T.Tensor], ops=T) -> list[T.Tensor]:
+def han_forward(p: FeaturePyramid, params: dict[str, T.Tensor]) -> list[T.Tensor]:
     """Chain attention deep to shallow: [AF1, AF2, AF3] with AF3 = F3."""
     af3 = p.f3
-    af2 = attention_fuse(p.f2, af3, _attn(params, 2), ops)
-    af1 = attention_fuse(p.f1, af2, _attn(params, 1), ops)
+    af2 = attention_fuse(p.f2, af3, _attn(params, 2))
+    af1 = attention_fuse(p.f1, af2, _attn(params, 1))
     return [af1, af2, af3]
-
-
-def _msc(image, cfg: BackboneConfig, params, ops) -> list[list]:
-    streams = han_forward(backbone_forward(image, cfg, params, ops), params, ops)
-    pooled = [ops.global_avg_pool(af) for af in streams]
-    out = []
-    for t in range(len(cfg.num_classes_per_task)):
-        out.append(
-            [ops.linear(pooled[s], params[f"head.g{t}.s{s + 1}.w"], params[f"head.g{t}.s{s + 1}.b"]) for s in range(3)]
-        )
-    return out
 
 
 def msc_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor]) -> list[list[T.Tensor]]:
     """Logits per task per stream: out[t][s] from GAP(AF_{s+1}) -> linear head.
-    The layers take ``ops``: ``T`` here, ``T.arrays`` in the classifier's graph-free pass."""
-    return _msc(image, cfg, params, T)
+    Training and the classifier both run it; with parameters that require
+    no gradient, as the classifier holds them, it records no graph."""
+    pooled = [T.global_avg_pool(af) for af in han_forward(backbone_forward(image, cfg, params), params)]
+    return [
+        [T.linear(pooled[s], params[f"head.g{t}.s{s + 1}.w"], params[f"head.g{t}.s{s + 1}.b"]) for s in range(3)]
+        for t in range(len(cfg.num_classes_per_task))
+    ]
 
 
 def msc_loss(
@@ -596,9 +590,11 @@ def load_checkpoint(path: str) -> Checkpoint:
 class TileClassifier:
     """Inference wrapper: patch in, stream-fused class probabilities out.
 
-    A graph-free float32 forward pass (the checkpoint's precision); its logits
-    are softmaxed per stream in float64 and combined with the checkpoint's
-    stream weights (weighted mean), so deeper streams carry more of the mass.
+    The training forward, :func:`msc_forward`, over float32 parameters (the
+    checkpoint's precision) that require no gradient, so it records no
+    graph; its logits are softmaxed per stream in float64 and combined with
+    the checkpoint's stream weights (weighted mean), so deeper streams carry
+    more of the mass.
     """
 
     def __init__(self, ckpt: Checkpoint):
@@ -606,7 +602,7 @@ class TileClassifier:
         self.msc = ckpt.msc
         self.labels = list(ckpt.labels)
         self.label_ids = list(ckpt.label_ids)
-        self._params = {name: np.asarray(data, dtype=np.float32) for name, data in ckpt.params.items()}
+        self._params = {name: T.tensor(np.asarray(data, dtype=np.float32)) for name, data in ckpt.params.items()}
 
     @property
     def input_size(self) -> int:
@@ -625,7 +621,7 @@ class TileClassifier:
             raise ShapeError(f"expected [B,3,{self.input_size},{self.input_size}], got {patches.shape}")
         parts = []
         for a, b in window_chunks(len(patches)):
-            logits = _msc(patches[a:b].astype(np.float32), self.config, self._params, T.arrays)[0]
-            probs = np.stack([T.arrays.softmax(z.astype(np.float64)) for z in logits], axis=-2)
+            logits = msc_forward(T.tensor(patches[a:b].astype(np.float32)), self.config, self._params)[0]
+            probs = np.stack([T.softmax(z.data.astype(np.float64)) for z in logits], axis=-2)
             parts.append(fuse(probs, self.msc.stream_weights))
         return np.concatenate(parts)

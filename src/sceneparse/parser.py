@@ -273,13 +273,6 @@ class OracleClassifier:
         return np.eye(self.n_classes)[np.clip(label - 1, 0, self.n_classes - 1)]
 
 
-def windows_for_classifier(input_size: int, sizes: tuple[int, ...] | None = None) -> ContextWindowSpec:
-    """Default window pyramid: the classifier's input size, then 2x and 4x."""
-    if sizes is None:
-        sizes = (input_size, 2 * input_size, 4 * input_size)
-    return ContextWindowSpec(sizes=tuple(sizes), canonical_input=input_size)
-
-
 def resolve_windows(classifier, config: ParseConfig) -> tuple[ContextWindowSpec, int, tuple[float, ...]]:
     """The window spec, stride and scale weights a parse runs with.
 
@@ -287,11 +280,13 @@ def resolve_windows(classifier, config: ParseConfig) -> tuple[ContextWindowSpec,
     input size (the paper's 56/112/224 for a classifier without one), a
     stride of half the smallest window, and default_scale_weights."""
     input_size = getattr(classifier, "input_size", None)
-    if input_size is not None:
-        spec = windows_for_classifier(input_size, config.window_sizes)
-    else:
-        sizes = config.window_sizes or PAPER_WINDOW_SIZES
-        spec = ContextWindowSpec(sizes=tuple(sizes), canonical_input=min(sizes))
+    sizes = config.window_sizes
+    if input_size is None:
+        sizes = sizes or PAPER_WINDOW_SIZES
+        input_size = min(sizes)
+    elif sizes is None:
+        sizes = (input_size, 2 * input_size, 4 * input_size)
+    spec = ContextWindowSpec(sizes=tuple(sizes), canonical_input=input_size)
     stride = config.stride if config.stride is not None else max(1, spec.sizes[0] // 2)
     weights = config.scale_weights if config.scale_weights is not None else default_scale_weights(len(spec.sizes))
     return spec, stride, tuple(weights)

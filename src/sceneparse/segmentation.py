@@ -63,6 +63,10 @@ SWEEP_CHUNK = 1 << 14
 # each, up to the last such level; the sparser levels after it go through
 # the sequential sweep
 LEVEL_MIN = 256
+# merge_regions rebuilds its heap once it holds more than this many entries
+# per live adjacent pair: each rebuild is linear in the heap, and at 3 the
+# pushes between rebuilds pay for it
+HEAP_SLACK = 3
 
 
 class RegionMap:
@@ -419,18 +423,26 @@ def merge_regions(image: np.ndarray, rm: RegionMap, target_count: int) -> Region
     # similarity depends only on its two regions, so after b merges into a
     # only the pairs touching a change: bump a's version and push those.
     # Pops take the highest similarity, exact ties the lowest (a, b); the
-    # keys are distinct, so the pops do not depend on the push order.
+    # keys are distinct, so the pops do not depend on the push order.  An
+    # entry is live while both its versions are current; a merged-away
+    # region's version becomes -1, which no entry carries.  So the heap
+    # holds exactly one live entry per adjacent pair, and when it grows past
+    # HEAP_SLACK entries per pair it is rebuilt from the live ones, which
+    # bounds its memory where one hub region wins most merges.
     parent = list(range(count))
     version = [0] * count
     sims = _similarities(pa, pb, hist, areas, lo, hi, total, DEFAULT_SIM_WEIGHTS).tolist()
     heap = [(-sim, a, b, 0, 0) for sim, a, b in zip(sims, pa.tolist(), pb.tolist())]
     heapq.heapify(heap)
+    pairs = len(heap)
     live = count
     while live > target_count and heap:
         _, a, b, va, vb = heapq.heappop(heap)
-        if parent[a] != a or parent[b] != b or version[a] != va or version[b] != vb:
+        if version[a] != va or version[b] != vb:
             continue
+        pairs -= len(neighbors[a]) + len(neighbors[b]) - 1
         parent[b] = a
+        version[b] = -1
         areas[a] += areas[b]
         hist[a] += hist[b]
         np.minimum(lo[a], lo[b], out=lo[a])
@@ -441,7 +453,11 @@ def merge_regions(image: np.ndarray, rm: RegionMap, target_count: int) -> Region
         for nb, sim in zip(nbs, _similarities(a, nbs, hist, areas, lo, hi, total, DEFAULT_SIM_WEIGHTS).tolist()):
             x, y = (a, nb) if a < nb else (nb, a)
             heapq.heappush(heap, (-sim, x, y, version[x], version[y]))
+        pairs += len(nbs)
         live -= 1
+        if len(heap) > HEAP_SLACK * pairs:
+            heap = [e for e in heap if version[e[1]] == e[3] and version[e[2]] == e[4]]
+            heapq.heapify(heap)
 
     merged, final = _relabel_dense(_pointer_jump(np.asarray(parent))[labels])
     return RegionMap(merged, final)

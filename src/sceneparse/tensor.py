@@ -3,24 +3,22 @@
 Values are float32 or float64 numpy arrays: a tensor keeps a float32 or
 float64 input's dtype and stores anything else as float64, and every op
 computes in its inputs' dtype.  Training runs in float32, the checkpoint's
-precision; the gradient checks run in float64.  Every operation builds the
-backward graph eagerly; :func:`backward` runs the reverse sweep from a
+precision; the gradient checks run in float64.  An operation builds the
+backward graph eagerly when one of its inputs requires a gradient, and
+otherwise records nothing and does no gradient-only work, as in the
+classifier's forward; :func:`backward` runs the reverse sweep from a
 scalar loss.  Non-finite values (NaN/Inf) are an error state -- they are
-not checked op-by-op for speed, callers guard loss values.  Each network
-op's forward value comes from a plain array kernel that keeps its input's
-dtype; :data:`arrays` holds those kernels under the ops' names, so layer
-code can run on plain arrays too, and the softmax over the last axis.
+not checked op-by-op for speed, callers guard loss values.
 
-Image-shaped operations (:func:`conv2d`, :func:`upsample_nearest`,
-:func:`global_avg_pool`) take a single ``[C, H, W]`` tensor or a batched
-``[N, C, H, W]`` tensor; the loss ops take a single logit vector or a
-``[B, N]`` batch, reducing to the batch mean.
+The image ops (:func:`conv2d`, :func:`bias_add`, :func:`upsample_nearest`,
+:func:`global_avg_pool`) take ``[N, C, H, W]`` batches only; :func:`linear`
+and :func:`cross_entropy` take ``[B, ·]`` batches only, and the loss is the
+batch mean.  Any other rank is a :class:`ShapeError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,7 +37,7 @@ __all__ = [
     "global_avg_pool",
     "linear",
     "bias_add",
-    "arrays",
+    "softmax",
     "tsum",
     "cross_entropy",
     "backward",
@@ -134,29 +132,19 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _result(a.data * c, (a,), bwd)
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    out = np.fmax(x, 0.0)
-    out += 0.0  # -0.0 becomes +0.0, as a select on x > 0 gives
-    return out
-
-
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
     def bwd(out):
-        _accum(a, out.grad * mask)
+        _accum(a, out.grad * (a.data > 0))
 
-    return _result(_relu(a.data), (a,), bwd)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # never exponentiates a positive argument; for x >= 0 the numerator is 1
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1 + e)
+    out = np.fmax(a.data, 0.0)
+    out += 0.0  # -0.0 becomes +0.0, as a select on x > 0 gives
+    return _result(out, (a,), bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
+    # never exponentiates a positive argument; for x >= 0 the numerator is 1
+    e = np.exp(-np.abs(a.data))
+    s = np.maximum(e, a.data >= 0) / (1 + e)
 
     def bwd(out):
         _accum(a, out.grad * s * (1.0 - s))
@@ -164,19 +152,16 @@ def sigmoid(a: Tensor) -> Tensor:
     return _result(s, (a,), bwd)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, stabilized by max subtraction."""
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax of a plain array over its last axis, stabilized by max subtraction."""
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _as_batched(x: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ShapeError(f"{what} expects [C,H,W] or [N,C,H,W], got {x.shape}")
+def _check_nchw(x: np.ndarray, what: str) -> None:
+    if x.ndim != 4:
+        raise ShapeError(f"{what} expects [N,C,H,W], got {x.shape}")
 
 
 def _taps(k: int, n_in: int, n_out: int, stride: int, pad: int):
@@ -192,16 +177,16 @@ def _taps(k: int, n_in: int, n_out: int, stride: int, pad: int):
 
 
 def _conv2d_cols(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """[C,H,W] or [N,C,H,W] input and [C_out,C,kH,kW] kernel -> the output
-    and the [C*kH*kW, N*H'*W'] im2col matrix it was made of, whose entries
-    for windows over the padding are zero."""
+    """[N,C,H,W] input and [C_out,C,kH,kW] kernel -> the output and the
+    [C*kH*kW, N*H'*W'] im2col matrix it was made of, whose entries for
+    windows over the padding are zero."""
     if stride < 1:
         raise ShapeError(f"stride must be >= 1, got {stride}")
     if pad < 0:
         raise ShapeError(f"pad must be >= 0, got {pad}")
     if kernel.ndim != 4:
         raise ShapeError(f"kernel must be 4-D, got {kernel.shape}")
-    x, squeeze = _as_batched(x, "conv2d")
+    _check_nchw(x, "conv2d")
     n, c, h, w = x.shape
     c_out, c_in, kh, kw = kernel.shape
     if c_in != c:
@@ -229,134 +214,91 @@ def _conv2d_cols(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> tu
         for j, ox, ix in _taps(kw, w, w_out, stride, pad):
             windows[:, i, j, :, oy, ox] = xc[:, :, iy, ix]
     out = (kernel.reshape(c_out, k) @ cols).reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
-    return out[0] if squeeze else out, cols
+    return out, cols
 
 
 def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation over an input zero-padded by ``pad`` on each side.
 
-    ``inp`` is [C,H,W] or [N,C,H,W]; ``kernel`` is [C_out,C_in,kH,kW].
+    ``inp`` is [N,C,H,W]; ``kernel`` is [C_out,C_in,kH,kW].
     Output spatial size is floor((H + 2*pad - kH)/stride) + 1.
     """
     out, cols = _conv2d_cols(inp.data, kernel.data, stride, pad)
-    c_out, c, kh, kw = kernel.data.shape
-    h, w = inp.data.shape[-2:]
-    h_out, w_out = out.shape[-2:]
-    squeeze = inp.data.ndim == 3
-    n = 1 if squeeze else out.shape[0]
-    kmat = kernel.data.reshape(c_out, -1)
 
     def bwd(res):
-        g = res.grad if not squeeze else res.grad[None]
-        gm = g.transpose(1, 0, 2, 3).reshape(c_out, n * h_out * w_out)
+        n, c, h, w = inp.data.shape
+        c_out, _, kh, kw = kernel.data.shape
+        h_out, w_out = out.shape[2:]
+        gm = res.grad.transpose(1, 0, 2, 3).reshape(c_out, n * h_out * w_out)
         if kernel.requires_grad:
             _accum(kernel, (gm @ cols.T).reshape(kernel.data.shape))  # the forward's im2col matrix
         if inp.requires_grad:
-            dcols = (kmat.T.copy() @ gm).reshape(c, kh, kw, n, h_out, w_out)
+            dcols = (kernel.data.reshape(c_out, -1).T.copy() @ gm).reshape(c, kh, kw, n, h_out, w_out)
             # col2im over the taps that read real input, in (i, j) order;
             # channel-major, so each tap adds in place, in the gradient's dtype
             dx = np.zeros((c, n, h, w), dtype=dcols.dtype)
             for i, oy, iy in _taps(kh, h, h_out, stride, pad):
                 for j, ox, ix in _taps(kw, w, w_out, stride, pad):
                     dx[:, :, iy, ix] += dcols[:, i, j, :, oy, ox]
-            dx = dx.transpose(1, 0, 2, 3)
-            _accum(inp, dx[0] if squeeze else dx)
+            _accum(inp, dx.transpose(1, 0, 2, 3))
 
     return _result(out, (inp, kernel), bwd)
 
 
-def _upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:
-    if factor < 1:
-        raise ShapeError(f"factor must be >= 1, got {factor}")
-    _as_batched(x, "upsample_nearest")
-    return np.repeat(np.repeat(x, factor, axis=-2), factor, axis=-1)
-
-
 def upsample_nearest(inp: Tensor, factor: int) -> Tensor:
     """Nearest-neighbor upsampling: out[.., y, x] = in[.., y // factor, x // factor]."""
-    squeeze = inp.data.ndim == 3
+    if factor < 1:
+        raise ShapeError(f"factor must be >= 1, got {factor}")
+    _check_nchw(inp.data, "upsample_nearest")
 
     def bwd(res):
-        g = res.grad if not squeeze else res.grad[None]
-        n, c, fh, fw = g.shape
-        pooled = g.reshape(n, c, fh // factor, factor, fw // factor, factor).sum(axis=(3, 5))
-        _accum(inp, pooled[0] if squeeze else pooled)
+        n, c, fh, fw = res.grad.shape
+        _accum(inp, res.grad.reshape(n, c, fh // factor, factor, fw // factor, factor).sum(axis=(3, 5)))
 
-    return _result(_upsample_nearest(inp.data, factor), (inp,), bwd)
-
-
-def _global_avg_pool(x: np.ndarray) -> np.ndarray:
-    _as_batched(x, "global_avg_pool")
-    if x.shape[-2] < 1 or x.shape[-1] < 1:
-        raise ShapeError("empty spatial extent")
-    return x.mean(axis=(-2, -1))
+    return _result(np.repeat(np.repeat(inp.data, factor, axis=2), factor, axis=3), (inp,), bwd)
 
 
 def global_avg_pool(inp: Tensor) -> Tensor:
-    """Per-channel spatial mean: [C,H,W] -> [C] or [N,C,H,W] -> [N,C]."""
-    x, squeeze = _as_batched(inp.data, "global_avg_pool")
+    """Per-channel spatial mean: [N,C,H,W] -> [N,C]."""
+    x = inp.data
+    _check_nchw(x, "global_avg_pool")
+    if x.shape[2] < 1 or x.shape[3] < 1:
+        raise ShapeError("empty spatial extent")
 
     def bwd(res):
-        g = res.grad if not squeeze else res.grad[None]
-        dx = np.broadcast_to(g[:, :, None, None] / (x.shape[2] * x.shape[3]), x.shape)
-        _accum(inp, dx[0] if squeeze else dx.copy())
+        _accum(inp, np.broadcast_to(res.grad[:, :, None, None] / (x.shape[2] * x.shape[3]), x.shape).copy())
 
-    return _result(_global_avg_pool(inp.data), (inp,), bwd)
-
-
-def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-        raise ShapeError(f"bad head shapes {w.shape}, {b.shape}")
-    if x.shape[-1] != w.shape[1]:
-        raise ShapeError(f"linear expects {w.shape[1]} features, got {x.shape}")
-    return x @ w.T + b
+    return _result(x.mean(axis=(2, 3)), (inp,), bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` for [C] or [B,C] inputs."""
+    """Affine map ``x @ weight.T + bias`` for [B,C] inputs."""
+    w, b = weight.data, bias.data
+    if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+        raise ShapeError(f"bad head shapes {w.shape}, {b.shape}")
+    if x.data.ndim != 2 or x.data.shape[1] != w.shape[1]:
+        raise ShapeError(f"linear expects [B,{w.shape[1]}], got {x.data.shape}")
 
     def bwd(res):
-        g = res.grad
-        _accum(x, g @ weight.data)
-        if x.data.ndim == 2:
-            _accum(weight, g.T @ x.data)
-            _accum(bias, g.sum(axis=0))
-        else:
-            _accum(weight, np.outer(g, x.data))
-            _accum(bias, g)
+        _accum(x, res.grad @ w)
+        _accum(weight, res.grad.T @ x.data)
+        _accum(bias, res.grad.sum(axis=0))
 
-    return _result(_linear(x.data, weight.data, bias.data), (x, weight, bias), bwd)
-
-
-def _bias_add(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _as_batched(x, "bias_add")
-    if b.ndim != 1 or b.shape[0] != x.shape[-3]:
-        raise ShapeError(f"bias {b.shape} does not match {x.shape[-3]} channels")
-    return x + b[:, None, None]
+    return _result(x.data @ w.T + b, (x, weight, bias), bwd)
 
 
 def bias_add(inp: Tensor, bias: Tensor) -> Tensor:
-    """Add a per-channel bias vector to a [C,H,W] or [N,C,H,W] map."""
-    squeeze = inp.data.ndim == 3
+    """Add a per-channel bias vector to an [N,C,H,W] map."""
+    _check_nchw(inp.data, "bias_add")
+    b = bias.data
+    if b.ndim != 1 or b.shape[0] != inp.data.shape[1]:
+        raise ShapeError(f"bias {b.shape} does not match {inp.data.shape[1]} channels")
 
     def bwd(res):
-        g = res.grad if not squeeze else res.grad[None]
         _accum(inp, res.grad)
-        _accum(bias, g.sum(axis=(0, 2, 3)))
+        _accum(bias, res.grad.sum(axis=(0, 2, 3)))
 
-    return _result(_bias_add(inp.data, bias.data), (inp, bias), bwd)
-
-
-arrays = SimpleNamespace(
-    conv2d=lambda x, kernel, stride=1, pad=0: _conv2d_cols(x, kernel, stride, pad)[0],
-    bias_add=_bias_add,
-    relu=_relu,
-    sigmoid=_sigmoid,
-    upsample_nearest=_upsample_nearest,
-    global_avg_pool=_global_avg_pool,
-    linear=_linear,
-    softmax=_softmax,
-)
+    return _result(inp.data + b[:, None, None], (inp, bias), bwd)
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -367,32 +309,25 @@ def tsum(a: Tensor) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, target) -> Tensor:
-    """-log softmax(logits)[target]; batched [B,N] inputs reduce to the mean."""
+    """Batch mean of -log softmax(logits)[target] over [B,N] logits."""
     z = logits.data
-    if z.ndim == 1:
-        t = np.asarray([target], dtype=np.int64)
-        zz = z[None]
-    elif z.ndim == 2:
-        t = np.asarray(target, dtype=np.int64)
-        if t.shape != (z.shape[0],):
-            raise ShapeError(f"targets {t.shape} do not match batch {z.shape[0]}")
-        zz = z
-    else:
-        raise ShapeError(f"cross_entropy expects [N] or [B,N], got {z.shape}")
-    n = zz.shape[1]
+    if z.ndim != 2:
+        raise ShapeError(f"cross_entropy expects [B,N], got {z.shape}")
+    b, n = z.shape
+    t = np.asarray(target, dtype=np.int64)
+    if t.shape != (b,):
+        raise ShapeError(f"targets {t.shape} do not match batch {b}")
     if np.any(t < 0) or np.any(t >= n):
         raise IndexError(f"target outside [0, {n})")
-    b = zz.shape[0]
-    shifted = zz - zz.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(b), t]
     loss = float((lse - picked).mean())
 
     def bwd(out):
-        p = _softmax(zz)
+        p = softmax(z)
         p[np.arange(b), t] -= 1.0
-        g = float(out.grad) * p / b
-        _accum(logits, g[0] if z.ndim == 1 else g)
+        _accum(logits, float(out.grad) * p / b)
 
     return _result(loss, (logits,), bwd)
 
@@ -490,7 +425,6 @@ def check_gradients(
     eps: float = 1e-5,
     max_samples: int = 10_000,
     seed: int = 0,
-    grad_perturbation: float = 0.0,
 ) -> float:
     """Compare reverse-mode gradients against central differences.
 
@@ -498,14 +432,12 @@ def check_gradients(
     Every parameter element is checked, or a seeded random subsample of
     ``max_samples`` elements when there are more than that.  Returns the
     maximum error ``|a - n| / max(1, |a|, |n|)`` over checked elements.
-    ``grad_perturbation`` is a negative-control hook that offsets the
-    analytic gradients before comparison.
     """
     if eps <= 0:
         raise ShapeError(f"eps must be positive, got {eps}")
     loss = loss_fn()
     backward(loss, params)
-    analytic = [p.grad.copy() + grad_perturbation for p in params]
+    analytic = [p.grad.copy() for p in params]
 
     sizes = [p.data.size for p in params]
     coords = [(i, j) for i, n in enumerate(sizes) for j in range(n)]

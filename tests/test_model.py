@@ -30,11 +30,11 @@ def attention_oracle(sf, df, w, b):
     return sf * (1.0 + sam)
 
 
-def attention_fuse_upsample_first(sf, df, aw, ops=T):
+def attention_fuse_upsample_first(sf, df, aw):
     """attention_fuse as it ran before its gate moved to the deep map's
     resolution: upsample DF, then the 1x1 conv, bias and sigmoid."""
-    up = ops.upsample_nearest(df, sf.shape[-1] // df.shape[-1])
-    return sf + sf * ops.sigmoid(ops.bias_add(ops.conv2d(up, aw.reduce_conv, 1, 0), aw.bias))
+    up = T.upsample_nearest(df, sf.shape[-1] // df.shape[-1])
+    return sf + sf * T.sigmoid(T.bias_add(T.conv2d(up, aw.reduce_conv, 1, 0), aw.bias))
 
 
 def tile_dataset(tmp_path, n_classes=3, per_class=6, size=8, seed=0, sub="d"):
@@ -131,6 +131,8 @@ class TestForward:
         params = model.init_params(SMALL, seed=0)
         with pytest.raises(ShapeError):
             model.backbone_forward(T.tensor(rng.random(size=(2, 3, 9, 9))), SMALL, params)
+        with pytest.raises(ShapeError):
+            model.backbone_forward(T.tensor(rng.random(size=(3, 8, 8))), SMALL, params)
 
     def test_logits_shapes(self, rng):
         params = model.init_params(SMALL, seed=0)
@@ -523,11 +525,11 @@ def stream_fusion_loops(clf, patches):
     """The stream fusion TileClassifier.probs_batch ran before it called
     fusion.fuse: softmax per stream, zeros, += each weighted stream, over
     the logits of the classifier's own float32 forward."""
-    logits = model._msc(patches.astype(np.float32), clf.config, clf._params, T.arrays)[0]
+    logits = model.msc_forward(T.tensor(patches.astype(np.float32)), clf.config, clf._params)[0]
     w = np.asarray(clf.msc.stream_weights)
     fused = np.zeros((patches.shape[0], clf.n_classes))
     for ws, z in zip(w, logits):
-        fused += ws * T.arrays.softmax(z.astype(np.float64))
+        fused += ws * T.softmax(z.data.astype(np.float64))
     return fused / w.sum()
 
 
@@ -540,7 +542,7 @@ def probs_float64(ckpt, patches):
     a tensor keeps float32 data in float32, so every input is cast."""
     params = {name: T.tensor(v.astype(np.float64)) for name, v in ckpt.params.items()}
     logits = model.msc_forward(T.tensor(patches.astype(np.float64)), ckpt.config, params)[0]
-    return fuse(np.stack([T.arrays.softmax(z.data) for z in logits], axis=-2), ckpt.msc.stream_weights)
+    return fuse(np.stack([T.softmax(z.data) for z in logits], axis=-2), ckpt.msc.stream_weights)
 
 
 class TestTileClassifier:
@@ -567,17 +569,23 @@ class TestTileClassifier:
         patches = np.random.Generator(np.random.PCG64(seed)).random((37, 3, 8, 8))
         assert clf.probs_batch(patches).tobytes() == stream_fusion_loops(clf, patches).tobytes()
 
-    @pytest.mark.parametrize("cfg", [SMALL, DESK], ids=["small", "desk"])
-    @pytest.mark.parametrize("batch", [1, 64, 65])
-    def test_array_forward_float64_bit_equal(self, cfg, batch):
-        # SMALL's last stage is 1x1, which takes conv2d's sample-major branch
-        params = {name: t.data for name, t in model.init_params(cfg, seed=batch).items()}
-        x = np.random.Generator(np.random.PCG64(batch)).random((batch, 3, cfg.input_size, cfg.input_size))
-        want = model.msc_forward(T.tensor(x), cfg, {name: T.tensor(v) for name, v in params.items()})
-        got = model._msc(x, cfg, params, T.arrays)
-        for z_got, z_want in zip(got[0], want[0]):
-            assert z_got.dtype == np.float64
-            assert z_got.tobytes() == z_want.data.tobytes()
+    def test_forward_builds_no_graph(self, monkeypatch):
+        params = {name: t.data for name, t in model.init_params(SMALL, seed=0).items()}
+        msc = model.MSCConfig(mu_g=1.0, mu_m=0.0)
+        clf = model.TileClassifier(model.Checkpoint(SMALL, msc, ["a", "b", "c"], [1, 2, 3], params))
+        outs = []
+        forward = model.msc_forward
+
+        def recording(*args):
+            outs.append(forward(*args))
+            return outs[-1]
+
+        monkeypatch.setattr(model, "msc_forward", recording)
+        clf.probs_batch(np.random.Generator(np.random.PCG64(0)).random((5, 3, 8, 8)))
+        assert len(outs) == 1
+        for z in outs[0][0]:
+            assert z.data.dtype == np.float32
+            assert not z.requires_grad and z._backward is None and z._parents == ()
 
     def _check_float32(self, ckpt, x):
         got, want = model.TileClassifier(ckpt).probs_batch(x), probs_float64(ckpt, x)
@@ -604,13 +612,13 @@ class TestTileClassifier:
         whole = {n: clf.probs_batch(x[:n]) for n in (129, 130)}  # one forward pass each
         monkeypatch.undo()
         seen = []
-        forward = model._msc
+        forward = model.msc_forward
 
         def recording(image, *args):
-            seen.append(len(image))
+            seen.append(image.shape[0])
             return forward(image, *args)
 
-        monkeypatch.setattr(model, "_msc", recording)
+        monkeypatch.setattr(model, "msc_forward", recording)
         for n, sizes in ((129, [64, 65]), (130, [64, 64, 2])):
             seen.clear()
             got = clf.probs_batch(x[:n])
@@ -637,22 +645,19 @@ ATTN_ORDER_1X1_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
 
 class TestAttentionAtDeepResolution:
     @staticmethod
-    def _logits(cfg, params, x, tensors: bool):
-        if tensors:
-            return [z.data for z in model.msc_forward(T.tensor(x), cfg, {n: T.tensor(v) for n, v in params.items()})[0]]
-        return model._msc(x, cfg, params, T.arrays)[0]
+    def _logits(cfg, params, x):
+        return [z.data for z in model.msc_forward(T.tensor(x), cfg, {n: T.tensor(v) for n, v in params.items()})[0]]
 
     @pytest.mark.parametrize("cfg", [SMALL, model.BackboneConfig(input_size=16, stage_channels=(4, 8, 8)), DESK],
                              ids=["small", "16px", "desk"])
     @pytest.mark.parametrize("batch", [1, 2, 65])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("tensors", [False, True], ids=["arrays", "tensors"])
-    def test_forward_matches_upsample_first(self, monkeypatch, cfg, batch, dtype, tensors):
+    def test_forward_matches_upsample_first(self, monkeypatch, cfg, batch, dtype):
         params = {n: t.data.astype(dtype) for n, t in model.init_params(cfg, seed=batch).items()}
         x = np.random.Generator(np.random.PCG64(batch)).random((batch, 3, cfg.input_size, cfg.input_size)).astype(dtype)
-        got = self._logits(cfg, params, x, tensors)
+        got = self._logits(cfg, params, x)
         monkeypatch.setattr(model, "attention_fuse", attention_fuse_upsample_first)
-        want = self._logits(cfg, params, x, tensors)
+        want = self._logits(cfg, params, x)
         deep = cfg.input_size // np.prod(cfg.stage_strides)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype == dtype

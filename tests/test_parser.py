@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -239,8 +241,8 @@ class TestBuildGridMap:
         msc = model.MSCConfig(mu_g=1.0, mu_m=0.0)
         clf = model.TileClassifier(model.Checkpoint(SMALL, msc, ["a", "b", "c"], [1, 2, 3], params))
         raster = make_scene(n_classes=3, size=48, seed=4)[0]
-        spec = parser.windows_for_classifier(8)
-        grid = parser.build_grid_map(raster, clf, spec, stride=4, scale_weights=parser.default_scale_weights(3))
+        spec, _, weights = parser.resolve_windows(clf, parser.ParseConfig())
+        grid = parser.build_grid_map(raster, clf, spec, stride=4, scale_weights=weights)
 
         # the whole-batch path: every window converted to float64 up front
         cys = parser._cell_centers(48, 4, 2)
@@ -313,7 +315,7 @@ class TestBuildGridMap:
         msc = model.MSCConfig(mu_g=1.0, mu_m=0.0)
         clf = model.TileClassifier(model.Checkpoint(cfg, msc, ["a", "b", "c"], [1, 2, 3], params))
         raster = np.random.Generator(np.random.PCG64(9)).integers(0, 256, size=(96, 112, 3), dtype=np.uint8)
-        args = (raster, clf, parser.windows_for_classifier(32), 16, parser.default_scale_weights(3))
+        args = (raster, clf, *parser.resolve_windows(clf, parser.ParseConfig()))
         want = parser.build_grid_map(*args).cell_probs
         monkeypatch.setattr(parser, "WINDOW_BATCH", window_batch)
         assert parser.build_grid_map(*args).cell_probs.tobytes() == want.tobytes()
@@ -517,11 +519,12 @@ class TestParseImage:
 
 class TestWindowsForClassifier:
     def test_default_pyramid(self):
-        spec = parser.windows_for_classifier(32)
+        spec, stride, weights = parser.resolve_windows(SimpleNamespace(input_size=32), parser.ParseConfig())
         assert spec.sizes == (32, 64, 128)
         assert spec.canonical_input == 32
+        assert stride == 16 and weights == parser.default_scale_weights(3)
 
     def test_explicit_sizes_kept(self):
-        spec = parser.windows_for_classifier(16, sizes=(16, 48))
+        spec, _, _ = parser.resolve_windows(SimpleNamespace(input_size=16), parser.ParseConfig(window_sizes=(16, 48)))
         assert spec.sizes == (16, 48)
         assert spec.canonical_input == 16

@@ -776,6 +776,32 @@ class TestMergeMatchesRescan:
             got = segmentation.merge_regions(img, rm, target)
             assert _same_map(got, _merge_rescan(img, rm, target)), target
 
+    def test_heap_rebuilt_to_one_entry_per_live_pair(self, monkeypatch):
+        # at slack 1 the heap is rebuilt after every merge that leaves a stale
+        # entry, and each rebuild must keep exactly the live adjacent pairs
+        img = make_scene(n_classes=4, size=96, n_points=8, seed=1, noise=20.0)[0]
+        rm = segmentation.graph_segment(img, 100.0, 8)
+        target = rm.region_count // 4
+        want = _merge_rescan(img, rm, target)
+        live_pairs, rebuilds = [], []
+        join, heapify = segmentation._join_neighbors, heapq.heapify
+
+        def spy_join(neighbors, keep, gone):
+            join(neighbors, keep, gone)
+            live_pairs.append(sum(map(len, neighbors)) // 2)
+
+        def spy_heapify(heap):
+            rebuilds.append((len(live_pairs), len(heap)))
+            heapify(heap)
+
+        monkeypatch.setattr(segmentation, "_join_neighbors", spy_join)
+        monkeypatch.setattr(segmentation.heapq, "heapify", spy_heapify)
+        monkeypatch.setattr(segmentation, "HEAP_SLACK", 1)
+        assert _same_map(segmentation.merge_regions(img, rm, target), want)
+        assert len(rebuilds) > 10 and rebuilds[0][0] == 0
+        for merges, entries in rebuilds[1:]:
+            assert entries == live_pairs[merges - 1]
+
 
 class TestBatchedScoring:
     """_region_pairs, _similarities and _histograms against the code they

@@ -60,7 +60,9 @@ def conv2d_einsum(inp, kernel, stride=1, pad=0):
         raise ShapeError(f"pad must be >= 0, got {pad}")
     if kernel.data.ndim != 4:
         raise ShapeError(f"kernel must be 4-D, got {kernel.data.shape}")
-    x, squeeze = T._as_batched(inp.data, "conv2d")
+    x = inp.data
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d expects [N,C,H,W], got {x.shape}")
     n, c, h, w = x.shape
     c_out, c_in, kh, kw = kernel.data.shape
     if c_in != c:
@@ -73,7 +75,7 @@ def conv2d_einsum(inp, kernel, stride=1, pad=0):
     h_out, w_out = out.shape[2], out.shape[3]
 
     def bwd(res):
-        g = res.grad if not squeeze else res.grad[None]
+        g = res.grad
         if kernel.requires_grad:
             T._accum(kernel, np.einsum("nchwij,nohw->ocij", windows, g, optimize=True))
         if inp.requires_grad:
@@ -82,10 +84,9 @@ def conv2d_einsum(inp, kernel, stride=1, pad=0):
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[..., i, j]
-            dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
-            T._accum(inp, dx[0] if squeeze else dx)
+            T._accum(inp, dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp)
 
-    return T._result(out[0] if squeeze else out, (inp, kernel), bwd)
+    return T._result(out, (inp, kernel), bwd)
 
 
 def conv2d_padded(inp, kernel, stride=1, pad=0):
@@ -95,7 +96,7 @@ def conv2d_padded(inp, kernel, stride=1, pad=0):
     its im2col matrix to row-major order: that reshape returned a strided
     view only for degenerate shapes (a 1x1 kernel at stride > 1, or a kernel
     as wide as the padded input), for which BLAS sums in another order."""
-    x, squeeze = T._as_batched(inp.data, "conv2d")
+    x = inp.data
     n, c, h, w = x.shape
     c_out, _, kh, kw = kernel.data.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
@@ -110,8 +111,7 @@ def conv2d_padded(inp, kernel, stride=1, pad=0):
     out = (kmat @ cols).reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
 
     def bwd(res):
-        g = res.grad if not squeeze else res.grad[None]
-        gm = g.transpose(1, 0, 2, 3).reshape(c_out, n * h_out * w_out)
+        gm = res.grad.transpose(1, 0, 2, 3).reshape(c_out, n * h_out * w_out)
         if kernel.requires_grad:
             T._accum(kernel, (gm @ cols.T).reshape(kernel.data.shape))
         if inp.requires_grad:
@@ -120,10 +120,9 @@ def conv2d_padded(inp, kernel, stride=1, pad=0):
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[:, i, j]
-            dx = dxp.transpose(1, 0, 2, 3)[:, :, pad : pad + h, pad : pad + w]
-            T._accum(inp, dx[0] if squeeze else dx)
+            T._accum(inp, dxp.transpose(1, 0, 2, 3)[:, :, pad : pad + h, pad : pad + w])
 
-    return T._result(out[0] if squeeze else out, (inp, kernel), bwd)
+    return T._result(out, (inp, kernel), bwd)
 
 
 def backward_zero_prefill(loss, params=None):
@@ -169,26 +168,26 @@ class TestBranchFreeKernels:
         # a [C,N,H,W] buffer seen as [N,C,H,W], as conv2d lays out its output
         maps = rng.normal(scale=6.0, size=(8, 16, 8, 8)).astype(dtype).transpose(1, 0, 2, 3)
         for x in (flat, maps):
-            for kernel, oracle in ((T.arrays.relu, relu_select), (T.arrays.sigmoid, sigmoid_two_branch)):
-                got, want = kernel(x), oracle(x)
+            for op, oracle in ((T.relu, relu_select), (T.sigmoid, sigmoid_two_branch)):
+                got, want = op(T.tensor(x)).data, oracle(x)
                 assert got.dtype == want.dtype == dtype
                 assert got.strides == want.strides
-                assert got.tobytes() == want.tobytes(), kernel
+                assert got.tobytes() == want.tobytes(), op
 
     def test_nan_stays_nan(self):
         x = np.array([np.nan, -np.nan])
-        assert T.arrays.relu(x).tobytes() == relu_select(x).tobytes()
-        assert np.isnan(T.arrays.sigmoid(x)).all()
+        assert T.relu(T.tensor(x)).data.tobytes() == relu_select(x).tobytes()
+        assert np.isnan(T.sigmoid(T.tensor(x)).data).all()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_image_kernels_keep_dtype(self, rng, dtype):
-        x = rng.random((2, 3, 8, 8)).astype(dtype)
-        k = rng.normal(size=(4, 3, 3, 3)).astype(dtype)
-        b = rng.normal(size=4).astype(dtype)
-        y = T.arrays.bias_add(T.arrays.conv2d(x, k, 2, 1), b)
-        z = T.arrays.global_avg_pool(T.arrays.upsample_nearest(y, 2))
-        out = T.arrays.linear(z, rng.normal(size=(5, 4)).astype(dtype), np.zeros(5, dtype))
-        assert y.dtype == z.dtype == out.dtype == dtype
+        def t(shape, draw=rng.normal):
+            return T.tensor(draw(size=shape).astype(dtype))
+
+        y = T.bias_add(T.conv2d(t((2, 3, 8, 8), rng.random), t((4, 3, 3, 3)), 2, 1), t((4,)))
+        z = T.global_avg_pool(T.upsample_nearest(y, 2))
+        out = T.linear(z, t((5, 4)), T.tensor(np.zeros(5, dtype)))
+        assert y.data.dtype == z.data.dtype == out.data.dtype == dtype
         assert y.shape == (2, 4, 4, 4) and out.shape == (2, 5)
 
 
@@ -220,13 +219,13 @@ class TestElementwise:
             assert got[i] == pytest.approx(1 / (1 + math.exp(-x[i])), abs=1e-15)
 
     def test_softmax_rows_sum_to_one(self, rng):
-        s = T.arrays.softmax(rng.normal(size=(5, 7)) * 30)
+        s = T.softmax(rng.normal(size=(5, 7)) * 30)
         assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-12)
         assert (s >= 0).all()
 
     def test_softmax_shift_invariant(self, rng):
         x = rng.normal(size=(4,))
-        assert np.allclose(T.arrays.softmax(x), T.arrays.softmax(x + 1000.0), atol=1e-12)
+        assert np.allclose(T.softmax(x), T.softmax(x + 1000.0), atol=1e-12)
 
     def test_gradients(self, rng):
         a = T.tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -247,14 +246,6 @@ class TestConv2d:
         w = rng.normal(size=(4, 3, 3, 3))
         got = T.conv2d(T.tensor(x), T.tensor(w), stride=stride, pad=pad).data
         want = conv2d_loops(x, w, stride, pad)
-        assert np.allclose(got, want, atol=1e-12)
-
-    def test_unbatched_input(self, rng):
-        x = rng.normal(size=(3, 6, 6))
-        w = rng.normal(size=(2, 3, 3, 3))
-        got = T.conv2d(T.tensor(x), T.tensor(w), pad=1).data
-        want = conv2d_loops(x[None], w, 1, 1)[0]
-        assert got.shape == (2, 6, 6)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_one_by_one_kernel(self, rng):
@@ -309,16 +300,15 @@ class TestConv2dPaddingFree:
         kw=st.integers(1, 4),
         stride=st.integers(1, 5),
         pad=st.integers(0, 5),
-        unbatched=st.booleans(),
         f32=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    @example(n=2, c=2, c_out=3, h=3, w=4, kh=2, kw=2, stride=1, pad=3, unbatched=False, f32=True, seed=0)  # pad >= k
-    @example(n=2, c=2, c_out=2, h=7, w=7, kh=1, kw=2, stride=4, pad=1, unbatched=False, f32=False, seed=1)  # stride > k
-    @example(n=1, c=1, c_out=1, h=1, w=2, kh=4, kw=3, stride=1, pad=2, unbatched=True, f32=True, seed=2)  # empty taps
-    @example(n=3, c=2, c_out=2, h=3, w=3, kh=3, kw=3, stride=1, pad=0, unbatched=False, f32=False, seed=3)  # 1x1 out
-    @example(n=3, c=2, c_out=2, h=2, w=2, kh=3, kw=3, stride=2, pad=1, unbatched=False, f32=True, seed=4)  # 1x1 out
-    def test_bytes_equal_padded_oracle(self, n, c, c_out, h, w, kh, kw, stride, pad, unbatched, f32, seed):
+    @example(n=2, c=2, c_out=3, h=3, w=4, kh=2, kw=2, stride=1, pad=3, f32=True, seed=0)  # pad >= k
+    @example(n=2, c=2, c_out=2, h=7, w=7, kh=1, kw=2, stride=4, pad=1, f32=False, seed=1)  # stride > k
+    @example(n=1, c=1, c_out=1, h=1, w=2, kh=4, kw=3, stride=1, pad=2, f32=True, seed=2)  # empty taps
+    @example(n=3, c=2, c_out=2, h=3, w=3, kh=3, kw=3, stride=1, pad=0, f32=False, seed=3)  # 1x1 out
+    @example(n=3, c=2, c_out=2, h=2, w=2, kh=3, kw=3, stride=2, pad=1, f32=True, seed=4)  # 1x1 out
+    def test_bytes_equal_padded_oracle(self, n, c, c_out, h, w, kh, kw, stride, pad, f32, seed):
         if kh > h + 2 * pad or kw > w + 2 * pad:
             with pytest.raises(ShapeError):
                 T.conv2d(T.tensor(np.zeros((n, c, h, w))), T.tensor(np.zeros((c_out, c, kh, kw))), stride, pad)
@@ -326,10 +316,9 @@ class TestConv2dPaddingFree:
         rng = np.random.Generator(np.random.PCG64(seed))
         dtype = np.float32 if f32 else np.float64
         x = rng.normal(size=(n, c, h, w)).astype(dtype)
-        x = x[0] if unbatched else x
         kernel = rng.normal(size=(c_out, c, kh, kw)).astype(dtype)
         h_out, w_out = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
-        upstream = rng.normal(size=(c_out, h_out, w_out) if unbatched else (n, c_out, h_out, w_out)).astype(dtype)
+        upstream = rng.normal(size=(n, c_out, h_out, w_out)).astype(dtype)
         want = conv_run(conv2d_padded, T.backward, x, kernel, stride, pad, upstream)
         got = conv_run(T.conv2d, T.backward, x, kernel, stride, pad, upstream)
         for g, e, what in zip(got, want, ("output", "input gradient", "kernel gradient")):
@@ -356,11 +345,11 @@ class TestConv2dPaddingFree:
 
 class TestUpsampleAndPool:
     def test_upsample_index_formula(self, rng):
-        x = rng.normal(size=(2, 3, 4))
+        x = rng.normal(size=(2, 2, 3, 4))
         up = T.upsample_nearest(T.tensor(x), 3).data
         for y in range(9):
             for xx in range(12):
-                assert up[:, y, xx] == pytest.approx(x[:, y // 3, xx // 3])
+                assert up[..., y, xx] == pytest.approx(x[..., y // 3, xx // 3])
 
     def test_upsample_gradient(self, rng):
         x = T.tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
@@ -375,8 +364,6 @@ class TestUpsampleAndPool:
         x = rng.normal(size=(2, 3, 4, 5))
         got = T.global_avg_pool(T.tensor(x)).data
         assert np.allclose(got, x.mean(axis=(2, 3)), atol=1e-12)
-        single = T.global_avg_pool(T.tensor(x[0])).data
-        assert np.allclose(single, x[0].mean(axis=(1, 2)), atol=1e-12)
 
     def test_gap_gradient(self, rng):
         x = T.tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
@@ -410,14 +397,36 @@ class TestBiasConcatLinear:
         assert np.allclose(gx, finite_diff(loss, x), atol=1e-7)
         assert np.allclose(gb, finite_diff(loss, b), atol=1e-7)
 
-    def test_linear_batched_and_single(self, rng):
+    def test_linear_batched(self, rng):
         w = rng.normal(size=(4, 6))
         b = rng.normal(size=(4,))
         xb = rng.normal(size=(3, 6))
         got = T.linear(T.tensor(xb), T.tensor(w), T.tensor(b)).data
         assert np.allclose(got, xb @ w.T + b, atol=1e-13)
-        got1 = T.linear(T.tensor(xb[0]), T.tensor(w), T.tensor(b)).data
-        assert np.allclose(got1, w @ xb[0] + b, atol=1e-13)
+
+
+class TestBatchesOnly:
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x: T.conv2d(x, T.tensor(np.zeros((2, 3, 3, 3))), 1, 1),
+            lambda x: T.bias_add(x, T.tensor(np.zeros(3))),
+            lambda x: T.upsample_nearest(x, 2),
+            T.global_avg_pool,
+        ],
+        ids=["conv2d", "bias_add", "upsample_nearest", "global_avg_pool"],
+    )
+    def test_image_ops_reject_a_single_image(self, op):
+        assert op(T.tensor(np.zeros((1, 3, 4, 4)))).shape[0] == 1
+        with pytest.raises(ShapeError, match=r"\[N,C,H,W\]"):
+            op(T.tensor(np.zeros((3, 4, 4))))
+
+    def test_linear_and_cross_entropy_reject_a_single_vector(self):
+        w, b = T.tensor(np.zeros((2, 4))), T.tensor(np.zeros(2))
+        with pytest.raises(ShapeError, match=r"\[B,4\]"):
+            T.linear(T.tensor(np.zeros(4)), w, b)
+        with pytest.raises(ShapeError, match=r"\[B,N\]"):
+            T.cross_entropy(T.tensor(np.zeros(3)), 0)
 
 
 class TestLosses:
@@ -610,10 +619,18 @@ class TestCheckGradients:
         w = T.tensor(rng.normal(size=(3, 4)), requires_grad=True)
         x = T.tensor(rng.normal(size=(2, 4)))
 
-        def loss():
-            return T.cross_entropy(T.linear(x, w, T.tensor(np.zeros(3))), np.array([0, 2]))
+        def square_half_gradient(a):
+            # the backward hands back x, not d(x^2)/dx = 2x
+            def bwd(out):
+                T._accum(a, out.grad * a.data)
 
-        err = T.check_gradients(loss, [w], grad_perturbation=0.1)
+            return T._result(a.data * a.data, (a,), bwd)
+
+        def loss():
+            z = T.linear(x, square_half_gradient(w), T.tensor(np.zeros(3)))
+            return T.cross_entropy(z, np.array([0, 2]))
+
+        err = T.check_gradients(loss, [w])
         assert err > 1e-4
 
     def test_subsampling_deterministic(self, rng):
@@ -629,7 +646,7 @@ class TestCheckGradients:
 
 # (input shape, kernel shape, stride, pad): the desk classifier's convs
 # (32-px tiles, channels 8/16/32, attention 1x1s) at a small and a training
-# batch, pad 0, unbatched inputs, and the 1x1 output map of an 8-px one
+# batch, pad 0, single-sample batches, and the 1x1 output map of an 8-px one
 ORACLE_CASES = [
     ((2, 3, 32, 32), (8, 3, 3, 3), 1, 1),
     ((32, 3, 32, 32), (8, 3, 3, 3), 1, 1),
@@ -641,8 +658,8 @@ ORACLE_CASES = [
     ((32, 32, 8, 8), (16, 32, 1, 1), 1, 0),
     ((2, 16, 16, 16), (8, 16, 1, 1), 1, 0),
     ((4, 8, 16, 16), (8, 8, 3, 3), 2, 0),
-    ((3, 7, 8), (4, 3, 3, 3), 3, 0),
-    ((8, 16, 16), (16, 8, 3, 3), 1, 1),
+    ((1, 3, 7, 8), (4, 3, 3, 3), 3, 0),
+    ((1, 8, 16, 16), (16, 8, 3, 3), 1, 1),
     ((1, 8, 16, 16), (16, 8, 3, 3), 2, 1),
     ((8, 4, 2, 2), (4, 4, 3, 3), 2, 1),
     ((64, 4, 2, 2), (4, 4, 3, 3), 2, 1),
