@@ -587,6 +587,25 @@ class TestTileClassifier:
             assert z.data.dtype == np.float32
             assert not z.requires_grad and z._backward is None and z._parents == ()
 
+    @pytest.mark.parametrize("cfg", [SMALL, DESK], ids=["small", "desk"])
+    @pytest.mark.parametrize("batch", [1, 64, 65])
+    def test_forward_bytes_equal_training_forward(self, cfg, batch):
+        # the classifier's graph-free forward and training's graph-recording
+        # forward are one code path; SMALL's last stage is 1x1, which takes
+        # conv2d's sample-major branch
+        params = {name: t.data.astype(np.float32) for name, t in model.init_params(cfg, seed=batch).items()}
+        x = np.random.Generator(np.random.PCG64(batch)).random((batch, 3, cfg.input_size, cfg.input_size))
+        x = x.astype(np.float32)
+        traced = {name: T.tensor(v, requires_grad=True) for name, v in params.items()}
+        want = model.msc_forward(T.tensor(x), cfg, traced)[0]
+        bare = {name: T.tensor(v) for name, v in params.items()}
+        got = model.msc_forward(T.tensor(x), cfg, bare)[0]
+        for z_got, z_want in zip(got, want):
+            assert z_want.requires_grad and z_want._backward is not None
+            assert not z_got.requires_grad and z_got._backward is None
+            assert z_got.data.dtype == z_want.data.dtype == np.float32
+            assert z_got.data.tobytes() == z_want.data.tobytes()
+
     def _check_float32(self, ckpt, x):
         got, want = model.TileClassifier(ckpt).probs_batch(x), probs_float64(ckpt, x)
         assert got.dtype == np.float64
@@ -645,19 +664,21 @@ ATTN_ORDER_1X1_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
 
 class TestAttentionAtDeepResolution:
     @staticmethod
-    def _logits(cfg, params, x):
-        return [z.data for z in model.msc_forward(T.tensor(x), cfg, {n: T.tensor(v) for n, v in params.items()})[0]]
+    def _logits(cfg, params, x, graph):
+        traced = {n: T.tensor(v, requires_grad=graph) for n, v in params.items()}
+        return [z.data for z in model.msc_forward(T.tensor(x), cfg, traced)[0]]
 
     @pytest.mark.parametrize("cfg", [SMALL, model.BackboneConfig(input_size=16, stage_channels=(4, 8, 8)), DESK],
                              ids=["small", "16px", "desk"])
     @pytest.mark.parametrize("batch", [1, 2, 65])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_forward_matches_upsample_first(self, monkeypatch, cfg, batch, dtype):
+    @pytest.mark.parametrize("graph", [False, True], ids=["no_graph", "graph"])
+    def test_forward_matches_upsample_first(self, monkeypatch, cfg, batch, dtype, graph):
         params = {n: t.data.astype(dtype) for n, t in model.init_params(cfg, seed=batch).items()}
         x = np.random.Generator(np.random.PCG64(batch)).random((batch, 3, cfg.input_size, cfg.input_size)).astype(dtype)
-        got = self._logits(cfg, params, x)
+        got = self._logits(cfg, params, x, graph)
         monkeypatch.setattr(model, "attention_fuse", attention_fuse_upsample_first)
-        want = self._logits(cfg, params, x)
+        want = self._logits(cfg, params, x, graph)
         deep = cfg.input_size // np.prod(cfg.stage_strides)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype == dtype
