@@ -20,7 +20,7 @@ def check_weights(weights, count: int, what: str) -> np.ndarray:
     finite and positive, with a finite sum; ConfigError otherwise."""
     try:
         w = np.asarray(weights, dtype=np.float64)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{what} must be numbers, got {weights}") from e
     with np.errstate(over="ignore"):
         total = w.sum()

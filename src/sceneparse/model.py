@@ -196,8 +196,8 @@ def init_params(cfg: BackboneConfig, seed: int) -> dict[str, T.Tensor]:
 
 
 def _stage(x: T.Tensor, params: dict[str, T.Tensor], i: int, stride: int) -> T.Tensor:
-    x = T.relu(T.bias_add(T.conv2d(x, params[f"stage{i}.conv1.w"], 1, 1), params[f"stage{i}.conv1.b"]))
-    return T.relu(T.bias_add(T.conv2d(x, params[f"stage{i}.conv2.w"], stride, 1), params[f"stage{i}.conv2.b"]))
+    x = T.relu(T.bias_add(T.conv2d(x, params[f"stage{i}.conv1.w"]), params[f"stage{i}.conv1.b"]))
+    return T.relu(T.bias_add(T.conv2d(x, params[f"stage{i}.conv2.w"], stride), params[f"stage{i}.conv2.b"]))
 
 
 def backbone_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor]) -> FeaturePyramid:
@@ -220,7 +220,7 @@ def attention_fuse(sf: T.Tensor, df: T.Tensor, aw: AttentionWeights) -> T.Tensor
     dh, dw = df.shape[-2:]
     if dh < 1 or sh % dh != 0 or sw % dw != 0 or sh // dh != sw // dw:
         raise ShapeError(f"deep {dh}x{dw} does not divide shallow {sh}x{sw}")
-    gate = T.sigmoid(T.bias_add(T.conv2d(df, aw.reduce_conv, 1, 0), aw.bias))
+    gate = T.sigmoid(T.bias_add(T.conv2d(df, aw.reduce_conv), aw.bias))
     sam = T.upsample_nearest(gate, sh // dh)
     if sam.shape != sf.shape:
         raise ShapeError(f"attention map {sam.shape} does not match shallow {sf.shape}")
@@ -545,6 +545,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         header = json.loads(buf[pos : pos + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatVersionError(f"unreadable header: {e}") from e
+    if not isinstance(header, dict):
+        raise FormatVersionError("header is not a JSON object")
     pos += header_len + 1
     if header.get("format_version") != FORMAT_VERSION:
         raise FormatVersionError(f"header declares version {header.get('format_version')}")
@@ -567,8 +569,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         manifest = [(name, tuple(shape)) for name, shape in header["params"]]
         labels = list(header["labels"])
         label_ids = [int(i) for i in header["label_ids"]]
-    except (KeyError, TypeError, ValueError, ConfigError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as e:
         raise FormatVersionError(f"malformed header: {e}") from e
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise FormatVersionError(f"malformed header: meta is {type(meta).__name__}, not an object")
 
     if manifest != list(param_shapes(cfg).items()):
         raise FormatVersionError("parameter manifest does not match the declared config")
@@ -584,7 +589,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         offset += n
     if offset != n_floats:
         raise ChecksumError(f"manifest covers {offset} floats, payload has {n_floats}")
-    return Checkpoint(cfg, msc, labels, label_ids, params, dict(header.get("meta", {})))
+    return Checkpoint(cfg, msc, labels, label_ids, params, dict(meta))
 
 
 class TileClassifier:

@@ -47,16 +47,30 @@ def _parse_header(buf: bytes, magic: bytes) -> tuple[int, int, int, int]:
     w_tok, pos = _read_header_token(buf, pos)
     h_tok, pos = _read_header_token(buf, pos)
     m_tok, pos = _read_header_token(buf, pos)
+    for tok in (w_tok, h_tok, m_tok):
+        # int() would also read signs, underscores and surrounding whitespace
+        if not tok.isdigit():
+            raise ParseError(f"malformed netpbm header field {tok!r}")
     try:
         width, height, maxval = int(w_tok), int(h_tok), int(m_tok)
-    except ValueError as exc:
+    except ValueError as exc:  # more digits than int() converts
         raise ParseError(f"malformed netpbm header field: {exc}") from exc
     if width < 1 or height < 1:
         raise ParseError(f"bad raster dimensions {width}x{height}")
     if not 0 < maxval < 65536:
         raise ParseError(f"maxval {maxval} out of range")
     # exactly one whitespace byte separates header and payload
+    if pos >= len(buf):
+        raise ParseError("netpbm header ends without the byte before the payload")
     return width, height, maxval, pos + 1
+
+
+def _payload(buf: bytes, pos: int, dtype: str, count: int, what: str) -> np.ndarray:
+    """The first ``count`` samples after the header; trailing bytes are ignored."""
+    size = np.dtype(dtype).itemsize
+    if len(buf) - pos < count * size:
+        raise ParseError(f"{what} payload too short: {len(buf) - pos} bytes < {count * size}")
+    return np.frombuffer(buf, dtype=dtype, count=count, offset=pos)
 
 
 def read_ppm(path) -> np.ndarray:
@@ -68,11 +82,7 @@ def read_ppm(path) -> np.ndarray:
     width, height, maxval, pos = _parse_header(buf, b"P6")
     if maxval > 255:
         raise ParseError("16-bit P6 not supported")
-    need = width * height * 3
-    data = np.frombuffer(buf, dtype=np.uint8, offset=pos)
-    if data.size < need:
-        raise ParseError(f"P6 payload too short: {data.size} < {need}")
-    return data[:need].reshape(height, width, 3).copy()
+    return _payload(buf, pos, "u1", width * height * 3, "P6").reshape(height, width, 3).copy()
 
 
 def write_ppm(path, image: np.ndarray) -> None:
@@ -100,16 +110,8 @@ def read_pgm(path) -> np.ndarray:
         raise IoError(str(exc)) from exc
     width, height, maxval, pos = _parse_header(buf, b"P5")
     if maxval <= 255:
-        data = np.frombuffer(buf, dtype=np.uint8, offset=pos)
-        need = width * height
-        if data.size < need:
-            raise ParseError(f"P5 payload too short: {data.size} < {need}")
-        return data[:need].reshape(height, width).copy()
-    data = np.frombuffer(buf, dtype=">u2", offset=pos)
-    need = width * height
-    if data.size < need:
-        raise ParseError(f"P5 payload too short: {data.size} < {need}")
-    return data[:need].reshape(height, width).astype(np.uint16)
+        return _payload(buf, pos, "u1", width * height, "P5").reshape(height, width).copy()
+    return _payload(buf, pos, ">u2", width * height, "P5").reshape(height, width).astype(np.uint16)
 
 
 def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:

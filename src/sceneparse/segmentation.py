@@ -484,6 +484,8 @@ def read_region_map(path) -> RegionMap:
             line = f.readline().strip()
     except OSError as e:
         raise IoError(f"cannot read {meta}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"sidecar {meta} is not UTF-8: {e}") from e
     fields = line.split("\t")
     if len(fields) != 2 or fields[0] != "region_count":
         raise ParseError(f"bad sidecar record: {line!r}")

@@ -13,7 +13,12 @@ not checked op-by-op for speed, callers guard loss values.
 The image ops (:func:`conv2d`, :func:`bias_add`, :func:`upsample_nearest`,
 :func:`global_avg_pool`) take ``[N, C, H, W]`` batches only; :func:`linear`
 and :func:`cross_entropy` take ``[B, ·]`` batches only, and the loss is the
-batch mean.  Any other rank is a :class:`ShapeError`.
+batch mean.  Any other rank is a :class:`ShapeError`.  :func:`conv2d` runs
+same convolutions only: an odd square kernel, zero padding of its
+half-width, and a stride that divides H and W.  It moves its data in long
+contiguous runs: the input is split once into stride x stride phase planes,
+and each kernel tap is one flat shifted copy (im2col) or add (col2im) on a
+plane.
 """
 
 from __future__ import annotations
@@ -164,26 +169,46 @@ def _check_nchw(x: np.ndarray, what: str) -> None:
         raise ShapeError(f"{what} expects [N,C,H,W], got {x.shape}")
 
 
-def _taps(k: int, n_in: int, n_out: int, stride: int, pad: int):
-    """For each offset t of a k-wide kernel along one axis whose window reads
-    real input, not padding, at some output: (t, the slice of those outputs,
-    the slice of the input rows they read at t)."""
+def _shifts(k: int, stride: int, w_out: int, size: int):
+    """For each tap (i, j) of a same conv's k x k kernel, in order: the phase
+    plane (ry, rx) it reads and the slices ``out`` and ``src`` of a flat run
+    of ``size`` outputs (N*H'*W') that pair output q with plane position
+    q + dy*W' + dx, where divmod(t - k // 2, stride) is the tap's (shift,
+    phase) along each axis.  Pairs whose shifted row or column leaves the
+    map are :func:`_zero_edges`'s."""
+    for i in range(k):
+        dy, ry = divmod(i - k // 2, stride)
+        for j in range(k):
+            dx, rx = divmod(j - k // 2, stride)
+            off = dy * w_out + dx
+            m = min(abs(off), size)
+            if off >= 0:
+                yield i, j, ry, rx, slice(0, size - m), slice(m, size)
+            else:
+                yield i, j, ry, rx, slice(m, size), slice(0, size - m)
+
+
+def _zero_edges(grid: np.ndarray, stride: int) -> None:
+    """Zero the entries of a [C, k, k, N, H', W'] im2col grid whose tap reads
+    the padding: the rows and columns that the tap's shift d moves outside
+    the map.  Across a flat run those read the next or the previous row or
+    sample instead."""
+    _, k, _, _, h_out, w_out = grid.shape
     for t in range(k):
-        lo = max(0, -((t - pad) // stride))  # first output whose row t - pad + stride * o is >= 0
-        hi = min(n_out, (n_in - 1 + pad - t) // stride + 1)  # past the last one whose row is < n_in
-        if hi > lo:
-            start = t - pad + stride * lo
-            yield t, slice(lo, hi), slice(start, start + stride * (hi - lo - 1) + 1, stride)
+        d = (t - k // 2) // stride
+        if d:
+            rows = slice(max(h_out - d, 0), None) if d > 0 else slice(0, -d)
+            cols = slice(max(w_out - d, 0), None) if d > 0 else slice(0, -d)
+            grid[:, t, :, :, rows] = 0
+            grid[:, :, t, :, :, cols] = 0
 
 
-def _conv2d_cols(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """[N,C,H,W] input and [C_out,C,kH,kW] kernel -> the output and the
-    [C*kH*kW, N*H'*W'] im2col matrix it was made of, whose entries for
+def _conv2d_cols(x: np.ndarray, kernel: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """[N,C,H,W] input and [C_out,C,k,k] kernel -> the same conv's output and
+    the [C*k*k, N*H'*W'] im2col matrix it was made of, whose entries for
     windows over the padding are zero."""
     if stride < 1:
         raise ShapeError(f"stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ShapeError(f"pad must be >= 0, got {pad}")
     if kernel.ndim != 4:
         raise ShapeError(f"kernel must be 4-D, got {kernel.shape}")
     _check_nchw(x, "conv2d")
@@ -191,56 +216,86 @@ def _conv2d_cols(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> tu
     c_out, c_in, kh, kw = kernel.shape
     if c_in != c:
         raise ShapeError(f"kernel expects {c_in} input channels, input has {c}")
-    if kh > h + 2 * pad or kw > w + 2 * pad:
-        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
-    h_out = (h + 2 * pad - kh) // stride + 1
-    w_out = (w + 2 * pad - kw) // stride + 1
-    # im2col + GEMM: one slice write per tap (i, j) from the unpadded input
-    # into a zeroed buffer, whose zeros stand in for the padding.  The output
-    # is laid out [C_out, N, H', W'] and returned as an [N, C_out, H', W'] view
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"conv2d takes an odd square kernel, got {kh}x{kw}")
+    if h < 1 or w < 1 or h % stride or w % stride:
+        raise ShapeError(f"stride {stride} does not divide the {h}x{w} input")
+    h_out, w_out = h // stride, w // stride
+    size = n * h_out * w_out
     k = c * kh * kw
+    # im2col + GEMM.  The output is laid out [C_out, N, H', W'] and returned
+    # as an [N, C_out, H', W'] view
     if h_out == w_out == 1:
-        # sample-major, as einsum laid out this case: for small products BLAS
-        # sums in an order that depends on the operands' layout
-        buf = np.zeros((n, c, kh, kw), dtype=x.dtype)
+        # a 1x1 output is laid out sample-major, as einsum laid it out: for
+        # small products BLAS sums in an order that depends on the operands'
+        # layout
+        buf = np.empty((n, c, kh, kw), dtype=x.dtype)
         cols = buf.reshape(n, k).T
-        windows = buf.transpose(1, 2, 3, 0)[..., None, None]
+        windows = buf.transpose(1, 2, 3, 0)
+        grid = windows[..., None, None]
     else:
-        windows = np.zeros((c, kh, kw, n, h_out, w_out), dtype=x.dtype)
-        cols = windows.reshape(k, n * h_out * w_out)
-    # windows is the [C, kH, kW, N, H', W'] view of cols
-    xc = x.transpose(1, 0, 2, 3)
-    for i, oy, iy in _taps(kh, h, h_out, stride, pad):
-        for j, ox, ix in _taps(kw, w, w_out, stride, pad):
-            windows[:, i, j, :, oy, ox] = xc[:, :, iy, ix]
+        cols = np.empty((k, size), dtype=x.dtype)
+        windows = cols.reshape(c, kh, kw, size)
+        grid = cols.reshape(c, kh, kw, n, h_out, w_out)
+    # windows and grid are the [C, k, k, N*H'*W'] and [C, k, k, N, H', W']
+    # views of cols.  Phase plane (ry, rx) is x[:, :, ry::s, rx::s] as
+    # [C, N*H'*W'], a view of a channel-major x at stride 1, so a 1x1 kernel
+    # there costs one copy
+    planes = x.reshape(n, c, h_out, stride, w_out, stride).transpose(3, 5, 1, 0, 2, 4)
+    planes = planes.reshape(stride, stride, c, size)
+    for i, j, ry, rx, out, src in _shifts(kh, stride, w_out, size):
+        windows[:, i, j, out] = planes[ry, rx, :, src]
+    _zero_edges(grid, stride)
     out = (kernel.reshape(c_out, k) @ cols).reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
     return out, cols
 
 
-def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation over an input zero-padded by ``pad`` on each side.
+def _col2im(dcols: np.ndarray, stride: int) -> np.ndarray:
+    """[C, k, k, N, H', W'] column gradients -> the [C, N, H, W] input
+    gradient, summed over the taps in (i, j) order, each sum starting at
+    +0.0.  Zeroes ``dcols``'s entries over the padding in place: adding +0.0
+    never changes such a sum, so each tap then adds one flat shifted run."""
+    c, kh, kw, n, h_out, w_out = dcols.shape
+    size = n * h_out * w_out
+    _zero_edges(dcols, stride)
+    flat = dcols.reshape(c, kh, kw, size)
+    planes = np.zeros((stride, stride, c, size), dtype=dcols.dtype)
+    for i, j, ry, rx, out, src in _shifts(kh, stride, w_out, size):
+        planes[ry, rx, :, src] += flat[:, i, j, out]
+    if stride == 1:
+        return planes.reshape(c, n, h_out, w_out)
+    dx = np.empty((c, n, h_out * stride, w_out * stride), dtype=dcols.dtype)
+    for ry in range(stride):
+        for rx in range(stride):
+            dx[:, :, ry::stride, rx::stride] = planes[ry, rx].reshape(c, n, h_out, w_out)
+    return dx
 
-    ``inp`` is [N,C,H,W]; ``kernel`` is [C_out,C_in,kH,kW].
-    Output spatial size is floor((H + 2*pad - kH)/stride) + 1.
+
+def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
+    """Same 2-D cross-correlation: an odd k x k kernel over the input
+    zero-padded by (k - 1) / 2 on each side, at a stride that divides H and
+    W, so the output is [N, C_out, H / stride, W / stride].
+
+    ``inp`` is [N,C,H,W]; ``kernel`` is [C_out,C,k,k].  Any other kernel or
+    stride is a :class:`ShapeError`.
     """
-    out, cols = _conv2d_cols(inp.data, kernel.data, stride, pad)
+    out, cols = _conv2d_cols(inp.data, kernel.data, stride)
 
     def bwd(res):
-        n, c, h, w = inp.data.shape
-        c_out, _, kh, kw = kernel.data.shape
-        h_out, w_out = out.shape[2:]
+        c_out, c, kh, kw = kernel.data.shape
+        n, _, h_out, w_out = out.shape
         gm = res.grad.transpose(1, 0, 2, 3).reshape(c_out, n * h_out * w_out)
         if kernel.requires_grad:
             _accum(kernel, (gm @ cols.T).reshape(kernel.data.shape))  # the forward's im2col matrix
         if inp.requires_grad:
             dcols = (kernel.data.reshape(c_out, -1).T.copy() @ gm).reshape(c, kh, kw, n, h_out, w_out)
-            # col2im over the taps that read real input, in (i, j) order;
-            # channel-major, so each tap adds in place, in the gradient's dtype
-            dx = np.zeros((c, n, h, w), dtype=dcols.dtype)
-            for i, oy, iy in _taps(kh, h, h_out, stride, pad):
-                for j, ox, ix in _taps(kw, w, w_out, stride, pad):
-                    dx[:, :, iy, ix] += dcols[:, i, j, :, oy, ox]
-            _accum(inp, dx.transpose(1, 0, 2, 3))
+            g = _col2im(dcols, stride).transpose(1, 0, 2, 3)
+            if inp.grad is None and g.dtype == inp.data.dtype and g.strides == inp.data.strides:
+                # a fresh buffer of sums that start at +0.0 holds no -0.0, so
+                # _accum's copy would give the same bytes in the same layout
+                inp.grad = g
+            else:
+                _accum(inp, g)
 
     return _result(out, (inp, kernel), bwd)
 

@@ -707,6 +707,46 @@ class TestMalformedInputs:
     """Bad text inputs exit with their error's code and name the file and line."""
 
     @pytest.mark.parametrize(
+        "raw,message",
+        [
+            (b"P6\n1 1\n255", "header ends without the byte before the payload"),
+            (b"P6\n1_0 1\n255\n" + bytes(30), "malformed netpbm header field b'1_0'"),  # int() reads 10
+            (b"P6\n+1 1\n255\n" + bytes(3), "malformed netpbm header field b'+1'"),
+            (b"P6\n2 2\n255\n" + bytes(11), "P6 payload too short"),
+        ],
+        ids=["no-separator", "underscore", "sign", "short"],
+    )
+    @pytest.mark.parametrize("command", ["segment", "parse"])
+    def test_malformed_raster_exit_3(self, tmp_path, capsys, command, raw, message):
+        (tmp_path / "in.ppm").write_bytes(raw)
+        argv = [command, "--input", str(tmp_path / "in.ppm"), "--output", str(tmp_path / "out.pgm")]
+        if command == "parse":
+            write_pgm(tmp_path / "truth.pgm", np.ones((1, 1), dtype=np.uint8))
+            argv += ["--oracle-truth", str(tmp_path / "truth.pgm")]
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out.pgm").exists()
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            (b"P5\n2 1\n65535\n\x00\x01\x00", "P5 payload too short"),
+            (b"P5\n2 1\n65535", "header ends without the byte before the payload"),
+            (b"P5\n2 1\n6_5535\n" + bytes(4), "malformed netpbm header field b'6_5535'"),
+        ],
+        ids=["16-bit-odd", "no-separator", "underscore"],
+    )
+    @pytest.mark.parametrize("bad", ["pred", "truth"])
+    def test_malformed_label_raster_exit_3(self, tmp_path, capsys, raw, message, bad):
+        write_pgm(tmp_path / "good.pgm", np.zeros((1, 2), dtype=np.uint16), maxval=65535)
+        (tmp_path / "bad.pgm").write_bytes(raw)
+        files = {"pred": tmp_path / "good.pgm", "truth": tmp_path / "good.pgm", bad: tmp_path / "bad.pgm"}
+        assert run("eval", "--mode", "pixel", "--pred", str(files["pred"]), "--truth", str(files["truth"])) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
         "mode,name,text",
         [
             ("tile", "pred", b"a\t0\nb\tx\n"),

@@ -34,7 +34,7 @@ def attention_fuse_upsample_first(sf, df, aw):
     """attention_fuse as it ran before its gate moved to the deep map's
     resolution: upsample DF, then the 1x1 conv, bias and sigmoid."""
     up = T.upsample_nearest(df, sf.shape[-1] // df.shape[-1])
-    return sf + sf * T.sigmoid(T.bias_add(T.conv2d(up, aw.reduce_conv, 1, 0), aw.bias))
+    return sf + sf * T.sigmoid(T.bias_add(T.conv2d(up, aw.reduce_conv), aw.bias))
 
 
 def tile_dataset(tmp_path, n_classes=3, per_class=6, size=8, seed=0, sub="d"):

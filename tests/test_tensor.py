@@ -125,6 +125,12 @@ def conv2d_padded(inp, kernel, stride=1, pad=0):
     return T._result(out, (inp, kernel), bwd)
 
 
+def same(oracle):
+    """An oracle conv called as ``T.conv2d`` is, padded by the kernel's
+    half-width (k - 1) / 2."""
+    return lambda inp, kernel, stride=1: oracle(inp, kernel, stride, kernel.data.shape[2] // 2)
+
+
 def backward_zero_prefill(loss, params=None):
     """The reverse sweep that zero-filled every reached node's gradient
     before it ran, kept as a bit-exact oracle for backward."""
@@ -184,7 +190,7 @@ class TestBranchFreeKernels:
         def t(shape, draw=rng.normal):
             return T.tensor(draw(size=shape).astype(dtype))
 
-        y = T.bias_add(T.conv2d(t((2, 3, 8, 8), rng.random), t((4, 3, 3, 3)), 2, 1), t((4,)))
+        y = T.bias_add(T.conv2d(t((2, 3, 8, 8), rng.random), t((4, 3, 3, 3)), 2), t((4,)))
         z = T.global_avg_pool(T.upsample_nearest(y, 2))
         out = T.linear(z, t((5, 4)), T.tensor(np.zeros(5, dtype)))
         assert y.data.dtype == z.data.dtype == out.data.dtype == dtype
@@ -240,12 +246,13 @@ class TestElementwise:
 
 
 class TestConv2d:
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (3, 0)])
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (3, 1)])
     def test_forward_matches_loop_oracle(self, rng, stride, pad):
-        x = rng.normal(size=(2, 3, 7, 8))
+        x = rng.normal(size=(2, 3, 6, 12))
         w = rng.normal(size=(4, 3, 3, 3))
-        got = T.conv2d(T.tensor(x), T.tensor(w), stride=stride, pad=pad).data
+        got = T.conv2d(T.tensor(x), T.tensor(w), stride=stride).data
         want = conv2d_loops(x, w, stride, pad)
+        assert got.shape == (2, 4, 6 // stride, 12 // stride)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_one_by_one_kernel(self, rng):
@@ -255,13 +262,13 @@ class TestConv2d:
         want = np.einsum("nchw,oc->nohw", x, w[:, :, 0, 0])
         assert np.allclose(got, want, atol=1e-12)
 
-    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1)])
-    def test_gradients(self, rng, stride, pad):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_gradients(self, rng, stride):
         x = T.tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
         w = T.tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
 
         def loss():
-            return T.tsum(T.conv2d(x, w, stride=stride, pad=pad))
+            return T.tsum(T.conv2d(x, w, stride=stride))
 
         gx, gw = analytic_grad(loss, [x, w])
         assert np.allclose(gx, finite_diff(loss, x), atol=1e-7)
@@ -273,73 +280,113 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             T.conv2d(x, w)
 
+    @pytest.mark.parametrize(
+        "x_shape,w_shape,stride",
+        [
+            ((1, 2, 6, 6), (3, 2, 2, 2), 1),
+            ((1, 2, 8, 8), (3, 2, 4, 4), 2),
+            ((1, 2, 6, 6), (3, 2, 3, 1), 1),
+            ((1, 2, 6, 6), (3, 2, 1, 3), 1),
+            ((1, 2, 7, 8), (3, 2, 3, 3), 2),
+            ((1, 2, 8, 7), (3, 2, 3, 3), 2),
+            ((1, 2, 6, 6), (3, 2, 3, 3), 4),
+            ((1, 2, 6, 6), (3, 2, 3, 3), 0),
+            ((1, 2, 0, 0), (3, 2, 3, 3), 1),
+        ],
+        ids=["even", "even-stride", "tall", "wide", "h-undivided", "w-undivided", "stride-big", "stride-0", "empty"],
+    )
+    def test_only_same_convs(self, x_shape, w_shape, stride):
+        # an odd square kernel padded by its half-width, at a stride that
+        # divides the input; nothing else is a same conv
+        with pytest.raises(ShapeError):
+            T.conv2d(T.tensor(np.zeros(x_shape)), T.tensor(np.zeros(w_shape)), stride)
 
-def conv_run(conv, sweep, x, w, stride, pad, upstream):
+    def test_padding_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            T.conv2d(T.tensor(np.zeros((1, 2, 6, 6))), T.tensor(np.zeros((3, 2, 3, 3))), 1, 0)
+
+
+def conv_run(conv, sweep, x, w, stride, upstream):
     """Output, input gradient and kernel gradient of one conv under a loss
     that weighs its output by ``upstream``."""
     xt = T.tensor(x.copy(), requires_grad=True)
     wt = T.tensor(w.copy(), requires_grad=True)
-    out = conv(xt, wt, stride, pad)
+    out = conv(xt, wt, stride)
     sweep(T.tsum(T.mul(out, T.tensor(upstream))), [xt, wt])
     return out.data, xt.grad, wt.grad
 
 
 class TestConv2dPaddingFree:
-    """conv2d fills its im2col matrix and sums its input gradient over each
-    tap's valid output range, with no padded copy; bytes and memory layout
-    must equal the padded oracle's."""
+    """conv2d fills its im2col matrix by one flat shifted copy per tap from
+    the input's phase planes, and sums its input gradient by one flat
+    shifted add per tap, with no padded copy; bytes and memory layout must
+    equal the padded oracle's."""
 
     @settings(max_examples=150)
     @given(
         n=st.integers(1, 3),
         c=st.integers(1, 3),
         c_out=st.integers(1, 3),
-        h=st.integers(1, 7),
-        w=st.integers(1, 7),
-        kh=st.integers(1, 4),
-        kw=st.integers(1, 4),
-        stride=st.integers(1, 5),
-        pad=st.integers(0, 5),
+        h_out=st.integers(1, 4),
+        w_out=st.integers(1, 4),
+        k=st.sampled_from([1, 3, 5]),
+        stride=st.integers(1, 3),
         f32=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    @example(n=2, c=2, c_out=3, h=3, w=4, kh=2, kw=2, stride=1, pad=3, f32=True, seed=0)  # pad >= k
-    @example(n=2, c=2, c_out=2, h=7, w=7, kh=1, kw=2, stride=4, pad=1, f32=False, seed=1)  # stride > k
-    @example(n=1, c=1, c_out=1, h=1, w=2, kh=4, kw=3, stride=1, pad=2, f32=True, seed=2)  # empty taps
-    @example(n=3, c=2, c_out=2, h=3, w=3, kh=3, kw=3, stride=1, pad=0, f32=False, seed=3)  # 1x1 out
-    @example(n=3, c=2, c_out=2, h=2, w=2, kh=3, kw=3, stride=2, pad=1, f32=True, seed=4)  # 1x1 out
-    def test_bytes_equal_padded_oracle(self, n, c, c_out, h, w, kh, kw, stride, pad, f32, seed):
-        if kh > h + 2 * pad or kw > w + 2 * pad:
-            with pytest.raises(ShapeError):
-                T.conv2d(T.tensor(np.zeros((n, c, h, w))), T.tensor(np.zeros((c_out, c, kh, kw))), stride, pad)
-            return
+    # 1- and 2-px maps, where a tap's flat shift |dy*W' + dx| reaches H'*W'
+    @example(n=2, c=2, c_out=3, h_out=1, w_out=1, k=5, stride=1, f32=True, seed=0)
+    @example(n=2, c=2, c_out=2, h_out=1, w_out=2, k=5, stride=1, f32=False, seed=1)
+    @example(n=1, c=1, c_out=2, h_out=2, w_out=1, k=3, stride=1, f32=True, seed=2)
+    # 1x1 outputs, which take the sample-major im2col buffer
+    @example(n=3, c=2, c_out=2, h_out=1, w_out=1, k=3, stride=1, f32=False, seed=3)
+    @example(n=3, c=2, c_out=2, h_out=1, w_out=1, k=3, stride=2, f32=True, seed=4)
+    def test_bytes_equal_padded_oracle(self, n, c, c_out, h_out, w_out, k, stride, f32, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
         dtype = np.float32 if f32 else np.float64
-        x = rng.normal(size=(n, c, h, w)).astype(dtype)
-        kernel = rng.normal(size=(c_out, c, kh, kw)).astype(dtype)
-        h_out, w_out = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+        x = rng.normal(size=(n, c, stride * h_out, stride * w_out)).astype(dtype)
+        kernel = rng.normal(size=(c_out, c, k, k)).astype(dtype)
         upstream = rng.normal(size=(n, c_out, h_out, w_out)).astype(dtype)
-        want = conv_run(conv2d_padded, T.backward, x, kernel, stride, pad, upstream)
-        got = conv_run(T.conv2d, T.backward, x, kernel, stride, pad, upstream)
+        want = conv_run(same(conv2d_padded), T.backward, x, kernel, stride, upstream)
+        got = conv_run(T.conv2d, T.backward, x, kernel, stride, upstream)
         for g, e, what in zip(got, want, ("output", "input gradient", "kernel gradient")):
             assert g.dtype == e.dtype == dtype, what
             assert g.strides == e.strides, what
             assert g.tobytes() == e.tobytes(), what
 
-    @pytest.mark.parametrize("n_in,k,stride,pad", [(5, 3, 1, 1), (7, 3, 3, 1), (1, 4, 1, 2), (2, 1, 4, 3), (6, 2, 5, 0)])
-    def test_tap_ranges_read_only_real_input(self, n_in, k, stride, pad):
-        # every (tap, output) pair whose padded row lands inside the input is
-        # listed once, with the input row it reads
-        n_out = (n_in + 2 * pad - k) // stride + 1
+    @pytest.mark.parametrize(
+        "h_out,w_out,k,stride", [(5, 4, 3, 1), (3, 2, 3, 3), (1, 2, 5, 1), (2, 1, 5, 2), (2, 3, 1, 4), (1, 1, 5, 1)]
+    )
+    def test_tap_ranges_read_only_real_input(self, h_out, w_out, k, stride):
+        # every (tap, output) pair whose padded pixel lands inside the input
+        # is paired once, with the phase-plane position it reads: the flat
+        # shifts over two samples, minus the entries zeroed at the edges
+        n, pad = 2, k // 2
+        size = n * h_out * w_out
+        h, w = stride * h_out, stride * w_out
+
+        def flat(s, a, b):  # position (a, b) of sample s in a flat run of H' x W' maps
+            return (s * h_out + a) * w_out + b
+
         want = {
-            (t, o, t + stride * o - pad)
-            for t in range(k)
-            for o in range(n_out)
-            if 0 <= t + stride * o - pad < n_in
+            (i, j, flat(s, oy, ox), (y % stride, x % stride), flat(s, y // stride, x // stride))
+            for i in range(k)
+            for j in range(k)
+            for s in range(n)
+            for oy in range(h_out)
+            for ox in range(w_out)
+            if 0 <= (y := stride * oy + i - pad) < h and 0 <= (x := stride * ox + j - pad) < w
         }
+        live = np.ones((1, k, k, n, h_out, w_out))
+        T._zero_edges(live, stride)
+        live = live.reshape(k, k, size)
         got = set()
-        for t, outs, ins in T._taps(k, n_in, n_out, stride, pad):
-            got |= {(t, o, r) for o, r in zip(range(n_out)[outs], range(n_in)[ins], strict=True)}
+        for i, j, ry, rx, out, src in T._shifts(k, stride, w_out, size):
+            unpaired = np.ones(size, dtype=bool)
+            unpaired[out] = False
+            assert not live[i, j, unpaired].any()  # an output the shift does not fill is zeroed
+            pairs = zip(range(size)[out], range(size)[src], strict=True)
+            got |= {(i, j, q, (ry, rx), p) for q, p in pairs if live[i, j, q]}
         assert got == want
 
 
@@ -409,7 +456,7 @@ class TestBatchesOnly:
     @pytest.mark.parametrize(
         "op",
         [
-            lambda x: T.conv2d(x, T.tensor(np.zeros((2, 3, 3, 3))), 1, 1),
+            lambda x: T.conv2d(x, T.tensor(np.zeros((2, 3, 3, 3)))),
             lambda x: T.bias_add(x, T.tensor(np.zeros(3))),
             lambda x: T.upsample_nearest(x, 2),
             T.global_avg_pool,
@@ -541,7 +588,7 @@ class TestDtypeRule:
         b = T.tensor(np.zeros(4), requires_grad=True)
 
         def loss():
-            feats = T.global_avg_pool(T.relu(T.conv2d(x, w, 2, 1)))
+            feats = T.global_avg_pool(T.relu(T.conv2d(x, w, 2)))
             return T.cross_entropy(T.linear(feats, head, b), np.array([0, 3]))
 
         # 4.8e-11 here; the same graph in float32 reads 1.5e-2
@@ -644,25 +691,23 @@ class TestCheckGradients:
         assert e1 == e2
 
 
-# (input shape, kernel shape, stride, pad): the desk classifier's convs
-# (32-px tiles, channels 8/16/32, attention 1x1s) at a small and a training
-# batch, pad 0, single-sample batches, and the 1x1 output map of an 8-px one
+# (input shape, kernel shape, stride): the desk classifier's convs (32-px
+# tiles, channels 8/16/32, attention 1x1s) at a small and a training batch,
+# single-sample batches, and the 1x1 output map of an 8-px one
 ORACLE_CASES = [
-    ((2, 3, 32, 32), (8, 3, 3, 3), 1, 1),
-    ((32, 3, 32, 32), (8, 3, 3, 3), 1, 1),
-    ((32, 8, 32, 32), (8, 8, 3, 3), 2, 1),
-    ((32, 8, 16, 16), (16, 8, 3, 3), 1, 1),
-    ((2, 16, 16, 16), (16, 16, 3, 3), 2, 1),
-    ((32, 16, 8, 8), (32, 16, 3, 3), 1, 1),
-    ((32, 32, 8, 8), (32, 32, 3, 3), 2, 1),
-    ((32, 32, 8, 8), (16, 32, 1, 1), 1, 0),
-    ((2, 16, 16, 16), (8, 16, 1, 1), 1, 0),
-    ((4, 8, 16, 16), (8, 8, 3, 3), 2, 0),
-    ((1, 3, 7, 8), (4, 3, 3, 3), 3, 0),
-    ((1, 8, 16, 16), (16, 8, 3, 3), 1, 1),
-    ((1, 8, 16, 16), (16, 8, 3, 3), 2, 1),
-    ((8, 4, 2, 2), (4, 4, 3, 3), 2, 1),
-    ((64, 4, 2, 2), (4, 4, 3, 3), 2, 1),
+    ((2, 3, 32, 32), (8, 3, 3, 3), 1),
+    ((32, 3, 32, 32), (8, 3, 3, 3), 1),
+    ((32, 8, 32, 32), (8, 8, 3, 3), 2),
+    ((32, 8, 16, 16), (16, 8, 3, 3), 1),
+    ((2, 16, 16, 16), (16, 16, 3, 3), 2),
+    ((32, 16, 8, 8), (32, 16, 3, 3), 1),
+    ((32, 32, 8, 8), (32, 32, 3, 3), 2),
+    ((32, 32, 8, 8), (16, 32, 1, 1), 1),
+    ((2, 16, 16, 16), (8, 16, 1, 1), 1),
+    ((1, 8, 16, 16), (16, 8, 3, 3), 1),
+    ((1, 8, 16, 16), (16, 8, 3, 3), 2),
+    ((8, 4, 2, 2), (4, 4, 3, 3), 2),
+    ((64, 4, 2, 2), (4, 4, 3, 3), 2),
 ]
 
 
@@ -670,13 +715,13 @@ KERNEL_GRAD_RTOL = 1e-12  # float64 kernel gradient against the einsum's
 
 
 class TestEinsumOracles:
-    @pytest.mark.parametrize("x_shape,w_shape,stride,pad", ORACLE_CASES)
-    def test_conv_bit_equal(self, rng, x_shape, w_shape, stride, pad):
+    @pytest.mark.parametrize("x_shape,w_shape,stride", ORACLE_CASES)
+    def test_conv_bit_equal(self, rng, x_shape, w_shape, stride):
         x = rng.normal(size=x_shape)
         w = rng.normal(size=w_shape)
-        upstream = rng.normal(size=conv2d_einsum(T.tensor(x), T.tensor(w), stride, pad).data.shape)
-        want = conv_run(conv2d_einsum, backward_zero_prefill, x, w, stride, pad, upstream)
-        got = conv_run(T.conv2d, T.backward, x, w, stride, pad, upstream)
+        upstream = rng.normal(size=same(conv2d_einsum)(T.tensor(x), T.tensor(w), stride).data.shape)
+        want = conv_run(same(conv2d_einsum), backward_zero_prefill, x, w, stride, upstream)
+        got = conv_run(T.conv2d, T.backward, x, w, stride, upstream)
         for g, e, what in zip(got, want, ("output", "input gradient", "kernel gradient")):
             # the memory order decides how later reductions sum; the stride
             # of a length-1 axis is never stepped
@@ -708,7 +753,7 @@ class TestEinsumOracles:
         man = tile_dataset(tmp_path, n_classes=k, per_class=64 // k, size=cfg.input_size)
         hyper = model.TrainConfig(epochs=1, batch_size=batch, lr=0.01, schedule=(), seed=2)
         got, got_trace = model.train(cfg, [man], hyper)
-        monkeypatch.setattr(T, "conv2d", conv2d_einsum)
+        monkeypatch.setattr(T, "conv2d", same(conv2d_einsum))
         monkeypatch.setattr(T, "backward", backward_zero_prefill)
         want, want_trace = model.train(cfg, [man], hyper)
         np.testing.assert_allclose(got_trace, want_trace, rtol=0, atol=atol)
