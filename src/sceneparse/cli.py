@@ -27,6 +27,7 @@ import numpy as np
 from . import model, parser, segmentation, synthdata, taxonomy
 from .errors import ConfigError, DataError, ExtentMismatchError, IoError, SceneParseError
 from .metrics import (
+    ConfusionMatrix,
     accumulate_cm,
     average_accuracy,
     kappa,
@@ -332,7 +333,10 @@ def _read_tsv(path: str, layout: str, record) -> list:
 def _read_label_tsv(path: str) -> dict[str, int]:
     def record(fields):
         sample_id, label = fields
-        return sample_id, int(label)
+        label = int(label)
+        if not 0 <= label <= np.iinfo(np.int64).max:
+            raise ValueError(f"label id {label} is not in [0, 2**63)")
+        return sample_id, label
 
     return dict(_read_tsv(path, "sample_id<TAB>label", record))
 
@@ -370,15 +374,23 @@ def _print_metrics(report: dict) -> None:
         print(f"  {k:<{width}}  {v:.6f}" if isinstance(v, float) else f"  {k:<{width}}  {v}")
 
 
+def _id_cm(pred: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:
+    """Confusion matrix over the ids present in either array, in ascending
+    order.  The metrics skip classes absent from both, so the matrix need not
+    be sized by the largest id."""
+    ids, index = np.unique(np.concatenate([pred, truth]), return_inverse=True)
+    return accumulate_cm(index[: pred.size], index[pred.size :], len(ids))
+
+
 def cmd_eval(args) -> int:
     if args.mode == "pixel":
         pred = read_pgm(args.pred).astype(np.int64)
         truth = read_pgm(args.truth).astype(np.int64)
         if pred.shape != truth.shape:
             raise ExtentMismatchError(f"prediction {pred.shape} vs truth {truth.shape}")
-        n = int(max(pred.max(), truth.max())) + 1
-        _print_header("eval pixel", {"pred": args.pred, "truth": args.truth, "void": args.void, "classes": n})
-        cm = accumulate_cm(pred.ravel(), truth.ravel(), n, void_id=args.void)
+        keep = truth != args.void
+        cm = _id_cm(pred[keep], truth[keep])
+        _print_header("eval pixel", {"pred": args.pred, "truth": args.truth, "void": args.void, "classes": cm.n_classes})
         report = {
             "OA": overall_accuracy(cm),
             "AA": average_accuracy(cm),
@@ -396,9 +408,8 @@ def cmd_eval(args) -> int:
         ids = sorted(truth)
         p = np.asarray([pred[i] for i in ids])
         t = np.asarray([truth[i] for i in ids])
-        n = int(max(p.max(), t.max())) + 1
-        _print_header("eval tile", {"pred": args.pred, "truth": args.truth, "classes": n, "samples": len(ids)})
-        cm = accumulate_cm(p, t, n)
+        cm = _id_cm(p, t)
+        _print_header("eval tile", {"pred": args.pred, "truth": args.truth, "classes": cm.n_classes, "samples": len(ids)})
         report = {"OA": overall_accuracy(cm), "AA": average_accuracy(cm), "Kappa": kappa(cm)}
     else:
         ids, scores = _read_scores_tsv(args.scores)

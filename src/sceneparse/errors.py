@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the memory check that
+raises one before a size read from input reaches an allocation."""
+
+import os
 
 
 class SceneParseError(Exception):
@@ -79,3 +82,20 @@ class LengthMismatchError(SceneParseError):
 
 class LabelRangeError(SceneParseError):
     exit_code = 3
+
+
+def _physical_memory() -> int | None:
+    """This machine's memory in bytes, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def check_memory(need: int, what: str) -> None:
+    """ConfigError if ``what`` needs more than this machine's memory.  need
+    is in bytes, computed in Python ints so that a huge size fails here
+    rather than in a many-GB allocation."""
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ConfigError(f"{what}: {need / 2**30:.3g} GiB needed, more than this machine's {memory / 2**30:.3g} GiB")

@@ -9,7 +9,6 @@ output label ids (the classifier's label table), not raw head indices.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .errors import (
     IncompatibleCheckpointError,
     SceneParseError,
     ShapeError,
+    check_memory,
 )
 from .fusion import DEFAULT_SCALE_WEIGHTS, check_weights, fuse
 from .segmentation import DEFAULT_K, DEFAULT_MIN_SIZE, RegionMap, check_settings, graph_segment, merge_regions
@@ -31,7 +31,6 @@ __all__ = [
     "SemanticGridMap",
     "ParseConfig",
     "OracleClassifier",
-    "reflect_indices",
     "build_grid_map",
     "default_scale_weights",
     "resolve_windows",
@@ -60,14 +59,6 @@ def window_chunks(n: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _physical_memory() -> int | None:
-    """This machine's memory in bytes, or None where the OS does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return None
-
-
 @dataclass(frozen=True)
 class ContextWindowSpec:
     """Square context windows, smallest to largest, resized to one input size."""
@@ -85,15 +76,9 @@ class ContextWindowSpec:
             raise ConfigError(f"canonical_input must be >= 1, got {self.canonical_input}")
 
 
-def reflect_indices(start: int | np.ndarray, length: int, n: int) -> np.ndarray:
-    """Indices start..start+length-1 folded into [0, n) by edge reflection
-    (period 2n-2, edge samples not repeated).  An array of starts gives one
-    row of indices per start."""
-    return _reflect(np.asarray(start, dtype=np.int64)[..., None] + np.arange(length), n)
-
-
 def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
-    """Any int64 indices folded into [0, n) as reflect_indices folds them."""
+    """Any int64 indices folded into [0, n) by edge reflection (period
+    2n-2, edge samples not repeated)."""
     if n == 1:
         return np.zeros_like(idx)
     period = 2 * n - 2
@@ -134,15 +119,17 @@ def _cell_centers(extent: int, stride: int, origin: int) -> np.ndarray:
     return np.minimum(origin + stride * np.arange(count), extent - 1)
 
 
-def _window_index_table(centers: np.ndarray, size: int, extent: int, out_size: int) -> np.ndarray:
+def _window_index_table(centers: np.ndarray, size, extent: int, out_size: int) -> np.ndarray:
     """[len(centers), out_size] raster indices along one axis: the window of
     ``size`` around each center, nearest-resized to ``out_size`` samples and
-    folded into the raster by edge reflection.  Only the kept samples are
-    reflected, and sample i's offset floor(i * size / out_size) is computed
-    without forming i * size, which overflows int64 for huge windows."""
+    folded into the raster by edge reflection.  ``size`` is one int or one
+    per center.  Only the kept samples are reflected, and sample i's offset
+    floor(i * size / out_size) is computed without forming i * size, which
+    overflows int64 for huge windows."""
     i = np.arange(out_size)
+    size = np.asarray(size, dtype=np.int64)[..., None]
     offs = i * (size // out_size) + (i * (size % out_size)) // out_size
-    return _reflect((centers - size // 2)[:, None] + offs, extent)
+    return _reflect(centers[:, None] - size // 2 + offs, extent)
 
 
 def build_grid_map(
@@ -174,31 +161,25 @@ def build_grid_map(
 
     n_scales, side = len(spec.sizes), spec.canonical_input
     n_windows = gh * gw * n_scales
-    # the uint8 windows of every cell and one chunk of them in float64, in
-    # Python ints: a huge window must fail here, not in a many-GB allocation
-    need = side * side * 3 * (n_windows + 8 * min(n_windows, WINDOW_BATCH + 1))
-    memory = _physical_memory()
-    if memory is not None and need > memory:
-        raise ConfigError(
-            f"{side}x{side}-px windows for {gh * gw} cells at {n_scales} scales need"
-            f" {need / 2**30:.3g} GiB, more than this machine's {memory / 2**30:.3g} GiB"
-        )
-    # one fancy index per scale gathers every cell's window at once
-    patches = np.empty((gh, gw, n_scales, side, side, 3), dtype=raster.dtype)
-    for s, size in enumerate(spec.sizes):
-        rows = _window_index_table(cys, size, h, side)
-        cols = _window_index_table(cxs, size, width, side)
-        patches[:, :, s] = raster[rows[:, None, :, None], cols[None, :, None, :]]
-    flat = patches.reshape(n_windows, side, side, 3)
-    centers = np.repeat(np.stack(np.meshgrid(cys, cxs, indexing="ij"), axis=-1).reshape(gh * gw, 2), n_scales, axis=0)
+    chunk = min(n_windows, WINDOW_BATCH + 1)
+    # one chunk's windows, their float64 copy and its two int64 index tables
+    check_memory(
+        chunk * side * (3 * side * (raster.itemsize + 8) + 16),
+        f"{side}x{side}-px windows, {chunk} to a classifier call",
+    )
+    sizes = np.asarray(spec.sizes, dtype=np.int64)
 
     parts = []
     try:
         for a, b in window_chunks(n_windows):
-            # each chunk goes to float64 on its own, so only one chunk's copy
-            # is alive at a time rather than the whole batch's
-            windows = flat[a:b].transpose(0, 3, 1, 2).astype(np.float64) / 255.0
-            parts.append(classifier.probs_batch(windows, centers[a:b]))
+            # window i is scale i % n_scales of cell i // n_scales, cells in
+            # row-major order; only this chunk's windows are gathered
+            cell, scale = np.divmod(np.arange(a, b), n_scales)
+            gy, gx = np.divmod(cell, gw)
+            rows = _window_index_table(cys[gy], sizes[scale], h, side)
+            cols = _window_index_table(cxs[gx], sizes[scale], width, side)
+            windows = raster[rows[:, :, None], cols[:, None, :]].transpose(0, 3, 1, 2).astype(np.float64) / 255.0
+            parts.append(classifier.probs_batch(windows, np.stack([cys[gy], cxs[gx]], 1)))
     except SceneParseError as e:
         raise ClassifierError(str(e)) from e
     probs = np.concatenate(parts, axis=0).reshape(gh * gw, n_scales, -1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, IoError
+from .errors import ConfigError, IoError, check_memory
 from .netpbm import write_ppm
 from .taxonomy import DatasetManifest, SceneSample
 
@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 PATTERNS = ("flat", "stripes", "checker")
+
+# peak bytes per pixel of generate_scene_raster: its float64 colour, noise
+# and sigma fields; a 2048^2 scene peaked at 518 MB ru_maxrss
+SCENE_BYTES_PER_PX = 120
 
 
 @dataclass(frozen=True)
@@ -200,8 +204,9 @@ def generate_scene_raster(spec: SceneSpec, seed: int) -> tuple[np.ndarray, np.nd
 
     Label values are 1-based class ids (layout class index + 1).
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
     h, w = spec.height, spec.width
+    check_memory(SCENE_BYTES_PER_PX * h * w, f"a {h}x{w} scene")
+    rng = np.random.Generator(np.random.PCG64(seed))
     cls = _layout_classes(spec, rng)
     clean = np.zeros((h, w, 3), dtype=np.float64)
     sigma = np.zeros((h, w), dtype=np.float64)

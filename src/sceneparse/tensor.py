@@ -502,17 +502,25 @@ def check_gradients(
         coords = [coords[k] for k in np.sort(pick)]
 
     max_err = 0.0
-    for pi, j in coords:
-        flat = params[pi].data.reshape(-1)
-        orig = flat[j]
-        flat[j] = orig + eps
-        lp = float(loss_fn().data)
-        flat[j] = orig - eps
-        lm = float(loss_fn().data)
-        flat[j] = orig
-        numeric = (lp - lm) / (2.0 * eps)
-        a = float(analytic[pi].reshape(-1)[j])
-        err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-        if err > max_err:
-            max_err = err
+    # the perturbed losses need no graph; restore the flags however the loop ends
+    flags = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        for pi, j in coords:
+            flat = params[pi].data.reshape(-1)
+            orig = flat[j]
+            flat[j] = orig + eps
+            lp = float(loss_fn().data)
+            flat[j] = orig - eps
+            lm = float(loss_fn().data)
+            flat[j] = orig
+            numeric = (lp - lm) / (2.0 * eps)
+            a = float(analytic[pi].reshape(-1)[j])
+            err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+            if err > max_err:
+                max_err = err
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
     return max_err

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -73,6 +74,18 @@ class TestSynth:
         assert "counts" in out
         manifest = (tmp_path / "manifest.tsv").read_text()
         assert len(manifest.splitlines()) == 40
+
+    def test_huge_scene_exit_2_before_allocating(self, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            code = run("synth", "--kind", "scene", "--out-dir", str(tmp_path), "--size", "100000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: a 100000000x100000000 scene: ")
+        assert peak < 2**20
+        assert not (tmp_path / "scene.ppm").exists()
 
 
 class TestTrain:
@@ -638,6 +651,78 @@ class TestEval:
         )
         rep = json.loads(report.read_text())
         assert rep["OA"] == pytest.approx(2 / 3)
+
+    @staticmethod
+    def _dense_report(pred, truth, void_id, keys):
+        """The report of a confusion matrix sized by the largest id, as eval
+        built it before it kept only the ids present."""
+        from sceneparse import metrics
+
+        cm = metrics.accumulate_cm(pred, truth, int(max(pred.max(), truth.max())) + 1, void_id=void_id)
+        every = {
+            "OA": metrics.overall_accuracy,
+            "AA": metrics.average_accuracy,
+            "Kappa": metrics.kappa,
+            "mIoU": metrics.miou,
+        }
+        return {k: every[k](cm) for k in keys}
+
+    @pytest.mark.parametrize("void", [0, 7])
+    def test_pixel_report_on_gapped_ids_equals_dense_matrix(self, tmp_path, void):
+        rng = np.random.Generator(np.random.PCG64(5))
+        ids = np.array([0, 3, 7, 200, 901, 4095])
+        truth = rng.choice(ids[:5], size=(23, 31))  # 4095 only ever predicted
+        pred = np.where(rng.random(truth.shape) < 0.6, truth, rng.choice(ids, size=truth.shape))
+        write_pgm(tmp_path / "pred.pgm", pred.astype(np.uint16), maxval=65535)
+        write_pgm(tmp_path / "truth.pgm", truth.astype(np.uint16), maxval=65535)
+        report = tmp_path / "rep.json"
+        argv = ["--pred", str(tmp_path / "pred.pgm"), "--truth", str(tmp_path / "truth.pgm")]
+        assert run("eval", "--mode", "pixel", *argv, "--void", str(void), "--report", str(report)) == 0
+        want = self._dense_report(pred, truth, void, ("OA", "AA", "Kappa", "mIoU"))
+        cli._write_json(tmp_path / "want.json", want, sort_keys=True, indent=2)
+        assert report.read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_tile_report_on_gapped_ids_equals_dense_matrix(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(6))
+        truth = rng.choice([0, 5, 90, 1000, 4097], size=300)
+        pred = np.where(rng.random(300) < 0.5, truth, rng.choice([5, 90, 4097, 20000], size=300))
+        for name, labels in (("pred", pred), ("truth", truth)):
+            (tmp_path / f"{name}.tsv").write_text("".join(f"s{i}\t{v}\n" for i, v in enumerate(labels)))
+        report = tmp_path / "rep.json"
+        argv = ["--pred", str(tmp_path / "pred.tsv"), "--truth", str(tmp_path / "truth.tsv")]
+        assert run("eval", "--mode", "tile", *argv, "--report", str(report)) == 0
+        # the TSV rows are read in sorted sample-id order
+        order = np.argsort([f"s{i}" for i in range(300)], kind="stable")
+        want = self._dense_report(pred[order], truth[order], None, ("OA", "AA", "Kappa"))
+        cli._write_json(tmp_path / "want.json", want, sort_keys=True, indent=2)
+        assert report.read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_pixel_id_65535_sizes_no_matrix_by_it(self, tmp_path, capsys):
+        write_pgm(tmp_path / "m.pgm", np.array([[1, 65535]], dtype=np.uint16), maxval=65535)
+        report = tmp_path / "rep.json"
+        m = str(tmp_path / "m.pgm")
+        tracemalloc.start()
+        try:
+            code = run("eval", "--mode", "pixel", "--pred", m, "--truth", m, "--report", str(report))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "classes = 2" in capsys.readouterr().out
+        assert json.loads(report.read_text())["OA"] == 1.0
+        assert peak < 2**20  # a 65536^2 int64 matrix is 32 GiB
+
+    @pytest.mark.parametrize("pred_id,code", [("1000000000000", 0), (str(2**63 - 1), 0), (str(2**63), 3), ("-1", 3)])
+    def test_tile_huge_and_negative_ids(self, tmp_path, capsys, pred_id, code):
+        (tmp_path / "pred.tsv").write_text(f"a\t{pred_id}\nb\t1\n")
+        (tmp_path / "truth.tsv").write_text("a\t0\nb\t1\n")
+        argv = ["--pred", str(tmp_path / "pred.tsv"), "--truth", str(tmp_path / "truth.tsv")]
+        assert run("eval", "--mode", "tile", *argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.startswith(f"error: {tmp_path / 'pred.tsv'}:1: ") and "[0, 2**63)" in captured.err
+        else:
+            assert "classes = 3" in captured.out
 
     def test_tile_missing_prediction_exit_3(self, tmp_path):
         (tmp_path / "pred.tsv").write_text("a\t0\n")

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sceneparse import model, parser, segmentation
+from sceneparse import errors, model, parser, segmentation
 from sceneparse.errors import (
     ClassifierError,
     ConfigError,
@@ -11,7 +11,15 @@ from sceneparse.errors import (
     IncompatibleCheckpointError,
     ShapeError,
 )
+from sceneparse.fusion import fuse
 from tests.conftest import make_scene
+
+
+def reflect_indices(start, length, n):
+    """Indices start..start+length-1 folded into [0, n) by parser._reflect
+    (period 2n-2, edge samples not repeated).  An array of starts gives one
+    row of indices per start."""
+    return parser._reflect(np.asarray(start, dtype=np.int64)[..., None] + np.arange(length), n)
 
 
 def reflect_loops(start, length, n):
@@ -73,11 +81,37 @@ def extract_context_windows(
     out = []
     for size in spec.sizes:
         half = size // 2
-        rows = parser.reflect_indices(cy - half, size, h)
-        cols = parser.reflect_indices(cx - half, size, w)
+        rows = reflect_indices(cy - half, size, h)
+        cols = reflect_indices(cx - half, size, w)
         win = raster[np.ix_(rows, cols)]
         out.append(_resize_nearest(win, spec.canonical_input))
     return out
+
+
+def grid_all_cells(raster, classifier, spec, stride, weights):
+    """(cell_probs, cell_labels) from the all-cells gather build_grid_map ran
+    before it gathered per chunk: one fancy index per scale fills a
+    [gh, gw, S, s, s, 3] buffer of every cell's windows, whose flat rows and
+    repeated centres then go to the classifier chunk by chunk."""
+    h, w = raster.shape[:2]
+    cys = parser._cell_centers(h, stride, stride // 2)
+    cxs = parser._cell_centers(w, stride, stride // 2)
+    gh, gw, n_scales, side = len(cys), len(cxs), len(spec.sizes), spec.canonical_input
+    patches = np.empty((gh, gw, n_scales, side, side, 3), dtype=raster.dtype)
+    for s, size in enumerate(spec.sizes):
+        rows = parser._window_index_table(cys, size, h, side)
+        cols = parser._window_index_table(cxs, size, w, side)
+        patches[:, :, s] = raster[rows[:, None, :, None], cols[None, :, None, :]]
+    flat = patches.reshape(-1, side, side, 3)
+    centers = np.repeat(np.stack(np.meshgrid(cys, cxs, indexing="ij"), axis=-1).reshape(gh * gw, 2), n_scales, axis=0)
+    probs = np.concatenate(
+        [
+            classifier.probs_batch(flat[a:b].transpose(0, 3, 1, 2).astype(np.float64) / 255.0, centers[a:b])
+            for a, b in parser.window_chunks(len(flat))
+        ]
+    )
+    fused = fuse(probs.reshape(gh * gw, n_scales, -1), weights).reshape(gh, gw, -1)
+    return fused, np.asarray(classifier.label_ids, dtype=np.int32)[np.argmax(fused, axis=2)]
 
 
 class Counting(parser.OracleClassifier):
@@ -99,17 +133,17 @@ class TestReflectIndices:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 10])
     def test_matches_bounce_oracle(self, n):
         for start in range(-3 * n, 2 * n):
-            got = parser.reflect_indices(start, 2 * n + 3, n)
+            got = reflect_indices(start, 2 * n + 3, n)
             assert list(got) == reflect_loops(start, 2 * n + 3, n), (start, n)
 
     def test_interior_is_identity(self):
-        assert list(parser.reflect_indices(2, 5, 10)) == [2, 3, 4, 5, 6]
+        assert list(reflect_indices(2, 5, 10)) == [2, 3, 4, 5, 6]
 
     def test_matches_numpy_pad(self):
         vals = np.arange(9.0)
         pad = 20
         padded = np.pad(vals, (pad, pad), mode="reflect")
-        got = vals[parser.reflect_indices(-pad, 9 + 2 * pad, 9)]
+        got = vals[reflect_indices(-pad, 9 + 2 * pad, 9)]
         assert np.array_equal(got, padded)
 
 
@@ -329,17 +363,58 @@ class TestBuildGridMap:
         assert oc.calls == 0
 
     def test_window_memory_counted_against_the_machine(self, monkeypatch):
-        # 4 cells x 2 scales of 4x4x3 bytes, plus those 8 windows in float64
-        oc = Counting(np.ones((8, 8), dtype=np.int32), n_classes=2)
+        # 32 x 32 cells x 2 scales = 2048 windows of 4x4x3 bytes, 96 KiB for
+        # the all-cells gather; one chunk of 65 needs its windows, their
+        # float64 copy and two int64 index tables of 65 x 4
+        oc = Counting(np.ones((128, 128), dtype=np.int32), n_classes=2)
         spec = parser.ContextWindowSpec(sizes=(4, 8), canonical_input=4)
-        args = (np.zeros((8, 8, 3), dtype=np.uint8), oc, spec, 4, (1.0, 1.0))
-        monkeypatch.setattr(parser, "_physical_memory", lambda: 8 * 48 * 9 - 1)
-        with pytest.raises(ConfigError, match="need"):
+        args = (np.zeros((128, 128, 3), dtype=np.uint8), oc, spec, 4, (1.0, 1.0))
+        need = 65 * (48 + 48 * 8 + 2 * 4 * 8)
+        assert need < 2048 * 48
+        monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ConfigError, match="4x4-px windows, 65 to a classifier call: "):
             parser.build_grid_map(*args)
-        monkeypatch.setattr(parser, "_physical_memory", lambda: 8 * 48 * 9)
+        assert oc.calls == 0
+        monkeypatch.setattr(errors, "_physical_memory", lambda: need)
+        assert parser.build_grid_map(*args).cell_labels.shape == (32, 32)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: None)
+        assert parser.build_grid_map(*args).cell_labels.shape == (32, 32)
+
+    def test_window_memory_counts_the_raster_itemsize(self, monkeypatch):
+        # 4 cells x 2 scales: one chunk of 8 float64 windows and their copy
+        spec = parser.ContextWindowSpec(sizes=(4, 8), canonical_input=4)
+        args = (np.zeros((8, 8, 3)), Counting(np.ones((8, 8)), n_classes=2), spec, 4, (1.0, 1.0))
+        need = 8 * (48 * 8 + 48 * 8 + 2 * 4 * 8)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ConfigError, match="GiB needed"):
+            parser.build_grid_map(*args)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: need)
         assert parser.build_grid_map(*args).cell_labels.shape == (2, 2)
-        monkeypatch.setattr(parser, "_physical_memory", lambda: None)
-        assert parser.build_grid_map(*args).cell_labels.shape == (2, 2)
+
+    @pytest.mark.parametrize("window_batch", [2, 3, 64, 1000])
+    @pytest.mark.parametrize(
+        "shape,stride,dtype",
+        [
+            ((20, 27), 4, np.uint8),
+            ((6, 9), 2, np.uint8),  # every window larger than the raster
+            ((1, 1), 1, np.uint8),
+            ((1, 13), 2, np.uint8),
+            ((20, 27), 4, np.float64),
+        ],
+    )
+    def test_chunk_gather_matches_all_cells_gather(self, monkeypatch, window_batch, shape, stride, dtype):
+        from tests.test_model import SMALL
+
+        params = {name: t.data for name, t in model.init_params(SMALL, seed=3).items()}
+        clf = model.TileClassifier(model.Checkpoint(SMALL, model.MSCConfig(), ["a", "b", "c"], [1, 2, 5], params))
+        rng = np.random.Generator(np.random.PCG64(11))
+        raster = (rng.random(shape + (3,)) * 255).astype(dtype)
+        spec, _, weights = parser.resolve_windows(clf, parser.ParseConfig())
+        monkeypatch.setattr(parser, "WINDOW_BATCH", window_batch)
+        grid = parser.build_grid_map(raster, clf, spec, stride, weights)
+        probs, labels = grid_all_cells(raster, clf, spec, stride, weights)
+        assert grid.cell_probs.tobytes() == probs.tobytes()
+        assert grid.cell_labels.tobytes() == labels.tobytes()
 
     def test_keep_probs(self):
         truth = np.ones((4, 4), dtype=np.int32)

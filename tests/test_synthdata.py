@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sceneparse import synthdata
+from sceneparse import errors, synthdata
 from sceneparse.errors import ConfigError
 from sceneparse.netpbm import read_ppm
 
@@ -175,6 +175,17 @@ class TestSceneRaster:
         )
         _, truth = synthdata.generate_scene_raster(spec, seed=0)
         assert truth.min() == 1 and truth.max() == 3
+
+    def test_memory_checked_before_rendering(self, monkeypatch):
+        spec = synthdata.SceneSpec(
+            classes=synthdata.default_texture_classes(2), layout=synthdata.GridLayout(1, 2), height=6, width=10
+        )
+        need = synthdata.SCENE_BYTES_PER_PX * 60
+        monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ConfigError, match="a 6x10 scene: "):
+            synthdata.generate_scene_raster(spec, seed=0)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: need)
+        assert synthdata.generate_scene_raster(spec, seed=0)[0].shape == (6, 10, 3)
 
 
 class TestTileDataset:

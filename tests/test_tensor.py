@@ -8,7 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from sceneparse import model
 from sceneparse import tensor as T
-from sceneparse.errors import GraphError, ShapeError
+from sceneparse.errors import GraphError, NumericError, ShapeError
 
 
 def finite_diff(loss_fn, param, h=1e-6):
@@ -689,6 +689,35 @@ class TestCheckGradients:
         e1 = T.check_gradients(loss, [w], max_samples=50, seed=3)
         e2 = T.check_gradients(loss, [w], max_samples=50, seed=3)
         assert e1 == e2
+
+    def test_perturbed_losses_record_no_graph(self, rng):
+        w = T.tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        frozen = T.tensor(rng.normal(size=(2, 3)))
+        recorded = []
+
+        def loss():
+            out = T.tsum(T.mul(w, frozen))
+            recorded.append(out.requires_grad)
+            return out
+
+        assert T.check_gradients(loss, [w]) <= 1e-9
+        # the first call builds the graph for the analytic side; none after it
+        assert recorded == [True] + [False] * 12
+        assert w.requires_grad
+
+    def test_flags_restored_when_the_loss_raises(self, rng):
+        w = T.tensor(rng.normal(size=(4,)), requires_grad=True)
+        calls = []
+
+        def loss():
+            calls.append(None)
+            if len(calls) == 3:
+                raise NumericError("boom")
+            return T.tsum(T.mul(w, w))
+
+        with pytest.raises(NumericError):
+            T.check_gradients(loss, [w])
+        assert w.requires_grad
 
 
 # (input shape, kernel shape, stride): the desk classifier's convs (32-px
