@@ -272,15 +272,14 @@ def cmd_parse(args) -> int:
         classifier = model.TileClassifier(model.load_checkpoint(_root_path(args.checkpoint)))
 
     cfg = _load_config(args.config) if args.config else {}
-    pcfg = _config(parser.ParseConfig, cfg, "")
-    spec, stride, weights = parser.resolve_windows(classifier, pcfg)
+    pcfg = parser.resolve(classifier, _config(parser.ParseConfig, cfg, ""))
     _print_header(
         "parse",
         {
             "input": args.input,
-            "windows": spec.sizes,
-            "stride": stride,
-            "scale_weights": weights,
+            "windows": pcfg.window_sizes,
+            "stride": pcfg.stride,
+            "scale_weights": pcfg.scale_weights,
             "k": pcfg.k,
             "min_size": pcfg.min_size,
             "target_count": pcfg.target_count,

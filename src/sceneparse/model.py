@@ -579,6 +579,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise FormatVersionError("parameter manifest does not match the declared config")
     if len(labels) != cfg.num_classes_per_task[0] or len(label_ids) != len(labels):
         raise FormatVersionError("label table does not cover the main task's classes")
+    if any(not 0 <= i < 2**31 for i in label_ids):  # grid cells hold them as int32
+        raise FormatVersionError(f"label ids must lie in [0, 2**31), got {label_ids}")
 
     flat = np.frombuffer(payload, dtype="<f4").astype(np.float32)  # native and writable
     params = {}

@@ -10,7 +10,7 @@ output label ids (the classifier's label table), not raw head indices.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,20 +25,17 @@ from .errors import (
 )
 from .fusion import DEFAULT_SCALE_WEIGHTS, check_weights, fuse
 from .segmentation import DEFAULT_K, DEFAULT_MIN_SIZE, RegionMap, check_settings, graph_segment, merge_regions
+from .segmentation import check_segment_memory
 
 __all__ = [
-    "ContextWindowSpec",
     "SemanticGridMap",
     "ParseConfig",
     "OracleClassifier",
     "build_grid_map",
-    "default_scale_weights",
-    "resolve_windows",
+    "resolve",
     "integrate_semantics",
     "parse_image",
 ]
-
-PAPER_WINDOW_SIZES = (56, 112, 224)
 
 # windows per classifier call: at 64 the first conv's im2col matrix for a
 # 32-px classifier is 27 x 65536 float32 (7 MB) rather than 28 MB at 256,
@@ -57,23 +54,6 @@ def window_chunks(n: int) -> list[tuple[int, int]]:
         cuts.pop()
     bounds = [0, *cuts, n]
     return list(zip(bounds, bounds[1:]))
-
-
-@dataclass(frozen=True)
-class ContextWindowSpec:
-    """Square context windows, smallest to largest, resized to one input size."""
-
-    sizes: tuple[int, ...] = PAPER_WINDOW_SIZES
-    canonical_input: int = PAPER_WINDOW_SIZES[0]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        if not self.sizes or any(not 1 <= s <= np.iinfo(np.int64).max for s in self.sizes):
-            raise ConfigError(f"window sizes must be >= 1 and fit int64, got {self.sizes}")
-        if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ConfigError(f"window sizes must be strictly increasing, got {self.sizes}")
-        if self.canonical_input < 1:
-            raise ConfigError(f"canonical_input must be >= 1, got {self.canonical_input}")
 
 
 def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
@@ -108,12 +88,6 @@ class SemanticGridMap:
         return self.cell_labels.shape
 
 
-def default_scale_weights(n_windows: int) -> tuple[float, ...]:
-    """Fusion weights when none are given: the paper's (0.25, 0.5, 1.0) for
-    three windows, uniform for any other count."""
-    return DEFAULT_SCALE_WEIGHTS if n_windows == 3 else (1.0,) * n_windows
-
-
 def _cell_centers(extent: int, stride: int, origin: int) -> np.ndarray:
     count = (extent + stride - 1) // stride
     return np.minimum(origin + stride * np.arange(count), extent - 1)
@@ -132,25 +106,64 @@ def _window_index_table(centers: np.ndarray, size, extent: int, out_size: int) -
     return _reflect(centers[:, None] - size // 2 + offs, extent)
 
 
-def build_grid_map(
-    raster: np.ndarray,
-    classifier,
-    spec: ContextWindowSpec,
-    stride: int,
-    scale_weights: tuple[float, ...],
-) -> SemanticGridMap:
-    """Classify every grid cell's context windows and fuse across scales.
+@dataclass(frozen=True)
+class ParseConfig:
+    """Everything parse_image needs beyond the checkpoint itself, checked when
+    built.  Window, stride and scale-weight fields left unset are filled by resolve."""
+
+    window_sizes: tuple[int, ...] | None = None
+    stride: int | None = None
+    scale_weights: tuple[float, ...] | None = None
+    k: float = DEFAULT_K
+    min_size: int = DEFAULT_MIN_SIZE
+    target_count: int | None = None
+    expected_labels: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        sizes = self.window_sizes
+        if sizes is not None:
+            sizes = tuple(int(s) for s in sizes)
+            object.__setattr__(self, "window_sizes", sizes)
+            if not sizes or any(not 1 <= s < 2**63 for s in sizes):
+                raise ConfigError(f"window sizes must be >= 1 and fit int64, got {sizes}")
+            if any(a >= b for a, b in zip(sizes, sizes[1:])):
+                raise ConfigError(f"window sizes must be strictly increasing, got {sizes}")
+        if self.stride is not None and not 1 <= self.stride < 2**63:
+            raise ConfigError(f"stride must be >= 1 and fit int64, got {self.stride}")
+        if self.scale_weights is not None:
+            object.__setattr__(self, "scale_weights", tuple(self.scale_weights))
+            check_weights(self.scale_weights, len(sizes or self.scale_weights), "scale weights")
+        check_settings(self.k, self.min_size, self.target_count)
+
+
+def resolve(classifier, config: ParseConfig) -> ParseConfig:
+    """config, checked again, with windows of 1, 2 and 4 times the classifier's
+    input size (56 without one), a stride of half the smallest window, and
+    DEFAULT_SCALE_WEIGHTS for three windows or uniform weights for any other
+    count, wherever it leaves them unset.  Resolving twice changes nothing."""
+    s = getattr(classifier, "input_size", None) or 56  # the paper's 56/112/224-px windows
+    sizes = (s, 2 * s, 4 * s) if config.window_sizes is None else config.window_sizes
+    stride = max(1, sizes[0] // 2) if config.stride is None else config.stride
+    weights = config.scale_weights
+    if weights is None:
+        weights = DEFAULT_SCALE_WEIGHTS if len(sizes) == 3 else (1.0,) * len(sizes)
+    return replace(config, window_sizes=sizes, stride=stride, scale_weights=weights)
+
+
+def build_grid_map(raster: np.ndarray, classifier, config: ParseConfig = ParseConfig()) -> SemanticGridMap:
+    """Classify every grid cell's context windows, as config resolves for the
+    classifier, and fuse across scales.
 
     The classifier answers probs_batch(windows, centers) -> [B,N]
-    probabilities, where windows is a [B,3,s,s] float64 batch in [0,1] and
-    centers the [B,2] int64 (row, col) of each window's cell center.
+    probabilities, where windows is a [B,3,s,s] float64 batch in [0,1], s the
+    classifier's input_size or else the smallest window, and centers the
+    [B,2] int64 (row, col) of each window's cell center.
     Cells are independent; evaluation order never changes the result.
     """
     if raster.ndim != 3 or raster.shape[2] != 3:
         raise ShapeError(f"expected [H,W,3] raster, got {raster.shape}")
-    if not 1 <= stride <= np.iinfo(np.int64).max:
-        raise ConfigError(f"stride must be >= 1 and fit int64, got {stride}")
-    w = check_weights(scale_weights, len(spec.sizes), "scale weights")
+    config = resolve(classifier, config)
+    stride, sizes = config.stride, config.window_sizes
 
     h, width = raster.shape[:2]
     origin = stride // 2
@@ -159,7 +172,7 @@ def build_grid_map(
     gh, gw = len(cys), len(cxs)
     class_ids = list(getattr(classifier, "label_ids", []))
 
-    n_scales, side = len(spec.sizes), spec.canonical_input
+    n_scales, side = len(sizes), getattr(classifier, "input_size", None) or sizes[0]
     n_windows = gh * gw * n_scales
     chunk = min(n_windows, WINDOW_BATCH + 1)
     # one chunk's windows, their float64 copy and its two int64 index tables
@@ -167,7 +180,7 @@ def build_grid_map(
         chunk * side * (3 * side * (raster.itemsize + 8) + 16),
         f"{side}x{side}-px windows, {chunk} to a classifier call",
     )
-    sizes = np.asarray(spec.sizes, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
 
     parts = []
     try:
@@ -183,7 +196,7 @@ def build_grid_map(
     except SceneParseError as e:
         raise ClassifierError(str(e)) from e
     probs = np.concatenate(parts, axis=0).reshape(gh * gw, n_scales, -1)
-    fused = fuse(probs, w).reshape(gh, gw, -1)
+    fused = fuse(probs, config.scale_weights).reshape(gh, gw, -1)
     labels = np.argmax(fused, axis=2).astype(np.int32)
 
     if not class_ids:
@@ -210,25 +223,13 @@ def integrate_semantics(grid: SemanticGridMap, regions: RegionMap) -> np.ndarray
     gh, gw = grid.grid_shape
     cy = np.minimum(np.arange(grid.height) // grid.stride, gh - 1)
     cx = np.minimum(np.arange(grid.width) // grid.stride, gw - 1)
-    pixel_labels = grid.cell_labels[np.ix_(cy, cx)]
-    n_ids = int(grid.cell_labels.max()) + 1
-    votes = np.zeros((regions.region_count, n_ids), dtype=np.int64)
-    np.add.at(votes, (regions.labels.ravel(), pixel_labels.ravel()), 1)
-    winner = np.argmax(votes, axis=1).astype(np.int32)
+    # votes over the ids present, ascending, so ties still go to the lowest
+    ids, index = np.unique(grid.cell_labels, return_inverse=True)
+    pixel_index = index.reshape(grid.cell_labels.shape)[np.ix_(cy, cx)]
+    votes = np.zeros((regions.region_count, len(ids)), dtype=np.int64)
+    np.add.at(votes, (regions.labels.ravel(), pixel_index.ravel()), 1)
+    winner = ids[np.argmax(votes, axis=1)].astype(np.int32)
     return winner[regions.labels]
-
-
-@dataclass(frozen=True)
-class ParseConfig:
-    """Everything parse_image needs beyond the checkpoint itself."""
-
-    window_sizes: tuple[int, ...] | None = None
-    stride: int | None = None
-    scale_weights: tuple[float, ...] | None = None
-    k: float = DEFAULT_K
-    min_size: int = DEFAULT_MIN_SIZE
-    target_count: int | None = None
-    expected_labels: tuple[str, ...] | None = None
 
 
 class OracleClassifier:
@@ -250,27 +251,8 @@ class OracleClassifier:
         """[B,N] one-hot rows of the truth at each window's center; the
         windows themselves are not read."""
         del windows
-        label = self.truth[centers[:, 0], centers[:, 1]]
-        return np.eye(self.n_classes)[np.clip(label - 1, 0, self.n_classes - 1)]
-
-
-def resolve_windows(classifier, config: ParseConfig) -> tuple[ContextWindowSpec, int, tuple[float, ...]]:
-    """The window spec, stride and scale weights a parse runs with.
-
-    Unset values default to windows of 1, 2 and 4 times the classifier's
-    input size (the paper's 56/112/224 for a classifier without one), a
-    stride of half the smallest window, and default_scale_weights."""
-    input_size = getattr(classifier, "input_size", None)
-    sizes = config.window_sizes
-    if input_size is None:
-        sizes = sizes or PAPER_WINDOW_SIZES
-        input_size = min(sizes)
-    elif sizes is None:
-        sizes = (input_size, 2 * input_size, 4 * input_size)
-    spec = ContextWindowSpec(sizes=tuple(sizes), canonical_input=input_size)
-    stride = config.stride if config.stride is not None else max(1, spec.sizes[0] // 2)
-    weights = config.scale_weights if config.scale_weights is not None else default_scale_weights(len(spec.sizes))
-    return spec, stride, tuple(weights)
+        label = np.clip(self.truth[centers[:, 0], centers[:, 1]] - 1, 0, self.n_classes - 1)
+        return (label[:, None] == np.arange(self.n_classes)).astype(np.float64)
 
 
 @contextmanager
@@ -297,12 +279,9 @@ def parse_image(
             raise IncompatibleCheckpointError(
                 f"checkpoint labels {have} do not match expected {tuple(config.expected_labels)}"
             )
-    spec, stride, weights = resolve_windows(classifier, config)
-    with _stage("segment"):  # before the classifier pass, which takes seconds
-        check_settings(config.k, config.min_size, config.target_count)
-
+    check_segment_memory(raster.shape)  # before the classifier pass, which takes seconds
     with _stage("grid"):
-        grid = build_grid_map(raster, classifier, spec, stride, weights)
+        grid = build_grid_map(raster, classifier, config)
     with _stage("segment"):
         regions = graph_segment(raster, config.k, config.min_size)
         if config.target_count is not None:

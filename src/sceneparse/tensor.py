@@ -502,10 +502,11 @@ def check_gradients(
         coords = [coords[k] for k in np.sort(pick)]
 
     max_err = 0.0
-    # the perturbed losses need no graph; restore the flags however the loop ends
+    # the perturbed losses need no graph; restore the flags and flat[j] however the loop ends
     flags = [p.requires_grad for p in params]
     for p in params:
         p.requires_grad = False
+    flat = None
     try:
         for pi, j in coords:
             flat = params[pi].data.reshape(-1)
@@ -521,6 +522,8 @@ def check_gradients(
             if err > max_err:
                 max_err = err
     finally:
+        if flat is not None:
+            flat[j] = orig
         for p, flag in zip(params, flags):
             p.requires_grad = flag
     return max_err

@@ -297,9 +297,7 @@ def test_oracle_pipeline():
     stride = 8
 
     t0 = time.time()
-    grid = parser.build_grid_map(
-        rgb, oracle, parser.ContextWindowSpec(sizes=(8,), canonical_input=8), stride=stride, scale_weights=(1.0,)
-    )
+    grid = parser.build_grid_map(rgb, oracle, parser.ParseConfig(window_sizes=(8,), stride=stride))
     out_truth = parser.integrate_semantics(grid, _regions_of_truth(truth))
     acc_truth = float((out_truth == truth).mean())
 

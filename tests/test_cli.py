@@ -304,6 +304,15 @@ class TestSegment:
     def test_unreadable_input_exit_3(self, tmp_path):
         assert run("segment", "--input", str(tmp_path / "no.ppm"), "--output", str(tmp_path / "r.pgm")) == 3
 
+    def test_raster_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        from sceneparse import errors, segmentation
+
+        write_ppm(tmp_path / "c.ppm", np.full((16, 16, 3), 99, dtype=np.uint8))
+        monkeypatch.setattr(errors, "_physical_memory", lambda: segmentation.SEGMENT_BYTES_PER_PX * 256 - 1)
+        assert run("segment", "--input", str(tmp_path / "c.ppm"), "--output", str(tmp_path / "r.pgm")) == 2
+        assert "segmenting 256 pixels" in capsys.readouterr().err
+        assert not (tmp_path / "r.pgm").exists()
+
     @pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
     def test_non_finite_k_exit_2(self, workdir, tmp_path, capsys, k):
         scene = str(workdir / "scene" / "scene.ppm")
@@ -509,6 +518,22 @@ class TestParse:
         )
         assert f"{key} must be >= 1" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+
+    @pytest.mark.parametrize("source", ["--oracle-truth", "--checkpoint"])
+    def test_empty_window_sizes_exit_2(self, workdir, tmp_path, capsys, source):
+        (tmp_path / "p.json").write_text(json.dumps({"window_sizes": []}))
+        classifier = workdir / ("scene/truth.pgm" if source == "--oracle-truth" else "m.ckpt")
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                source, str(classifier),
+                "--config", str(tmp_path / "p.json"),
+            )
+            == 2
+        )
+        assert "window sizes must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.pgm").exists()
 
     @pytest.mark.parametrize("key", ["windows", "K", "target", "workers"])
     def test_unknown_key_exit_2(self, workdir, tmp_path, capsys, key):

@@ -43,7 +43,7 @@ desk = model.BackboneConfig(input_size=32, stage_channels=(8, 16, 32), num_class
 params = {name: t.data for name, t in model.init_params(desk, seed=5).items()}
 clf = model.TileClassifier(model.Checkpoint(desk, model.MSCConfig(mu_g=1.0, mu_m=0.0), ["a", "b", "c"], [1, 2, 3], params))
 raster = np.random.Generator(np.random.PCG64(9)).integers(0, 256, size=(96, 112, 3), dtype=np.uint8)
-grid = parser.build_grid_map(raster, clf, *parser.resolve_windows(clf, parser.ParseConfig()))
+grid = parser.build_grid_map(raster, clf, parser.ParseConfig())
 print(hashlib.sha256(grid.cell_probs.tobytes()).hexdigest())
 """
 

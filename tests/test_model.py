@@ -506,6 +506,18 @@ class TestCheckpointFormat:
         with pytest.raises(FormatVersionError, match="malformed header"):
             model.load_checkpoint(p)
 
+    @pytest.mark.parametrize("ids,ok", [([0, 2, 2**31 - 1], True), ([1, 2, 2**31], False), ([1, 2, -5], False)])
+    def test_label_ids_fit_int32_cells(self, tmp_path, ids, ok):
+        ckpt = make_checkpoint()
+        p = tmp_path / "a.ckpt"
+        model.save_checkpoint(ckpt, p)
+        rewrite_header(p, lambda h: h.update(label_ids=ids))
+        if ok:
+            assert model.load_checkpoint(p).label_ids == ids
+        else:
+            with pytest.raises(FormatVersionError, match=r"label ids must lie in \[0, 2\*\*31\)"):
+                model.load_checkpoint(p)
+
     def test_label_table_size_mismatch(self, tmp_path):
         ckpt = make_checkpoint()
         p = tmp_path / "a.ckpt"

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,36 +70,36 @@ def _resize_nearest(patch: np.ndarray, out_size: int) -> np.ndarray:
     return patch[np.ix_(idx, idx)]
 
 
-def extract_context_windows(
-    raster: np.ndarray, center: tuple[int, int], spec: parser.ContextWindowSpec
-) -> list[np.ndarray]:
-    """Windows of every configured size centered on `center`, each resized
-    to [canonical, canonical, 3]."""
+def extract_context_windows(raster: np.ndarray, center: tuple[int, int], sizes, side: int) -> list[np.ndarray]:
+    """Windows of every size in `sizes` centered on `center`, each resized
+    to [side, side, 3]."""
     h, w = raster.shape[:2]
     cy, cx = int(center[0]), int(center[1])
     if not (0 <= cy < h and 0 <= cx < w):
         raise IndexError(f"center ({cy},{cx}) outside {h}x{w} raster")
     out = []
-    for size in spec.sizes:
+    for size in sizes:
         half = size // 2
         rows = reflect_indices(cy - half, size, h)
         cols = reflect_indices(cx - half, size, w)
         win = raster[np.ix_(rows, cols)]
-        out.append(_resize_nearest(win, spec.canonical_input))
+        out.append(_resize_nearest(win, side))
     return out
 
 
-def grid_all_cells(raster, classifier, spec, stride, weights):
+def grid_all_cells(raster, classifier, config):
     """(cell_probs, cell_labels) from the all-cells gather build_grid_map ran
     before it gathered per chunk: one fancy index per scale fills a
     [gh, gw, S, s, s, 3] buffer of every cell's windows, whose flat rows and
-    repeated centres then go to the classifier chunk by chunk."""
+    repeated centres then go to the classifier chunk by chunk.  config is
+    resolved, and the classifier has an input size."""
     h, w = raster.shape[:2]
+    stride, sizes, side = config.stride, config.window_sizes, classifier.input_size
     cys = parser._cell_centers(h, stride, stride // 2)
     cxs = parser._cell_centers(w, stride, stride // 2)
-    gh, gw, n_scales, side = len(cys), len(cxs), len(spec.sizes), spec.canonical_input
+    gh, gw, n_scales = len(cys), len(cxs), len(sizes)
     patches = np.empty((gh, gw, n_scales, side, side, 3), dtype=raster.dtype)
-    for s, size in enumerate(spec.sizes):
+    for s, size in enumerate(sizes):
         rows = parser._window_index_table(cys, size, h, side)
         cols = parser._window_index_table(cxs, size, w, side)
         patches[:, :, s] = raster[rows[:, None, :, None], cols[None, :, None, :]]
@@ -110,7 +111,7 @@ def grid_all_cells(raster, classifier, spec, stride, weights):
             for a, b in parser.window_chunks(len(flat))
         ]
     )
-    fused = fuse(probs.reshape(gh * gw, n_scales, -1), weights).reshape(gh, gw, -1)
+    fused = fuse(probs.reshape(gh * gw, n_scales, -1), config.scale_weights).reshape(gh, gw, -1)
     return fused, np.asarray(classifier.label_ids, dtype=np.int32)[np.argmax(fused, axis=2)]
 
 
@@ -148,24 +149,14 @@ class TestReflectIndices:
 
 
 class TestContextWindows:
-    def test_spec_validation(self):
-        with pytest.raises(ConfigError):
-            parser.ContextWindowSpec(sizes=(56, 56, 224))
-        with pytest.raises(ConfigError):
-            parser.ContextWindowSpec(sizes=())
-        with pytest.raises(ConfigError):
-            parser.ContextWindowSpec(sizes=(4,), canonical_input=0)
-
     def test_interior_window_is_direct_slice(self, rng):
         raster = rng.integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
-        spec = parser.ContextWindowSpec(sizes=(8,), canonical_input=8)
-        (win,) = extract_context_windows(raster, (20, 20), spec)
+        (win,) = extract_context_windows(raster, (20, 20), (8,), 8)
         assert np.array_equal(win, raster[16:24, 16:24])
 
     def test_resize_matches_index_formula(self, rng):
         raster = rng.integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
-        spec = parser.ContextWindowSpec(sizes=(8, 16), canonical_input=8)
-        win8, win16 = extract_context_windows(raster, (20, 20), spec)
+        win8, win16 = extract_context_windows(raster, (20, 20), (8, 16), 8)
         big = raster[12:28, 12:28]
         for y in range(8):
             for x in range(8):
@@ -174,22 +165,19 @@ class TestContextWindows:
 
     def test_border_window_matches_numpy_pad(self, rng):
         raster = rng.integers(0, 256, size=(12, 12, 3), dtype=np.uint8)
-        spec = parser.ContextWindowSpec(sizes=(9,), canonical_input=9)
-        (win,) = extract_context_windows(raster, (0, 11), spec)
+        (win,) = extract_context_windows(raster, (0, 11), (9,), 9)
         padded = np.pad(raster, ((4, 4), (4, 4), (0, 0)), mode="reflect")
         assert np.array_equal(win, padded[0:9, 11:20])
 
     def test_window_larger_than_raster(self, rng):
         raster = rng.integers(0, 256, size=(6, 6, 3), dtype=np.uint8)
-        spec = parser.ContextWindowSpec(sizes=(24,), canonical_input=24)
-        (win,) = extract_context_windows(raster, (3, 3), spec)
+        (win,) = extract_context_windows(raster, (3, 3), (24,), 24)
         assert win.shape == (24, 24, 3)
 
     def test_center_out_of_bounds(self, rng):
         raster = rng.integers(0, 256, size=(6, 6, 3), dtype=np.uint8)
-        spec = parser.ContextWindowSpec(sizes=(4,), canonical_input=4)
         with pytest.raises(IndexError):
-            extract_context_windows(raster, (6, 0), spec)
+            extract_context_windows(raster, (6, 0), (4,), 4)
 
 
 class TestWindowIndexTable:
@@ -223,6 +211,20 @@ class TestOracleClassifier:
         oc = parser.OracleClassifier(np.array([[5, 1]]), n_classes=3)
         assert oc.probs_batch(None, np.array([[0, 0]])).tolist() == [[0.0, 0.0, 1.0]]
 
+    def test_memory_grows_with_the_batch_not_the_class_count_squared(self):
+        # an identity matrix of 4096 classes is 128 MiB; two one-hot rows are 64 KiB
+        oc = parser.OracleClassifier(np.array([[4096, 7]]))
+        tracemalloc.start()
+        try:
+            got = oc.probs_batch(None, np.array([[0, 0], [0, 1]]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert got.dtype == np.float64 and got.shape == (2, 4096)
+        assert np.flatnonzero(got[0]).tolist() == [4095] and np.flatnonzero(got[1]).tolist() == [6]
+        assert got.sum() == 2.0
+
 
 class TestBuildGridMap:
     def test_cell_centers(self):
@@ -234,13 +236,7 @@ class TestBuildGridMap:
         truth = np.arange(1, 17).reshape(4, 4).clip(1, 4)
         truth = np.array([[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]])
         raster = np.zeros((4, 4, 3), dtype=np.uint8)
-        grid = parser.build_grid_map(
-            raster,
-            parser.OracleClassifier(truth),
-            parser.ContextWindowSpec(sizes=(2,), canonical_input=2),
-            stride=2,
-            scale_weights=(1.0,),
-        )
+        grid = parser.build_grid_map(raster, parser.OracleClassifier(truth), parser.ParseConfig(window_sizes=(2,), stride=2))
         assert grid.grid_shape == (2, 2)
         # centers at (1,1),(1,3),(3,1),(3,3)
         assert np.array_equal(grid.cell_labels, [[1, 2], [3, 4]])
@@ -259,10 +255,8 @@ class TestBuildGridMap:
         # truth 0 (void) and ids above n_classes both clip into the label range
         truth = rng.integers(0, 7, size=shape)
         raster = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
-        spec = parser.ContextWindowSpec(sizes=sizes, canonical_input=sizes[0])
-        if weights is None:
-            weights = parser.default_scale_weights(len(sizes))
-        grid = parser.build_grid_map(raster, parser.OracleClassifier(truth, n_classes=5), spec, stride, weights)
+        cfg = parser.ParseConfig(window_sizes=sizes, stride=stride, scale_weights=weights)
+        grid = parser.build_grid_map(raster, parser.OracleClassifier(truth, n_classes=5), cfg)
         fused, labels = oracle_grid_loops(truth, 5, *shape, stride)
         assert grid.cell_probs.tobytes() == fused.tobytes()
         assert np.array_equal(grid.cell_labels, np.arange(1, 6, dtype=np.int32)[labels])
@@ -275,18 +269,23 @@ class TestBuildGridMap:
         msc = model.MSCConfig(mu_g=1.0, mu_m=0.0)
         clf = model.TileClassifier(model.Checkpoint(SMALL, msc, ["a", "b", "c"], [1, 2, 3], params))
         raster = make_scene(n_classes=3, size=48, seed=4)[0]
-        spec, _, weights = parser.resolve_windows(clf, parser.ParseConfig())
-        grid = parser.build_grid_map(raster, clf, spec, stride=4, scale_weights=weights)
+        cfg = parser.resolve(clf, parser.ParseConfig(stride=4))
+        grid = parser.build_grid_map(raster, clf, cfg)
 
         # the whole-batch path: every window converted to float64 up front
         cys = parser._cell_centers(48, 4, 2)
         flat = np.stack(
-            [win for cy in cys for cx in cys for win in extract_context_windows(raster, (int(cy), int(cx)), spec)]
+            [
+                win
+                for cy in cys
+                for cx in cys
+                for win in extract_context_windows(raster, (int(cy), int(cx)), cfg.window_sizes, clf.input_size)
+            ]
         )
         assert len(flat) > 256
         x = flat.transpose(0, 3, 1, 2).astype(np.float64) / 255.0
         probs = np.concatenate([clf.probs_batch(x[i : i + 256]) for i in range(0, len(x), 256)])
-        w = np.asarray(parser.default_scale_weights(3))
+        w = np.asarray(cfg.scale_weights)
         want = ((w[None, :, None] * probs.reshape(len(cys) ** 2, 3, -1)).sum(axis=1) / w.sum()).reshape(len(cys), len(cys), -1)
         assert np.array_equal(grid.cell_probs, want)
 
@@ -302,8 +301,6 @@ class TestBuildGridMap:
     )
     def test_gather_matches_per_cell_windows(self, rng, shape, sizes, stride):
         raster = rng.integers(0, 256, size=shape + (3,), dtype=np.uint8)
-        spec = parser.ContextWindowSpec(sizes=sizes, canonical_input=sizes[0])
-
         seen, seen_centers = [], []
 
         class Recorder:
@@ -314,11 +311,11 @@ class TestBuildGridMap:
                 seen_centers.append(centers)
                 return np.ones((len(x), 1))
 
-        parser.build_grid_map(raster, Recorder(), spec, stride, parser.default_scale_weights(len(sizes)))
+        parser.build_grid_map(raster, Recorder(), parser.ParseConfig(window_sizes=sizes, stride=stride))
         cys = parser._cell_centers(shape[0], stride, stride // 2)
         cxs = parser._cell_centers(shape[1], stride, stride // 2)
         want = np.stack(
-            [win for cy in cys for cx in cxs for win in extract_context_windows(raster, (int(cy), int(cx)), spec)]
+            [win for cy in cys for cx in cxs for win in extract_context_windows(raster, (int(cy), int(cx)), sizes, sizes[0])]
         )
         got = np.concatenate(seen)
         assert got.tobytes() == (want.transpose(0, 3, 1, 2).astype(np.float64) / 255.0).tobytes()
@@ -349,7 +346,7 @@ class TestBuildGridMap:
         msc = model.MSCConfig(mu_g=1.0, mu_m=0.0)
         clf = model.TileClassifier(model.Checkpoint(cfg, msc, ["a", "b", "c"], [1, 2, 3], params))
         raster = np.random.Generator(np.random.PCG64(9)).integers(0, 256, size=(96, 112, 3), dtype=np.uint8)
-        args = (raster, clf, *parser.resolve_windows(clf, parser.ParseConfig()))
+        args = (raster, clf)
         want = parser.build_grid_map(*args).cell_probs
         monkeypatch.setattr(parser, "WINDOW_BATCH", window_batch)
         assert parser.build_grid_map(*args).cell_probs.tobytes() == want.tobytes()
@@ -357,9 +354,9 @@ class TestBuildGridMap:
     @pytest.mark.parametrize("side", [2**20, 2**40])
     def test_huge_window_rejected_before_gather(self, side):
         oc = Counting(np.ones((8, 8), dtype=np.int32), n_classes=2)
-        spec = parser.ContextWindowSpec(sizes=(side,), canonical_input=side)
+        cfg = parser.ParseConfig(window_sizes=(side,), stride=4)
         with pytest.raises(ConfigError, match=f"{side}x{side}-px windows"):
-            parser.build_grid_map(np.zeros((8, 8, 3), dtype=np.uint8), oc, spec, stride=4, scale_weights=(1.0,))
+            parser.build_grid_map(np.zeros((8, 8, 3), dtype=np.uint8), oc, cfg)
         assert oc.calls == 0
 
     def test_window_memory_counted_against_the_machine(self, monkeypatch):
@@ -367,8 +364,7 @@ class TestBuildGridMap:
         # the all-cells gather; one chunk of 65 needs its windows, their
         # float64 copy and two int64 index tables of 65 x 4
         oc = Counting(np.ones((128, 128), dtype=np.int32), n_classes=2)
-        spec = parser.ContextWindowSpec(sizes=(4, 8), canonical_input=4)
-        args = (np.zeros((128, 128, 3), dtype=np.uint8), oc, spec, 4, (1.0, 1.0))
+        args = (np.zeros((128, 128, 3), dtype=np.uint8), oc, parser.ParseConfig(window_sizes=(4, 8), stride=4))
         need = 65 * (48 + 48 * 8 + 2 * 4 * 8)
         assert need < 2048 * 48
         monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
@@ -382,8 +378,8 @@ class TestBuildGridMap:
 
     def test_window_memory_counts_the_raster_itemsize(self, monkeypatch):
         # 4 cells x 2 scales: one chunk of 8 float64 windows and their copy
-        spec = parser.ContextWindowSpec(sizes=(4, 8), canonical_input=4)
-        args = (np.zeros((8, 8, 3)), Counting(np.ones((8, 8)), n_classes=2), spec, 4, (1.0, 1.0))
+        cfg = parser.ParseConfig(window_sizes=(4, 8), stride=4)
+        args = (np.zeros((8, 8, 3)), Counting(np.ones((8, 8)), n_classes=2), cfg)
         need = 8 * (48 * 8 + 48 * 8 + 2 * 4 * 8)
         monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
         with pytest.raises(ConfigError, match="GiB needed"):
@@ -409,48 +405,20 @@ class TestBuildGridMap:
         clf = model.TileClassifier(model.Checkpoint(SMALL, model.MSCConfig(), ["a", "b", "c"], [1, 2, 5], params))
         rng = np.random.Generator(np.random.PCG64(11))
         raster = (rng.random(shape + (3,)) * 255).astype(dtype)
-        spec, _, weights = parser.resolve_windows(clf, parser.ParseConfig())
+        cfg = parser.resolve(clf, parser.ParseConfig(stride=stride))
         monkeypatch.setattr(parser, "WINDOW_BATCH", window_batch)
-        grid = parser.build_grid_map(raster, clf, spec, stride, weights)
-        probs, labels = grid_all_cells(raster, clf, spec, stride, weights)
+        grid = parser.build_grid_map(raster, clf, cfg)
+        probs, labels = grid_all_cells(raster, clf, cfg)
         assert grid.cell_probs.tobytes() == probs.tobytes()
         assert grid.cell_labels.tobytes() == labels.tobytes()
 
     def test_keep_probs(self):
         truth = np.ones((4, 4), dtype=np.int32)
         raster = np.zeros((4, 4, 3), dtype=np.uint8)
-        grid = parser.build_grid_map(
-            raster,
-            parser.OracleClassifier(truth, n_classes=2),
-            parser.ContextWindowSpec(sizes=(2,), canonical_input=2),
-            stride=2,
-            scale_weights=(1.0,),
-        )
+        cfg = parser.ParseConfig(window_sizes=(2,), stride=2)
+        grid = parser.build_grid_map(raster, parser.OracleClassifier(truth, n_classes=2), cfg)
         assert grid.cell_probs.shape == (2, 2, 2)
         assert np.allclose(grid.cell_probs.sum(axis=2), 1.0)
-
-    def test_bad_stride(self):
-        raster = np.zeros((4, 4, 3), dtype=np.uint8)
-        with pytest.raises(ConfigError):
-            parser.build_grid_map(
-                raster,
-                parser.OracleClassifier(np.ones((4, 4))),
-                parser.ContextWindowSpec(sizes=(2,), canonical_input=2),
-                stride=0,
-                scale_weights=(1.0,),
-            )
-
-    @pytest.mark.parametrize(
-        "weights", [(np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1e308, 1e308, 1e308), (0.0, 1.0, 1.0), (1.0, 1.0)]
-    )
-    def test_bad_scale_weights_rejected_before_classifier(self, weights):
-        truth = np.ones((8, 8), dtype=np.int32)
-        oc = Counting(truth, n_classes=2)
-        spec = parser.ContextWindowSpec(sizes=(2, 4, 8), canonical_input=2)
-        raster = np.zeros((8, 8, 3), dtype=np.uint8)
-        with pytest.raises(ConfigError, match="scale weights"):
-            parser.build_grid_map(raster, oc, spec, stride=2, scale_weights=weights)
-        assert oc.calls == 0
 
     def test_classifier_failure_wrapped(self):
         class Broken:
@@ -459,9 +427,7 @@ class TestBuildGridMap:
 
         raster = np.zeros((4, 4, 3), dtype=np.uint8)
         with pytest.raises(ClassifierError):
-            parser.build_grid_map(
-                raster, Broken(), parser.ContextWindowSpec(sizes=(2,), canonical_input=2), stride=2, scale_weights=(1.0,)
-            )
+            parser.build_grid_map(raster, Broken(), parser.ParseConfig(window_sizes=(2,), stride=2))
 
 
 class TestIntegrateSemantics:
@@ -494,6 +460,16 @@ class TestIntegrateSemantics:
         grid = self._grid([[5, 5], [5, 5]], stride=2, h=4, w=4)
         regions = segmentation.RegionMap(np.zeros((4, 4), dtype=np.int32), 1)
         assert (parser.integrate_semantics(grid, regions) == 5).all()
+
+    @pytest.mark.parametrize("far", [10**9, 2**31 - 1, -5])
+    def test_votes_over_the_ids_present(self, far):
+        # a vote matrix sized by the largest id would need 2**31 columns per
+        # region here, and a negative id would index it from the end
+        grid = self._grid([[1, 2], [far, far]], stride=2, h=4, w=4)
+        regions = segmentation.RegionMap(np.array([[0, 0, 1, 1]] * 2 + [[2, 2, 2, 2]] * 2, dtype=np.int32), 3)
+        out = parser.integrate_semantics(grid, regions)
+        assert out.dtype == np.int32
+        assert out.tolist() == [[1, 1, 2, 2]] * 2 + [[far] * 4] * 2
 
     def test_extent_mismatch(self):
         grid = self._grid([[1]], stride=2, h=2, w=2)
@@ -528,9 +504,7 @@ class TestParseImage:
     def test_oracle_with_truth_regions_is_perfect(self):
         raster, truth = make_scene(n_classes=4, size=96, seed=11)
         oc = parser.OracleClassifier(truth)
-        grid = parser.build_grid_map(
-            raster, oc, parser.ContextWindowSpec(sizes=(8,), canonical_input=8), stride=4, scale_weights=(1.0,)
-        )
+        grid = parser.build_grid_map(raster, oc, parser.ParseConfig(window_sizes=(8,), stride=4))
         out = parser.integrate_semantics(grid, truth_regions(truth))
         assert (out == truth).all()
 
@@ -579,9 +553,19 @@ class TestParseImage:
         oc = Counting(truth)
         parser.parse_image(raster, oc, parser.ParseConfig(**base))
         assert oc.calls > 0
+        # the settings are checked when the config is built, before any stage
         oc = Counting(truth)
-        with pytest.raises(ConfigError, match="^segment: "):
+        with pytest.raises(ConfigError, match="^(k|min_size|target_count) must be "):
             parser.parse_image(raster, oc, parser.ParseConfig(**{**base, **bad}))
+        assert oc.calls == 0
+
+    def test_segment_memory_checked_before_grid(self, monkeypatch):
+        raster, truth = make_scene(n_classes=3, size=32, seed=2)
+        oc = Counting(truth)
+        # enough for one chunk of 8x8 windows, not for segmenting 32x32 pixels
+        monkeypatch.setattr(errors, "_physical_memory", lambda: segmentation.SEGMENT_BYTES_PER_PX * 1024 - 1)
+        with pytest.raises(ConfigError, match="^segmenting 1024 pixels"):
+            parser.parse_image(raster, oc, parser.ParseConfig(window_sizes=(8,), stride=4))
         assert oc.calls == 0
 
     def test_target_count_merging(self):
@@ -592,14 +576,59 @@ class TestParseImage:
         assert regions.region_count <= 5
 
 
-class TestWindowsForClassifier:
+class TestParseConfig:
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"window_sizes": ()}, "window sizes must be >= 1"),
+            ({"window_sizes": (0, 8)}, "window sizes must be >= 1"),
+            ({"window_sizes": (8, 2**63)}, "fit int64"),
+            ({"window_sizes": (56, 56, 224)}, "strictly increasing"),
+            ({"stride": 0}, "stride must be >= 1"),
+            ({"stride": 2**63}, "fit int64"),
+            ({"scale_weights": (np.nan, 1.0, 1.0)}, "scale weights"),
+            ({"scale_weights": (1.0, np.inf, 1.0)}, "scale weights"),
+            ({"scale_weights": (1e308, 1e308, 1e308)}, "scale weights"),
+            ({"scale_weights": (0.0, 1.0, 1.0)}, "scale weights"),
+            ({"window_sizes": (2, 4, 8), "scale_weights": (1.0, 1.0)}, "need 3 finite positive scale weights"),
+            ({"k": float("nan")}, "k must be positive"),
+            ({"min_size": 0}, "min_size must be >= 1"),
+            ({"target_count": 0}, "target_count must be >= 1"),
+        ],
+    )
+    def test_checked_when_built(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            parser.ParseConfig(**bad)
+
     def test_default_pyramid(self):
-        spec, stride, weights = parser.resolve_windows(SimpleNamespace(input_size=32), parser.ParseConfig())
-        assert spec.sizes == (32, 64, 128)
-        assert spec.canonical_input == 32
-        assert stride == 16 and weights == parser.default_scale_weights(3)
+        cfg = parser.resolve(SimpleNamespace(input_size=32), parser.ParseConfig())
+        assert cfg.window_sizes == (32, 64, 128)
+        assert cfg.stride == 16 and cfg.scale_weights == (0.25, 0.5, 1.0)
+
+    def test_paper_windows_without_an_input_size(self):
+        cfg = parser.resolve(parser.OracleClassifier(np.ones((2, 2))), parser.ParseConfig())
+        assert cfg.window_sizes == (56, 112, 224)
+        assert cfg.stride == 28
 
     def test_explicit_sizes_kept(self):
-        spec, _, _ = parser.resolve_windows(SimpleNamespace(input_size=16), parser.ParseConfig(window_sizes=(16, 48)))
-        assert spec.sizes == (16, 48)
-        assert spec.canonical_input == 16
+        cfg = parser.resolve(SimpleNamespace(input_size=16), parser.ParseConfig(window_sizes=[16, 48]))
+        assert cfg.window_sizes == (16, 48)
+        assert cfg.stride == 8 and cfg.scale_weights == (1.0, 1.0)
+
+    def test_weight_count_checked_against_the_default_windows(self):
+        with pytest.raises(ConfigError, match="need 3 finite positive scale weights"):
+            parser.resolve(SimpleNamespace(input_size=16), parser.ParseConfig(scale_weights=(1.0, 2.0)))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            parser.ParseConfig(),
+            parser.ParseConfig(window_sizes=(1, 5)),
+            parser.ParseConfig(stride=3, scale_weights=(1.0, 2.0, 3.0), target_count=4),
+        ],
+    )
+    @pytest.mark.parametrize("classifier", [SimpleNamespace(input_size=1), SimpleNamespace(input_size=32), SimpleNamespace()])
+    def test_resolve_is_idempotent(self, cfg, classifier):
+        once = parser.resolve(classifier, cfg)
+        assert None not in (once.window_sizes, once.stride, once.scale_weights)
+        assert parser.resolve(classifier, once) == once

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sceneparse import segmentation
+from sceneparse import errors, segmentation
 from sceneparse.errors import ConfigError, DataError, EmptyImageError, IoError, ParseError
 from sceneparse.segmentation import _relabel_dense
 from tests.conftest import make_scene
@@ -529,6 +529,21 @@ class TestGraphSegment:
             segmentation.graph_segment(img, k=1.0, min_size=0)
         with pytest.raises(EmptyImageError):
             segmentation.graph_segment(np.zeros((0, 4, 3), dtype=np.uint8))
+
+    def test_memory_checked_before_the_edges(self, monkeypatch):
+        img = np.zeros((4, 5, 3), dtype=np.uint8)
+        need = segmentation.SEGMENT_BYTES_PER_PX * 20
+
+        def no_edges(*args):
+            raise AssertionError("_edges_8 ran")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(errors, "_physical_memory", lambda: need - 1)
+            mp.setattr(segmentation, "_edges_8", no_edges)
+            with pytest.raises(ConfigError, match="segmenting 20 pixels at .* GiB needed"):
+                segmentation.graph_segment(img)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: need)
+        assert segmentation.graph_segment(img).region_count == 1
 
     def test_k_monotone_nonincreasing(self, rng):
         for _ in range(10):

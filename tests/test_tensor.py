@@ -719,6 +719,21 @@ class TestCheckGradients:
             T.check_gradients(loss, [w])
         assert w.requires_grad
 
+    def test_parameter_restored_when_the_loss_raises(self):
+        # the third call is the first element's minus side: w[0] = 1 - eps
+        w = T.tensor(np.array([1.0, 2.0]), requires_grad=True)
+        calls = []
+
+        def loss():
+            calls.append(None)
+            if len(calls) == 3:
+                raise NumericError("boom")
+            return T.tsum(T.mul(w, w))
+
+        with pytest.raises(NumericError):
+            T.check_gradients(loss, [w])
+        assert w.data.tolist() == [1.0, 2.0]
+
 
 # (input shape, kernel shape, stride): the desk classifier's convs (32-px
 # tiles, channels 8/16/32, attention 1x1s) at a small and a training batch,
