@@ -175,10 +175,13 @@ def build_grid_map(raster: np.ndarray, classifier, config: ParseConfig = ParseCo
     n_scales, side = len(sizes), getattr(classifier, "input_size", None) or sizes[0]
     n_windows = gh * gw * n_scales
     chunk = min(n_windows, WINDOW_BATCH + 1)
-    # one chunk's windows, their float64 copy and its two int64 index tables
+    # one chunk's windows, their float64 copy and its two int64 index tables,
+    # then every window's float64 probabilities, once per chunk and once
+    # concatenated, and the fused map of every cell
+    n_classes = len(class_ids)
     check_memory(
-        chunk * side * (3 * side * (raster.itemsize + 8) + 16),
-        f"{side}x{side}-px windows, {chunk} to a classifier call",
+        chunk * side * (3 * side * (raster.itemsize + 8) + 16) + 8 * n_classes * (2 * n_windows + gh * gw),
+        f"{side}x{side}-px windows, {chunk} to a classifier call, and {n_classes}-class probabilities of {n_windows} windows",
     )
     sizes = np.asarray(sizes, dtype=np.int64)
 

@@ -432,6 +432,32 @@ class TestParse:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "labels.pgm").exists() and not (tmp_path / "g.pgm").exists()
 
+    def test_class_probabilities_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # one truth pixel of 65535 makes a 65535-class oracle: 300 windows of
+        # float64 probabilities need about 367 MB, the windows about 22 MB
+        from sceneparse import errors, parser
+
+        def no_call(*args):
+            raise AssertionError("probs_batch ran")
+
+        write_ppm(tmp_path / "s.ppm", np.full((256, 256, 3), 90, dtype=np.uint8))
+        truth = np.ones((256, 256), dtype=np.int32)
+        truth[100, 100] = 65535
+        write_pgm(tmp_path / "t.pgm", truth, maxval=65535)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 128 << 20)
+        monkeypatch.setattr(parser.OracleClassifier, "probs_batch", no_call)
+        assert (
+            run(
+                "parse", "--input", str(tmp_path / "s.ppm"),
+                "--output", str(tmp_path / "labels.pgm"),
+                "--oracle-truth", str(tmp_path / "t.pgm"),
+            )
+            == 2
+        )
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid: ") and "65535-class probabilities of 300 windows" in err
+        assert not (tmp_path / "labels.pgm").exists()
+
     def test_unreadable_input_exit_3(self, workdir, tmp_path):
         assert (
             run(

@@ -365,10 +365,13 @@ class TestBuildGridMap:
         # float64 copy and two int64 index tables of 65 x 4
         oc = Counting(np.ones((128, 128), dtype=np.int32), n_classes=2)
         args = (np.zeros((128, 128, 3), dtype=np.uint8), oc, parser.ParseConfig(window_sizes=(4, 8), stride=4))
-        need = 65 * (48 + 48 * 8 + 2 * 4 * 8)
-        assert need < 2048 * 48
+        windows = 65 * (48 + 48 * 8 + 2 * 4 * 8)
+        assert windows < 2048 * 48
+        # then 2 float64 probabilities for each window, per chunk and
+        # concatenated, and for each of the 1024 cells once fused
+        need = windows + 8 * 2 * (2 * 2048 + 1024)
         monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
-        with pytest.raises(ConfigError, match="4x4-px windows, 65 to a classifier call: "):
+        with pytest.raises(ConfigError, match="4x4-px windows, 65 to a classifier call, and 2-class probabilities of 2048 windows: "):
             parser.build_grid_map(*args)
         assert oc.calls == 0
         monkeypatch.setattr(errors, "_physical_memory", lambda: need)
@@ -376,11 +379,25 @@ class TestBuildGridMap:
         monkeypatch.setattr(errors, "_physical_memory", lambda: None)
         assert parser.build_grid_map(*args).cell_labels.shape == (32, 32)
 
+    def test_probability_memory_counts_the_classes(self, monkeypatch):
+        # 4 cells x 1 scale of 4x4 windows; 1000 classes outweigh the windows
+        oc = Counting(np.ones((8, 8), dtype=np.int32), n_classes=1000)
+        args = (np.zeros((8, 8, 3), dtype=np.uint8), oc, parser.ParseConfig(window_sizes=(4,), stride=4))
+        windows = 4 * (48 + 48 * 8 + 2 * 4 * 8)
+        need = windows + 8 * 1000 * (2 * 4 + 4)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ConfigError, match="^4x4-px windows, 4 to a classifier call, and 1000-class probabilities of 4 windows: "):
+            parser.build_grid_map(*args)
+        assert oc.calls == 0
+        monkeypatch.setattr(errors, "_physical_memory", lambda: need)
+        assert parser.build_grid_map(*args).cell_probs.shape == (2, 2, 1000)
+
     def test_window_memory_counts_the_raster_itemsize(self, monkeypatch):
-        # 4 cells x 2 scales: one chunk of 8 float64 windows and their copy
+        # 4 cells x 2 scales: one chunk of 8 float64 windows and their copy,
+        # then 2 probabilities for each window twice and for each cell once
         cfg = parser.ParseConfig(window_sizes=(4, 8), stride=4)
         args = (np.zeros((8, 8, 3)), Counting(np.ones((8, 8)), n_classes=2), cfg)
-        need = 8 * (48 * 8 + 48 * 8 + 2 * 4 * 8)
+        need = 8 * (48 * 8 + 48 * 8 + 2 * 4 * 8) + 8 * 2 * (2 * 8 + 4)
         monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
         with pytest.raises(ConfigError, match="GiB needed"):
             parser.build_grid_map(*args)

@@ -299,6 +299,74 @@ def _segment_oracle(img, k, min_size):
     return segmentation.RegionMap(*_merge_small_heap(labels, int(labels.max()) + 1, color, min_size))
 
 
+def _four_cc_pairs(labels_flat, h: int, w: int) -> tuple[np.ndarray, int]:
+    """The pixel-pair 4-connected components that segmentation._four_cc's
+    run-length ones replaced, verbatim: each round hooks every root onto the
+    smallest root across its same-valued 4-neighbor pixel pairs, then
+    pointer-jumps to flat trees."""
+    lab = np.asarray(labels_flat).reshape(h, w)
+    idx = np.arange(h * w).reshape(h, w)
+    a, b = [], []
+    for dy, dx in ((0, 1), (1, 0)):
+        same = lab[: h - dy, : w - dx] == lab[dy:, dx:]
+        a.append(idx[: h - dy, : w - dx][same])
+        b.append(idx[dy:, dx:][same])
+    a, b = np.concatenate(a), np.concatenate(b)
+    parent = np.arange(h * w)
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            break
+        lo = np.minimum(ra[split], rb[split])
+        hi = np.maximum(ra[split], rb[split])
+        np.minimum.at(parent, hi, lo)
+        parent = segmentation._pointer_jump(parent)
+    roots, inv = np.unique(parent, return_inverse=True)
+    return inv.reshape(h, w).astype(np.int32), roots.size
+
+
+def _merge_small_sets(labels, count, color, min_size):
+    """The small-region cleanup with Python neighbor sets that
+    segmentation._merge_small's array one replaced, verbatim."""
+    areas = np.bincount(labels.ravel(), minlength=count).tolist()
+    csum = np.zeros((count, 3))
+    np.add.at(csum, labels.ravel(), color)
+    csum = csum.tolist()
+    # per-region mean colors as Python floats, held until the region grows
+    mean = [(s0 / a, s1 / a, s2 / a) for (s0, s1, s2), a in zip(csum, areas)]
+    neighbors = segmentation._neighbor_sets(*segmentation._region_pairs(labels, count), count)
+
+    parent = list(range(count))
+    heap = [(areas[r], r) for r in range(count) if areas[r] < min_size]
+    heapq.heapify(heap)
+    while heap:
+        a, r = heapq.heappop(heap)
+        if parent[r] != r or areas[r] != a or a >= min_size:
+            continue
+        if not neighbors[r]:
+            break  # the whole raster is one region
+        m0, m1, m2 = mean[r]
+        best, best_d = -1, math.inf
+        for nb in sorted(neighbors[r]):
+            n0, n1, n2 = mean[nb]
+            d0, d1, d2 = m0 - n0, m1 - n1, m2 - n2
+            d = d0 * d0 + d1 * d1 + d2 * d2
+            if d < best_d:
+                best, best_d = nb, d
+        keep, gone = (r, best) if r < best else (best, r)
+        parent[gone] = keep
+        areas[keep] += areas[gone]
+        csum[keep] = [x + y for x, y in zip(csum[keep], csum[gone])]
+        s0, s1, s2 = csum[keep]
+        area = areas[keep]
+        mean[keep] = (s0 / area, s1 / area, s2 / area)
+        segmentation._join_neighbors(neighbors, keep, gone)
+        if area < min_size:
+            heapq.heappush(heap, (area, keep))
+    return _relabel_dense(segmentation._pointer_jump(np.asarray(parent))[labels])
+
+
 def _edges_8_stable(h, w, color):
     """The edge build that segmentation._edges_8 replaced: (lo, hi, weight)
     arrays sorted by (weight, lo, hi) with one stable sort of the
@@ -354,6 +422,13 @@ def _graph_segment_chunked(image, k=segmentation.DEFAULT_K, min_size=segmentatio
     sweep."""
     color = segmentation._check_image(image)
     h, w = image.shape[0], image.shape[1]
+    labels, count = segmentation._four_cc(_components_chunked(color, h, w, k), h, w)
+    labels, count = segmentation._merge_small(labels, count, color, min_size)
+    return segmentation.RegionMap(labels, count)
+
+
+def _components_chunked(color, h, w, k):
+    """Per-pixel component ids from the chunk-prefiltered sequential sweep."""
     n = h * w
 
     parent = list(range(n))
@@ -382,10 +457,7 @@ def _graph_segment_chunked(image, k=segmentation.DEFAULT_K, min_size=segmentatio
                 gone.append(b)
                 into.append(a)
         tree[gone] = into
-
-    labels, count = segmentation._four_cc(segmentation._pointer_jump(tree), h, w)
-    labels, count = segmentation._merge_small(labels, count, color, min_size)
-    return segmentation.RegionMap(labels, count)
+    return segmentation._pointer_jump(tree)
 
 
 def region_stats(rm: segmentation.RegionMap) -> dict:
@@ -495,6 +567,17 @@ class TestGraphSegment:
                 got = segmentation.graph_segment(img, k=k, min_size=min_size)
                 assert _same_map(got, _segment_oracle(img, k, min_size)), (k, min_size)
 
+    def test_matches_the_replaced_pipeline_on_a_512_scene(self):
+        # graph_segment against the pipeline it replaced, assembled from the
+        # oracles: the sequential sweep over (weight, lo, hi)-sorted float
+        # edges, pixel-pair components and the neighbor-set cleanup
+        img = make_scene(n_classes=8, size=512, n_points=16, seed=3, noise=20.0)[0]
+        color = img.reshape(-1, 3).astype(np.float64)
+        labels, count = _four_cc_pairs(_components_chunked(color, 512, 512, segmentation.DEFAULT_K), 512, 512)
+        assert count > 10_000
+        want = segmentation.RegionMap(*_merge_small_sets(labels, count, color, segmentation.DEFAULT_MIN_SIZE))
+        assert _same_map(segmentation.graph_segment(img), want)
+
     def test_partition_and_dense_ids(self, rng):
         img = _random_image(rng)
         rm = segmentation.graph_segment(img, k=200.0, min_size=8)
@@ -529,6 +612,25 @@ class TestGraphSegment:
             segmentation.graph_segment(img, k=1.0, min_size=0)
         with pytest.raises(EmptyImageError):
             segmentation.graph_segment(np.zeros((0, 4, 3), dtype=np.uint8))
+
+    @pytest.mark.parametrize("dtype,value", [
+        (np.float64, 255.5), (np.float64, 256.0), (np.float64, -1.0), (np.float64, math.nan),
+        (np.float64, math.inf), (np.int64, 256), (np.int16, -1), (np.complex128, 1.0),
+    ])
+    def test_pixel_values_outside_8_bit_rejected(self, dtype, value):
+        # the edge keys are exact integer squared distances of 8-bit colors
+        img = np.zeros((6, 7, 3), dtype=dtype)
+        img[2, 3, 1] = value
+        with pytest.raises(DataError, match=r"integers in \[0, 255\]"):
+            segmentation.graph_segment(img)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.uint16, np.bool_])
+    def test_integral_8_bit_values_of_any_dtype_accepted(self, rng, dtype):
+        img = _random_image(rng, 12, 14)
+        if dtype is np.bool_:
+            img = img > 127
+        want = segmentation.graph_segment(img.astype(np.uint8), 100.0, 4)
+        assert _same_map(segmentation.graph_segment(img.astype(dtype), 100.0, 4), want)
 
     def test_memory_checked_before_the_edges(self, monkeypatch):
         img = np.zeros((4, 5, 3), dtype=np.uint8)
@@ -963,6 +1065,27 @@ class TestFourCC:
         self._check(np.zeros((1, 1), dtype=np.int64))
         self._check(np.arange(12).reshape(3, 4))
         self._check(np.zeros((5, 1), dtype=np.int64))
+
+
+@st.composite
+def _thin_rasters(draw):
+    """A raster of 1 to 3 values, 1 to 4 px on one side: its runs often
+    reach the row end, and the runs of one row start inside the next's."""
+    short, long = draw(st.integers(1, 4)), draw(st.integers(1, 48))
+    h, w = (short, long) if draw(st.booleans()) else (long, short)
+    values = draw(st.integers(1, 3))
+    flat = draw(st.lists(st.integers(0, values - 1), min_size=h * w, max_size=h * w))
+    return np.array(flat, dtype=np.int64).reshape(h, w)
+
+
+@settings(max_examples=150)
+@given(lab=_thin_rasters())
+def test_four_cc_matches_pixel_pairs_on_thin_rasters(lab):
+    h, w = lab.shape
+    got, count = segmentation._four_cc(lab.ravel(), h, w)
+    want, want_count = _four_cc_pairs(lab.ravel(), h, w)
+    assert got.dtype == want.dtype and np.array_equal(got, want) and count == want_count
+    assert np.array_equal(got, _four_cc_loops(lab))
 
 
 class TestRegionMapIo:
