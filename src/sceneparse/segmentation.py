@@ -79,8 +79,8 @@ LEVEL_MIN = 256
 # pushes between rebuilds pay for it
 HEAP_SLACK = 3
 # graph_segment's peak bytes per pixel, rounded up from its ru_maxrss growth on
-# 8-class scenes loaded from .npy (numpy 2.4): 120 at 1024^2, 96 at 2048^2
-SEGMENT_BYTES_PER_PX = 120
+# 8-class scenes loaded from .npy (numpy 2.4): 108 at 1024^2, 85 at 2048^2
+SEGMENT_BYTES_PER_PX = 108
 # one above the largest squared RGB distance of two 8-bit pixels: the key of
 # an _edges_8 slot without an edge
 NO_EDGE = 3 * 255**2 + 1
@@ -332,15 +332,16 @@ def _relabel_dense(labels: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _check_image(image: np.ndarray) -> np.ndarray:
-    """The raster as [H*W, 3] int32 colors, which subtract and square without
-    overflow; DataError unless every value is an integer in [0, 255]."""
+    """The raster as [H*W, 3] uint8 colors, a view of a uint8 raster;
+    DataError unless every value is an integer in [0, 255].  Callers widen
+    them before they subtract."""
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3 or img.shape[0] < 1 or img.shape[1] < 1:
         raise EmptyImageError(f"expected non-empty [H,W,3] RGB raster, got {img.shape}")
     if img.dtype != np.uint8:
         if img.dtype.kind not in "biuf" or not ((img >= 0) & (img <= 255) & (img == np.floor(img))).all():
             raise DataError("pixel values must be integers in [0, 255]")
-    return img.astype(np.int32).reshape(-1, 3)
+    return img.astype(np.uint8, copy=False).reshape(-1, 3)
 
 
 def _level_unions(tree, size, thr, ends, level_w, bounds, k: float) -> None:

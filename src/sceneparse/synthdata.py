@@ -5,6 +5,21 @@ checkerboard, each plus Gaussian noise) arranged by a voronoi or block
 layout.  Ground-truth label rasters use 1-based class ids; 0 is reserved
 for void/unlabeled pixels so evaluation can mask regions out.
 
+A scene is rendered in two passes, and holds no full-size float array:
+
+* Layout.  A voronoi layout is computed tile by tile: each TILE x TILE
+  tile compares only the points that can be nearest to one of its pixels,
+  chosen with exact integer distance bounds, so the labels and the
+  lowest-index tie rule are those of comparing every point everywhere.
+* Colour and noise, in row bands of about BAND_PX pixels: each band's
+  base or alt colours, plus its Gaussian noise, rounded and clipped into
+  the uint8 raster.
+
+A scene's PCG64 stream draws its random voronoi points first, then one
+standard normal per channel in row-major pixel order.  The bands draw that
+sequence in consecutive pieces, so the raster does not depend on BAND_PX
+or TILE.
+
 Everything is deterministic per seed (PCG64); tile datasets derive one
 child seed per tile from (master seed, tile index).
 """
@@ -33,9 +48,15 @@ __all__ = [
 
 PATTERNS = ("flat", "stripes", "checker")
 
-# peak bytes per pixel of generate_scene_raster: its float64 colour, noise
-# and sigma fields; a 2048^2 scene peaked at 518 MB ru_maxrss
-SCENE_BYTES_PER_PX = 120
+# peak bytes per pixel of generate_scene_raster, rounded up: the 7 of the
+# returned rasters plus the band buffers, about 3 MB whatever the size.
+# tracemalloc's peak read 13.1 at 1024^2; ru_maxrss grew 8.7 at 2048^2 and
+# 7.4 at 4096^2
+SCENE_BYTES_PER_PX = 16
+# pixels per band of the colour and noise pass (at least one row each)
+BAND_PX = 1 << 16
+# side of the square tiles over which the Voronoi layout prunes its points
+TILE = 64
 
 
 @dataclass(frozen=True)
@@ -149,6 +170,45 @@ def _pattern_field(tex: TextureSpec, h: int, w: int, phase: tuple[int, int] = (0
     return out
 
 
+def _voronoi(pts, h: int, w: int) -> np.ndarray:
+    """Class index of each pixel's nearest point, int32 [H, W]; ties go to
+    the lowest point index.
+
+    The raster is cut into TILE x TILE tiles.  A point whose nearest squared
+    distance to a tile exceeds some point's farthest one is farther from
+    every pixel of it than that point, so the tile compares only the others.
+    Every point that ties for a pixel's minimum is among them, and a running
+    minimum over them in index order, where only a strictly nearer point
+    takes a pixel, keeps the lowest index.  Squared distances are exact
+    int64 integers."""
+    py, px, pc = (np.array(v, dtype=np.int64) for v in zip(*pts))
+    out = np.empty((h, w), dtype=np.int32)
+    x0 = np.arange(0, w, TILE)
+    x1 = np.minimum(x0 + TILE, w) - 1
+    # per tile column and point: the nearest and farthest squared x distance
+    near_x = np.maximum(np.maximum(x0[:, None] - px, px - x1[:, None]), 0) ** 2
+    far_x = np.maximum(np.abs(px - x0[:, None]), np.abs(px - x1[:, None])) ** 2
+    for y0 in range(0, h, TILE):
+        y1 = min(y0 + TILE, h) - 1
+        near = near_x + np.maximum(np.maximum(y0 - py, py - y1), 0) ** 2
+        far = far_x + np.maximum(np.abs(py - y0), np.abs(py - y1)) ** 2
+        keep = near <= far.min(axis=1, keepdims=True)
+        dy = (np.arange(y0, y1 + 1) - py[:, None]) ** 2
+        for t, (a, b) in enumerate(zip(x0.tolist(), x1.tolist())):
+            k = np.flatnonzero(keep[t])
+            tile = out[y0 : y1 + 1, a : b + 1]
+            tile[...] = pc[k[0]]
+            if (pc[k] == pc[k[0]]).all():
+                continue
+            dx = (np.arange(a, b + 1) - px[k, None]) ** 2
+            best = dy[k[0], :, None] + dx[0]
+            for i, dxi in zip(k[1:].tolist(), dx[1:]):
+                d = dy[i, :, None] + dxi
+                np.copyto(tile, pc[i], where=d < best)
+                np.minimum(best, d, out=best)
+    return out
+
+
 def _layout_classes(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     """Class index per pixel, int32 [H, W]."""
     h, w, n = spec.height, spec.width, len(spec.classes)
@@ -185,17 +245,7 @@ def _layout_classes(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
                 raise ConfigError(f"voronoi point ({y},{x}) outside raster")
             if not 0 <= c < n:
                 raise ConfigError(f"voronoi point class {c} unknown")
-        yy = np.arange(h, dtype=np.float64)[:, None]
-        xx = np.arange(w, dtype=np.float64)[None, :]
-        # running argmin over the points, one [H, W] distance map at a time;
-        # only a strictly nearer point takes a pixel, so ties keep the first
-        best = np.full((h, w), np.inf)
-        out = np.empty((h, w), dtype=np.int32)
-        for y, x, c in pts:
-            d2 = (yy - float(y)) ** 2 + (xx - float(x)) ** 2
-            np.copyto(out, c, where=d2 < best)
-            np.minimum(best, d2, out=best)
-        return out
+        return _voronoi(pts, h, w)
     raise ConfigError(f"unknown layout type {type(lay).__name__}")
 
 
@@ -204,21 +254,42 @@ def generate_scene_raster(spec: SceneSpec, seed: int) -> tuple[np.ndarray, np.nd
 
     Label values are 1-based class ids (layout class index + 1).
     """
-    h, w = spec.height, spec.width
+    h, w, n = spec.height, spec.width, len(spec.classes)
     check_memory(SCENE_BYTES_PER_PX * h * w, f"a {h}x{w} scene")
     rng = np.random.Generator(np.random.PCG64(seed))
     cls = _layout_classes(spec, rng)
-    clean = np.zeros((h, w, 3), dtype=np.float64)
-    sigma = np.zeros((h, w), dtype=np.float64)
+    # class i's base colour is colors[2i] and its alt colors[2i + 1]; a pixel
+    # takes the alt where y_odd[i, y] ^ x_odd[i, x], the parity of its stripe
+    # or checker square, phase 0
+    colors = np.zeros((2 * n, 3))
+    y_odd = np.zeros((n, h), dtype=bool)
+    x_odd = np.zeros((n, w), dtype=bool)
     for i, tex in enumerate(spec.classes):
-        mask = cls == i
-        if not mask.any():
-            continue
-        clean[mask] = _pattern_field(tex, h, w)[mask]
-        sigma[mask] = tex.noise_sigma
-    noisy = clean + rng.standard_normal((h, w, 3)) * sigma[..., None]
-    rgb = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
-    return rgb, (cls + 1).astype(np.int32)
+        colors[2 * i : 2 * i + 2] = tex.base_rgb, tex.alt_rgb or (0, 0, 0)
+        if tex.pattern == "checker" or (tex.pattern == "stripes" and tex.orientation == "h"):
+            y_odd[i] = np.arange(h) // tex.period % 2
+        if tex.pattern == "checker" or (tex.pattern == "stripes" and tex.orientation == "v"):
+            x_odd[i] = np.arange(w) // tex.period % 2
+    sigma = np.array([tex.noise_sigma for tex in spec.classes], dtype=np.float64)
+    rgb = np.empty((h, w, 3), dtype=np.uint8)
+    rows = max(1, BAND_PX // w)
+    noisy, clean = np.empty((2, min(rows, h), w, 3))
+    xs = np.arange(w)
+    for y0 in range(0, h, rows):
+        c = cls[y0 : y0 + rows]
+        z, cz = noisy[: len(c)], clean[: len(c)]
+        # the normals continue one (H, W, 3) draw: band by band, row-major
+        rng.standard_normal(out=z)
+        z *= sigma[c][..., None]
+        alt = y_odd[c, np.arange(y0, y0 + len(c))[:, None]]
+        alt ^= x_odd[c, xs]
+        np.take(colors, 2 * c + alt, axis=0, out=cz)
+        z += cz
+        np.rint(z, out=z)
+        np.clip(z, 0, 255, out=z)
+        rgb[y0 : y0 + len(c)] = z
+    cls += 1
+    return rgb, cls
 
 
 def render_tile(tex: TextureSpec, tile_size: int, rng: np.random.Generator) -> np.ndarray:

@@ -371,7 +371,7 @@ def _edges_8_stable(h, w, color):
     """The edge build that segmentation._edges_8 replaced: (lo, hi, weight)
     arrays sorted by (weight, lo, hi) with one stable sort of the
     row-major slots."""
-    img = color.reshape(h, w, 3)
+    img = color.reshape(h, w, 3).astype(np.int32)
     wgt = np.zeros((h, w, 4))
     valid = np.zeros((h, w, 4), dtype=bool)
     for s, (dy, dx) in enumerate(((0, 1), (1, -1), (1, 0), (1, 1))):
@@ -389,9 +389,10 @@ def _edges_8_stable(h, w, color):
 
 
 def _edges_8_masked(h: int, w: int, color: np.ndarray):
-    """The edge build that the +inf-filled one replaced, verbatim: the valid
-    slots kept by a boolean mask and compacted before the sort."""
-    img = color.reshape(h, w, 3)
+    """The edge build that the +inf-filled one replaced, verbatim but for
+    widening the colours to int32: the valid slots kept by a boolean mask
+    and compacted before the sort."""
+    img = color.reshape(h, w, 3).astype(np.int32)
     wgt = np.zeros((h, w, 4))
     valid = np.zeros((h, w, 4), dtype=bool)
     for s, (dy, dx) in enumerate(((0, 1), (1, -1), (1, 0), (1, 1))):

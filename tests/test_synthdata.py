@@ -1,5 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneparse import errors, synthdata
 from sceneparse.errors import ConfigError
@@ -37,6 +42,99 @@ def voronoi_broadcast_argmin(spec, rng):
     xx = np.arange(w, dtype=np.float64)[None, :]
     d2 = (yy[None] - py[:, None, None]) ** 2 + (xx[None] - px[:, None, None]) ** 2
     return pc[np.argmin(d2, axis=0)]
+
+
+def _layout_classes_running_min(spec, rng):
+    """The layout that the tile-pruned one replaced, for Voronoi layouts: a
+    running argmin over the points, one [H, W] float64 distance map at a
+    time, where only a strictly nearer point takes a pixel.  Grid layouts
+    go to synthdata._layout_classes, which is unchanged for them."""
+    h, w, n = spec.height, spec.width, len(spec.classes)
+    if isinstance(spec.layout, synthdata.GridLayout):
+        return synthdata._layout_classes(spec, rng)
+    pts = spec.layout.points
+    if pts is None:
+        ys = rng.integers(0, h, size=spec.layout.n_points)
+        xs = rng.integers(0, w, size=spec.layout.n_points)
+        pts = tuple((int(y), int(x), i % n) for i, (y, x) in enumerate(zip(ys, xs)))
+    yy = np.arange(h, dtype=np.float64)[:, None]
+    xx = np.arange(w, dtype=np.float64)[None, :]
+    best = np.full((h, w), np.inf)
+    out = np.empty((h, w), dtype=np.int32)
+    for y, x, c in pts:
+        d2 = (yy - float(y)) ** 2 + (xx - float(x)) ** 2
+        np.copyto(out, c, where=d2 < best)
+        np.minimum(best, d2, out=best)
+    return out
+
+
+def generate_scene_fields(spec, seed):
+    """The renderer that the banded one replaced: one float64 [H, W, 3]
+    colour field per class scattered through boolean masks, a float64 sigma
+    field, and one (H, W, 3) normal draw."""
+    h, w = spec.height, spec.width
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cls = _layout_classes_running_min(spec, rng)
+    clean = np.zeros((h, w, 3), dtype=np.float64)
+    sigma = np.zeros((h, w), dtype=np.float64)
+    for i, tex in enumerate(spec.classes):
+        mask = cls == i
+        if not mask.any():
+            continue
+        clean[mask] = synthdata._pattern_field(tex, h, w)[mask]
+        sigma[mask] = tex.noise_sigma
+    noisy = clean + rng.standard_normal((h, w, 3)) * sigma[..., None]
+    rgb = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
+    return rgb, (cls + 1).astype(np.int32)
+
+
+@st.composite
+def scene_specs(draw):
+    """Scenes of 1x1 to 300x300 px with every pattern and orientation, noise
+    0 or 12, and random, explicit (duplicates and tile-border points
+    included), lattice or grid layouts."""
+    side = st.integers(1, 8) | st.integers(1, 300)
+    h, w = draw(side), draw(side)
+    n = draw(st.integers(1, 4))
+    rgb = st.tuples(*[st.integers(0, 255)] * 3)
+    classes = tuple(
+        synthdata.TextureSpec(
+            base_rgb=draw(rgb),
+            noise_sigma=draw(st.sampled_from([0.0, 12.0])),
+            pattern=draw(st.sampled_from(synthdata.PATTERNS)),
+            period=draw(st.integers(1, 9)),
+            alt_rgb=draw(st.none() | rgb),
+            orientation=draw(st.sampled_from("hv")),
+        )
+        for _ in range(n)
+    )
+    kind = draw(st.sampled_from(["random", "explicit", "lattice", "grid"]))
+    if kind == "random":
+        layout = synthdata.VoronoiLayout(n_points=draw(st.integers(n, 40)))
+    elif kind == "grid":
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        cells = rows * cols
+        if cells < n:
+            rows, cols, cells = n, 1, n
+        extra = draw(st.lists(st.integers(0, n - 1), min_size=cells - n, max_size=cells - n))
+        layout = synthdata.GridLayout(rows, cols, tuple(draw(st.permutations(list(range(n)) + extra))))
+    else:
+        if kind == "lattice":
+            sy, sx = draw(st.integers(1, max(1, h // 2))), draw(st.integers(1, max(1, w // 2)))
+            yx = [(y, x) for y in range(sy // 2, h, sy) for x in range(sx // 2, w, sx)][:60]
+        else:
+            # tile borders at the strategies' tile sizes, and repeats
+            ys = st.sampled_from([0, 2, 3, 7, 8, 63, 64, 127, 128, h - 1]).map(lambda y: min(y, h - 1)) | st.integers(0, h - 1)
+            xs = st.sampled_from([0, 2, 3, 7, 8, 63, 64, 127, 128, w - 1]).map(lambda x: min(x, w - 1)) | st.integers(0, w - 1)
+            yx = draw(st.lists(st.tuples(ys, xs), min_size=1, max_size=30))
+            yx += draw(st.lists(st.sampled_from(yx), max_size=4))
+        labels = [i % n for i in range(len(yx))]
+        if len(labels) < n:
+            yx += [yx[0]] * (n - len(labels))
+            labels += list(range(len(labels), n))
+        labels = draw(st.permutations(labels))
+        layout = synthdata.VoronoiLayout(points=tuple((y, x, c) for (y, x), c in zip(yx, labels)))
+    return synthdata.SceneSpec(classes=classes, layout=layout, height=h, width=w)
 
 
 def largest_remainder_loops(n, total, exponent):
@@ -138,6 +236,37 @@ class TestSceneRaster:
         want = voronoi_broadcast_argmin(spec, np.random.Generator(np.random.PCG64(3)))
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+    @settings(max_examples=120)
+    @given(
+        spec=scene_specs(),
+        seed=st.integers(0, 2**32 - 1),
+        band=st.sampled_from([1, 5, 300, 4096, synthdata.BAND_PX]),
+        tile=st.sampled_from([3, 8, synthdata.TILE]),
+    )
+    def test_matches_field_renderer(self, spec, seed, band, tile):
+        # small bands and tiles put their edges inside small scenes
+        with mock.patch.object(synthdata, "BAND_PX", band), mock.patch.object(synthdata, "TILE", tile):
+            rgb, truth = synthdata.generate_scene_raster(spec, seed)
+        want_rgb, want_truth = generate_scene_fields(spec, seed)
+        assert rgb.dtype == np.uint8 and truth.dtype == np.int32
+        assert rgb.tobytes() == want_rgb.tobytes()
+        assert truth.tobytes() == want_truth.tobytes()
+
+    def test_peak_memory_within_bytes_per_px(self):
+        spec = synthdata.SceneSpec(
+            classes=synthdata.default_texture_classes(8),
+            layout=synthdata.VoronoiLayout(n_points=64),
+            height=1024,
+            width=1024,
+        )
+        tracemalloc.start()
+        try:
+            synthdata.generate_scene_raster(spec, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= synthdata.SCENE_BYTES_PER_PX * 1024 * 1024
 
     def test_auto_voronoi_covers_all_classes(self):
         classes = synthdata.default_texture_classes(4)
