@@ -26,6 +26,7 @@ import numpy as np
 
 from . import model, parser, segmentation, synthdata, taxonomy
 from .errors import ConfigError, DataError, ExtentMismatchError, IoError, SceneParseError
+from .files import read_file, read_records, write_file
 from .metrics import (
     ConfusionMatrix,
     accumulate_cm,
@@ -51,10 +52,10 @@ def _root_path(path: str) -> str:
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as f:
-            cfg = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+        # decoded here: json.loads of bytes would also take UTF-16/32 and a BOM
+        cfg = json.loads(read_file(path).decode("utf-8"))
+    except IoError as e:
+        raise ConfigError(f"cannot read config {path}: {e.__cause__}") from e
     except ValueError as e:  # not UTF-8, or not JSON
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
@@ -137,11 +138,7 @@ class _FinetuneFile:
 
 
 def _write_json(path: str, obj, **dump_args) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(obj, f, **dump_args)
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    write_file(path, json.dumps(obj, **dump_args).encode("utf-8"))
 
 
 def _print_header(title: str, pairs: dict) -> None:
@@ -202,7 +199,10 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as e:
+        raise IoError(f"cannot create {args.out_dir}: {e}") from e
     classes = synthdata.default_texture_classes(args.classes, noise_sigma=args.noise)
     if args.kind == "scene":
         layout = (
@@ -219,7 +219,7 @@ def cmd_synth(args) -> int:
         scene_path = os.path.join(args.out_dir, "scene.ppm")
         truth_path = os.path.join(args.out_dir, "truth.pgm")
         write_ppm(scene_path, rgb)
-        write_pgm(truth_path, truth.astype(np.uint8))
+        write_pgm(truth_path, truth)
         print(f"scene written: {scene_path}")
         print(f"truth written: {truth_path}")
         return EXIT_OK
@@ -292,10 +292,10 @@ def cmd_parse(args) -> int:
         raise DataError(f"label id {labels.max()} does not fit 8-bit output")
     if args.dump_grid and grid.cell_labels.max() > 255:
         raise DataError(f"grid id {grid.cell_labels.max()} does not fit 8-bit output")
-    write_pgm(args.output, labels.astype(np.uint8))
+    write_pgm(args.output, labels)
     print(f"label raster written: {args.output} ({regions.region_count} regions)")
     if args.dump_grid:
-        write_pgm(args.dump_grid, grid.cell_labels.astype(np.uint8))
+        write_pgm(args.dump_grid, grid.cell_labels)
         meta = {
             "stride": grid.stride,
             "origin": grid.origin,
@@ -308,36 +308,12 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _read_tsv(path: str, layout: str, record) -> list:
-    """record(fields) for each line of a UTF-8 TSV file, skipping blank lines
-    and # comments; DataError naming path:line if a line is not UTF-8 or
-    record raises ValueError (a wrong field count, a number that does not
-    parse)."""
-    try:
-        with open(path, "rb") as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
-    out = []
-    for ln, raw in enumerate(lines, start=1):
-        try:
-            line = raw.decode("utf-8")
-            if line and not line.startswith("#"):
-                out.append(record(line.split("\t")))
-        except ValueError as e:
-            raise DataError(f"{path}:{ln}: expected {layout!r}: {e}") from e
-    return out
-
-
 def _read_label_tsv(path: str) -> dict[str, int]:
     def record(fields):
         sample_id, label = fields
-        label = int(label)
-        if not 0 <= label <= np.iinfo(np.int64).max:
-            raise ValueError(f"label id {label} is not in [0, 2**63)")
-        return sample_id, label
+        return sample_id, taxonomy.label_id(label)
 
-    return dict(_read_tsv(path, "sample_id<TAB>label", record))
+    return dict(read_records(path, "sample_id<TAB>label", record))
 
 
 def _read_scores_tsv(path: str) -> tuple[list[str], np.ndarray]:
@@ -345,7 +321,7 @@ def _read_scores_tsv(path: str) -> tuple[list[str], np.ndarray]:
         sample_id, first, *rest = fields
         return sample_id, [float(x) for x in (first, *rest)]
 
-    rows = _read_tsv(path, "sample_id<TAB>score...", record)
+    rows = read_records(path, "sample_id<TAB>score...", record)
     if not rows:
         raise DataError(f"{path}: no score rows")
     if any(len(r) != len(rows[0][1]) for _, r in rows):
@@ -356,15 +332,9 @@ def _read_scores_tsv(path: str) -> tuple[list[str], np.ndarray]:
 def _read_labelsets_tsv(path: str) -> dict[str, list[int]]:
     def record(fields):
         sample_id, labels = fields
-        return sample_id, [int(x) for x in labels.split(",") if x != ""]
+        return sample_id, [taxonomy.label_id(x) for x in labels.split(",") if x != ""]
 
-    return dict(_read_tsv(path, "sample_id<TAB>l1,l2,...", record))
-
-
-def _write_report(path: str | None, report: dict) -> None:
-    if path:
-        _write_json(path, report, sort_keys=True, indent=2)
-        print(f"report written: {path}")
+    return dict(read_records(path, "sample_id<TAB>l1,l2,...", record))
 
 
 def _print_metrics(report: dict) -> None:
@@ -425,7 +395,9 @@ def cmd_eval(args) -> int:
         report["mAP"] = mean_average_precision(scores, truths)
 
     _print_metrics(report)
-    _write_report(args.report, report)
+    if args.report:
+        _write_json(args.report, report, sort_keys=True, indent=2)
+        print(f"report written: {args.report}")
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ class SceneParseError(Exception):
     exit_code = 1
 
 
-# manifests
+# manifests, TSVs, rasters and sidecars that do not parse
 class ParseError(SceneParseError):
     exit_code = 3
 

@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
+from .files import read_file, write_file
 from .fusion import DEFAULT_SCALE_WEIGHTS, check_weights, fuse
 from .netpbm import read_ppm
 from .parser import window_chunks
@@ -501,16 +502,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "payload_crc32": zlib.crc32(payload),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    try:
-        with open(path, "wb") as f:
-            f.write(f"{CHECKPOINT_MAGIC} {FORMAT_VERSION}\n".encode("ascii"))
-            f.write(f"header {len(blob)}\n".encode("ascii"))
-            f.write(blob)
-            f.write(b"\n")
-            f.write(f"payload {n_floats}\n".encode("ascii"))
-            f.write(payload)
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    head = f"{CHECKPOINT_MAGIC} {FORMAT_VERSION}\nheader {len(blob)}\n".encode("ascii")
+    write_file(path, head, blob, f"\npayload {n_floats}\n".encode("ascii"), payload)
 
 
 def _read_line(buf: bytes, pos: int) -> tuple[str, int]:
@@ -521,11 +514,7 @@ def _read_line(buf: bytes, pos: int) -> tuple[str, int]:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    try:
-        with open(path, "rb") as f:
-            buf = f.read()
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
+    buf = read_file(path)
     line, pos = _read_line(buf, 0)
     fields = line.split(" ")
     if len(fields) != 2 or fields[0] != CHECKPOINT_MAGIC:

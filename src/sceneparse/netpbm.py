@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IoError, ParseError
+from .files import read_file, write_file
 
 __all__ = ["read_ppm", "write_ppm", "read_pgm", "write_pgm"]
 
@@ -75,10 +76,7 @@ def _payload(buf: bytes, pos: int, dtype: str, count: int, what: str) -> np.ndar
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary P6 file into a uint8 array of shape (H, W, 3)."""
-    try:
-        buf = open(path, "rb").read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    buf = read_file(path)
     width, height, maxval, pos = _parse_header(buf, b"P6")
     if maxval > 255:
         raise ParseError("16-bit P6 not supported")
@@ -90,13 +88,8 @@ def write_ppm(path, image: np.ndarray) -> None:
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3:
         raise IoError(f"P6 writer expects (H, W, 3), got {img.shape}")
-    img = img.astype(np.uint8, copy=False)
     header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    try:
-        with open(path, "wb") as f:
-            f.write(header + img.tobytes())
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    write_file(path, header, np.ascontiguousarray(img, dtype=np.uint8))
 
 
 def read_pgm(path) -> np.ndarray:
@@ -104,10 +97,7 @@ def read_pgm(path) -> np.ndarray:
 
     Returns uint8 (H, W) when maxval <= 255, else uint16 (H, W).
     """
-    try:
-        buf = open(path, "rb").read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    buf = read_file(path)
     width, height, maxval, pos = _parse_header(buf, b"P5")
     if maxval <= 255:
         return _payload(buf, pos, "u1", width * height, "P5").reshape(height, width).copy()
@@ -124,13 +114,4 @@ def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
     if img.size and (img.min() < 0 or img.max() > maxval):
         raise IoError(f"pixel values outside [0, {maxval}]")
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii")
-    payload = (
-        img.astype(np.uint8).tobytes()
-        if maxval <= 255
-        else img.astype(">u2").tobytes()
-    )
-    try:
-        with open(path, "wb") as f:
-            f.write(header + payload)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    write_file(path, header, np.ascontiguousarray(img, dtype=np.uint8 if maxval <= 255 else ">u2"))

@@ -45,6 +45,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyImageError, IoError, ParseError, check_memory
+from .files import read_records, write_file
 from .netpbm import read_pgm, write_pgm
 
 __all__ = [
@@ -579,31 +580,23 @@ def write_region_map(path, rm: RegionMap) -> None:
     if rm.region_count > 65536:
         raise IoError(f"{rm.region_count} regions exceed 16-bit id range")
     write_pgm(path, rm.labels.astype(np.uint16), maxval=65535)
-    meta = os.fspath(path) + ".meta"
-    try:
-        with open(meta, "w", encoding="utf-8") as f:
-            f.write(f"region_count\t{rm.region_count}\n")
-    except OSError as e:
-        raise IoError(f"cannot write {meta}: {e}") from e
+    write_file(os.fspath(path) + ".meta", f"region_count\t{rm.region_count}\n".encode("utf-8"))
+
+
+def _region_count(fields) -> int:
+    key, count = fields
+    if key != "region_count":
+        raise ValueError(f"unknown key {key!r}")
+    return int(count)
 
 
 def read_region_map(path) -> RegionMap:
     labels = read_pgm(path).astype(np.int32)
     meta = os.fspath(path) + ".meta"
-    try:
-        with open(meta, encoding="utf-8") as f:
-            line = f.readline().strip()
-    except OSError as e:
-        raise IoError(f"cannot read {meta}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise ParseError(f"sidecar {meta} is not UTF-8: {e}") from e
-    fields = line.split("\t")
-    if len(fields) != 2 or fields[0] != "region_count":
-        raise ParseError(f"bad sidecar record: {line!r}")
-    try:
-        count = int(fields[1])
-    except ValueError:
-        raise ParseError(f"bad sidecar region count: {fields[1]!r}") from None
+    counts = read_records(meta, "region_count<TAB>count", _region_count)
+    if len(counts) != 1:
+        raise ParseError(f"{meta}: {len(counts)} region_count records, expected 1")
+    count = counts[0]
     if labels.size and (labels.min() < 0 or labels.max() != count - 1):
         raise ParseError(
             f"declared count {count} does not match id range [0, {labels.max()}]"

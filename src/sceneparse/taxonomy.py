@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import IoError, ParseError
+from .errors import ParseError
+from .files import read_records, write_file
 
 __all__ = [
     "SceneSample",
     "DatasetManifest",
+    "label_id",
     "load_manifest",
     "write_manifest",
 ]
@@ -44,38 +46,26 @@ class DatasetManifest:
         return len(self.samples)
 
 
+def label_id(text: str) -> int:
+    """A label id read from a TSV field: an integer in [0, 2**63), the range
+    of the int64 arrays labels are held in; ValueError otherwise."""
+    label = int(text)
+    if not 0 <= label < 2**63:
+        raise ValueError(f"label id {label} is not in [0, 2**63)")
+    return label
+
+
+def _sample(fields) -> SceneSample:
+    if len(fields) not in (3, 5):
+        raise ValueError(f"{len(fields)} fields")
+    lon_lat = (float(fields[3]), float(fields[4])) if len(fields) == 5 else None
+    return SceneSample(fields[0], fields[1], label_id(fields[2]), lon_lat)
+
+
 def load_manifest(path) -> DatasetManifest:
-    samples = []
-    try:
-        with open(path, "rb") as f:
-            lines = f.read().splitlines()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) not in (3, 5):
-            raise ParseError(f"line {lineno}: expected 3 or 5 fields, got {len(parts)}")
-        try:
-            label = int(parts[2])
-            lon_lat = (float(parts[3]), float(parts[4])) if len(parts) == 5 else None
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-        samples.append(SceneSample(parts[0], parts[1], label, lon_lat))
-    return DatasetManifest(samples)
+    return DatasetManifest(read_records(path, "sample_id<TAB>raster_path<TAB>fine_label[<TAB>lon<TAB>lat]", _sample))
 
 
 def write_manifest(path, m: DatasetManifest) -> None:
-    lines = []
-    for s in m.samples:
-        rec = f"{s.sample_id}\t{s.raster_path}\t{s.fine_label}"
-        if s.lon_lat is not None:
-            rec += f"\t{s.lon_lat[0]!r}\t{s.lon_lat[1]!r}"
-        lines.append(rec)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + ("\n" if lines else ""))
+    rows = ([s.sample_id, s.raster_path, str(s.fine_label), *map(repr, s.lon_lat or ())] for s in m.samples)
+    write_file(path, "".join("\t".join(row) + "\n" for row in rows).encode("utf-8"))

@@ -87,6 +87,43 @@ class TestSynth:
         assert peak < 2**20
         assert not (tmp_path / "scene.ppm").exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--kind", "tiles", "--tile-size", "1000"), "a 1000x1000 tile: "),
+            (("--kind", "scene", "--size", "64", "--points", "100000"), "100000 voronoi points: "),
+        ],
+    )
+    def test_sizes_checked_before_allocating(self, tmp_path, capsys, monkeypatch, argv, message):
+        # with this machine's memory read as 16 MiB, so that a missed check
+        # allocates about 100 MB and not the whole machine
+        from sceneparse import errors
+
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 2**24)
+        tracemalloc.start()
+        try:
+            code = run("synth", "--out-dir", str(tmp_path / "out"), *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert peak < 2**20
+        assert os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("kind", ["scene", "tiles"])
+    def test_out_dir_is_a_file_exit_3(self, tmp_path, capsys, kind):
+        (tmp_path / "f").write_text("")
+        argv = ["--size", "16"] if kind == "scene" else ["--per-class", "1", "--tile-size", "4"]
+        assert run("synth", "--kind", kind, "--out-dir", str(tmp_path / "f"), *argv) == 3
+        assert f"cannot create {tmp_path / 'f'}" in capsys.readouterr().err
+
+    def test_manifest_path_is_a_directory_exit_3(self, tmp_path, capsys):
+        (tmp_path / "manifest.tsv").mkdir()
+        argv = ["--classes", "2", "--per-class", "1", "--tile-size", "4"]
+        assert run("synth", "--kind", "tiles", "--out-dir", str(tmp_path), *argv) == 3
+        assert f"cannot write {tmp_path / 'manifest.tsv'}" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_checkpoint_written(self, workdir):
@@ -937,9 +974,27 @@ class TestMalformedInputs:
         assert run("train", "--config", str(tmp_path / "t.json")) == 3
         assert f"{tmp_path / 'm.tsv'}:2: " in capsys.readouterr().err
 
+    def test_label_beyond_int64_manifest_exit_3(self, workdir, tmp_path, capsys):
+        tile = workdir / "tiles" / "tile_00000.ppm"
+        (tmp_path / "m.tsv").write_text(f"t0\t{tile}\t0\nt1\t{tile}\t{10**23}\n")
+        cfg = json.loads((workdir / "train.json").read_text())
+        cfg["manifests"] = [str(tmp_path / "m.tsv")]
+        cfg["out_checkpoint"] = str(tmp_path / "x.ckpt")
+        (tmp_path / "t.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", str(tmp_path / "t.json")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'm.tsv'}:2: ") and "[0, 2**63)" in err
+
     def test_non_utf8_config_exit_2(self, tmp_path):
         (tmp_path / "t.json").write_bytes(b'{"model": "\xff"}')
         assert run("train", "--config", str(tmp_path / "t.json")) == 2
+
+    @pytest.mark.parametrize("data", ['{"model": 1}'.encode("utf-16"), b'\xef\xbb\xbf{"model": 1}'])
+    def test_utf16_or_bom_config_exit_2(self, tmp_path, capsys, data):
+        # json.loads would take these bytes; a config is UTF-8 without a BOM
+        (tmp_path / "t.json").write_bytes(data)
+        assert run("train", "--config", str(tmp_path / "t.json")) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section,key,value,message",

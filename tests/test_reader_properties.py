@@ -1,6 +1,6 @@
-"""Property tests for the binary readers: a truncated or mutated raster,
-region map or checkpoint is read, or rejected with a ``SceneParseError`` and
-its documented exit code, never another exception."""
+"""Property tests for the readers: a truncated or mutated raster, region
+map, checkpoint, manifest or eval TSV is read, or rejected with a
+``SceneParseError`` and its documented exit code, never another exception."""
 
 import json
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sceneparse import model
+from sceneparse import cli, model, taxonomy
 from sceneparse.errors import SceneParseError
 from sceneparse.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 from sceneparse.segmentation import RegionMap, read_region_map, write_region_map
@@ -17,10 +17,12 @@ from tests.test_cli import _json_values
 
 # any byte, with the ones a netpbm header is made of drawn more often
 BYTES = st.integers(0, 255) | st.sampled_from(list(b"0123456789 \t\n\x0b#+-_P56"))
+# any byte, with the ones of numbers and TSV lines drawn more often
+TSV_BYTES = st.integers(0, 255) | st.sampled_from(list(b"0123456789 \t\r\n#,.+-_eE"))
 
 
 @st.composite
-def mangled(draw, data: bytes) -> bytes:
+def mangled(draw, data: bytes, alphabet=BYTES) -> bytes:
     """Up to three byte overwrites, insertions or deletions of ``data``,
     then possibly a truncation."""
     buf = bytearray(data)
@@ -28,9 +30,9 @@ def mangled(draw, data: bytes) -> bytes:
         op = draw(st.sampled_from(["set", "insert", "delete"]))
         at = draw(st.integers(0, len(buf)))
         if op == "insert":
-            buf[at:at] = bytes(draw(st.lists(BYTES, min_size=1, max_size=3)))
+            buf[at:at] = bytes(draw(st.lists(alphabet, min_size=1, max_size=3)))
         elif op == "set" and at < len(buf):
-            buf[at] = draw(BYTES)
+            buf[at] = draw(alphabet)
         else:
             del buf[at : at + draw(st.integers(1, 3))]
     return bytes(buf[: draw(st.just(len(buf)) | st.integers(0, len(buf)))])
@@ -56,7 +58,12 @@ def valid(tmp_path_factory):
     params = {name: t.data.astype(np.float32) for name, t in model.init_params(cfg, seed=0).items()}
     ckpt = model.Checkpoint(cfg, model.MSCConfig(), ["a", "b", "c"], [1, 2, 3], params, {"epochs": 1})
     model.save_checkpoint(ckpt, str(d / "m.ckpt"))
-    return d, {p.name: p.read_bytes() for p in d.iterdir()}
+    write_ppm(d / "t.ppm", rng.integers(0, 256, (8, 8, 3), dtype=np.uint8))
+    (d / "m.tsv").write_text(f"# tiles\nt0\t{d / 't.ppm'}\t1\nt1\t{d / 't.ppm'}\t{2**63 - 1}\t1.5\t-2.25\n")
+    (d / "labels.tsv").write_text("a\t0\nb\t9223372036854775807\n")
+    (d / "scores.tsv").write_text("a\t0.9\t0.6\nb\t0.2\t8e-1\n")
+    (d / "labelsets.tsv").write_text("a\t0,1\nb\t1\nc\t\n")
+    return d, {p.name: p.read_bytes() for p in d.iterdir() if p.is_file()}
 
 
 class TestBinaryReaders:
@@ -112,3 +119,43 @@ class TestBinaryReaders:
         blob = json.dumps(header).encode()
         (d / "x.ckpt").write_bytes(raw[:start] + b"header %d\n" % len(blob) + blob + raw[body + size :])
         read_or_reject(model.load_checkpoint, str(d / "x.ckpt"), 5)
+
+
+class TestTextReaders:
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_mangled_manifest(self, valid, data):
+        # read with its tiles, where a label beyond int64 once escaped
+        d, files = valid
+        (d / "x.tsv").write_bytes(data.draw(mangled(files["m.tsv"], TSV_BYTES)))
+        read_or_reject(lambda p: model.load_tiles(taxonomy.load_manifest(p), 8), d / "x.tsv", 3)
+
+    @settings(max_examples=150)
+    @given(
+        which=st.sampled_from(
+            [
+                ("labels.tsv", cli._read_label_tsv),
+                ("scores.tsv", cli._read_scores_tsv),
+                ("labelsets.tsv", cli._read_labelsets_tsv),
+            ]
+        ),
+        data=st.data(),
+    )
+    def test_mangled_eval_tsv(self, valid, which, data):
+        d, files = valid
+        name, reader = which
+        (d / "x.tsv").write_bytes(data.draw(mangled(files[name], TSV_BYTES)))
+        read_or_reject(reader, str(d / "x.tsv"), 3)
+
+    def test_one_blank_and_comment_rule(self, tmp_path):
+        # whitespace-only lines and comments, indented or not, are skipped
+        # alike by every TSV reader
+        noise = "\n   \n\t\n# c\n  # indented\n\t#tab\r\n"
+        write_ppm(tmp_path / "t.ppm", np.zeros((2, 2, 3), dtype=np.uint8))
+        (tmp_path / "m.tsv").write_text(f"{noise}t0\t{tmp_path / 't.ppm'}\t1{noise}")
+        (tmp_path / "l.tsv").write_text(f"{noise}a\t3{noise}")
+        write_pgm(tmp_path / "r.pgm", np.array([[0, 1]], dtype=np.uint8))
+        (tmp_path / "r.pgm.meta").write_text(f"{noise}region_count\t2{noise}")
+        assert [s.fine_label for s in taxonomy.load_manifest(tmp_path / "m.tsv").samples] == [1]
+        assert cli._read_label_tsv(str(tmp_path / "l.tsv")) == {"a": 3}
+        assert read_region_map(tmp_path / "r.pgm").region_count == 2

@@ -1123,6 +1123,15 @@ class TestRegionMapIo:
         with pytest.raises(ParseError):
             segmentation.read_region_map(p)
 
+    def test_second_sidecar_record_rejected(self, tmp_path, rng):
+        img = _random_image(rng)
+        rm = segmentation.graph_segment(img, k=150.0, min_size=8)
+        p = tmp_path / "r.pgm"
+        segmentation.write_region_map(p, rm)
+        (tmp_path / "r.pgm.meta").write_text(f"region_count\t{rm.region_count}\nregion_count\t1\n")
+        with pytest.raises(ParseError, match="2 region_count records"):
+            segmentation.read_region_map(p)
+
     def test_missing_sidecar(self, tmp_path, rng):
         img = _random_image(rng)
         rm = segmentation.graph_segment(img, k=150.0, min_size=8)

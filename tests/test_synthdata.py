@@ -48,10 +48,14 @@ def _layout_classes_running_min(spec, rng):
     """The layout that the tile-pruned one replaced, for Voronoi layouts: a
     running argmin over the points, one [H, W] float64 distance map at a
     time, where only a strictly nearer point takes a pixel.  Grid layouts
-    go to synthdata._layout_classes, which is unchanged for them."""
+    index a rows x cols block table of the classes in turn."""
     h, w, n = spec.height, spec.width, len(spec.classes)
     if isinstance(spec.layout, synthdata.GridLayout):
-        return synthdata._layout_classes(spec, rng)
+        rows, cols = spec.layout.rows, spec.layout.cols
+        block = (np.arange(rows * cols) % n).astype(np.int32).reshape(rows, cols)
+        by = np.minimum(np.arange(h) * rows // h, rows - 1)
+        bx = np.minimum(np.arange(w) * cols // w, cols - 1)
+        return block[np.ix_(by, bx)]
     pts = spec.layout.points
     if pts is None:
         ys = rng.integers(0, h, size=spec.layout.n_points)
@@ -113,11 +117,9 @@ def scene_specs(draw):
         layout = synthdata.VoronoiLayout(n_points=draw(st.integers(n, 40)))
     elif kind == "grid":
         rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-        cells = rows * cols
-        if cells < n:
-            rows, cols, cells = n, 1, n
-        extra = draw(st.lists(st.integers(0, n - 1), min_size=cells - n, max_size=cells - n))
-        layout = synthdata.GridLayout(rows, cols, tuple(draw(st.permutations(list(range(n)) + extra))))
+        if rows * cols < n:
+            rows, cols = n, 1
+        layout = synthdata.GridLayout(rows, cols)
     else:
         if kind == "lattice":
             sy, sx = draw(st.integers(1, max(1, h // 2))), draw(st.integers(1, max(1, w // 2)))
