@@ -14,9 +14,9 @@ x = T.tensor(rng.random((1, 3, 32, 32)))
 # The backbone halves resolution per stage; han_forward then walks the
 # pyramid deep-to-shallow, modulating each shallow map with a sigmoid
 # attention mask computed from the (upsampled) deeper one.
-pyr = model.backbone_forward(x, cfg, params)
-streams = model.han_forward(pyr, params)
-for name, f, s in zip(("f1", "f2", "f3"), (pyr.f1, pyr.f2, pyr.f3), streams):
+feats = model.backbone_forward(x, cfg, params)  # [F1, F2, F3], shallow to deep
+streams = model.han_forward(feats, params)  # [AF1, AF2, AF3], AF3 is F3
+for name, f, s in zip(("f1", "f2", "f3"), feats, streams):
     print(f"{name}: {f.data.shape} -> attended {s.data.shape}")
 
 # With the attention conv zeroed the sigmoid is exactly 0.5 everywhere,
@@ -27,7 +27,7 @@ zeroed = {
     for name, p in params.items()
 }
 z = model.han_forward(model.backbone_forward(x, cfg, zeroed), zeroed)
-print("zeroed attention gives exactly 1.5x:", np.array_equal(z[0].data, 1.5 * pyr.f1.data))
+print("zeroed attention gives exactly 1.5x:", np.array_equal(z[0].data, 1.5 * feats[0].data))
 
 # Each stream ends in its own softmax head; fusion combines the
 # per-scale probability vectors by a weighted mean.  Deeper streams get

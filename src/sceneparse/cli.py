@@ -159,7 +159,7 @@ def cmd_train(args) -> int:
     hyper = _config(model.TrainConfig, job.train, "train")
     msc = _config(model.MSCConfig, job.msc, "msc", **model.default_task_weights(len(manifests)))
     out_path = _root_path(job.out_checkpoint)
-    _print_header("train", {**asdict(hyper), **asdict(msc), "manifests": manifest_paths, "out": out_path})
+    _print_header("train", {**asdict(bb), **asdict(hyper), **asdict(msc), "manifests": manifest_paths, "out": out_path})
 
     ckpt, trace = model.train(
         bb, manifests, hyper, msc=msc, labels=job.labels, label_ids=job.label_ids, on_epoch=_print_epoch
@@ -175,13 +175,15 @@ def cmd_train(args) -> int:
 
 def cmd_finetune(args) -> int:
     job = _config(_FinetuneFile, _load_config(args.config), "")
-    base = model.load_checkpoint(_root_path(job.base_checkpoint))
+    base_path = _root_path(job.base_checkpoint)
+    base = model.load_checkpoint(base_path)
     manifest_paths = [_root_path(p) for p in job.manifests]
     manifests = [taxonomy.load_manifest(p) for p in manifest_paths]
     hyper = _config(model.TrainConfig, job.train, "train", lr=model.FINE_TUNE_LR, schedule=())
     msc = _config(model.MSCConfig, job.msc, "msc", **model.default_task_weights(len(manifests)))
     out_path = _root_path(job.out_checkpoint)
-    _print_header("finetune", {**asdict(hyper), **asdict(msc), "base": job.base_checkpoint, "out": out_path})
+    heads = {"num_classes_per_task": job.num_classes_per_task}
+    _print_header("finetune", {**heads, **asdict(hyper), **asdict(msc), "base": base_path, "out": out_path})
 
     ckpt, _ = model.fine_tune(
         base,
@@ -283,6 +285,7 @@ def cmd_parse(args) -> int:
             "k": pcfg.k,
             "min_size": pcfg.min_size,
             "target_count": pcfg.target_count,
+            "expected_labels": pcfg.expected_labels,
             "oracle": bool(args.oracle_truth),
         },
     )

@@ -40,8 +40,6 @@ __all__ = [
     "MSCConfig",
     "TrainConfig",
     "default_task_weights",
-    "FeaturePyramid",
-    "AttentionWeights",
     "Checkpoint",
     "param_shapes",
     "init_params",
@@ -134,6 +132,14 @@ class TrainConfig:
         if not all(0 < d < math.inf for _, d in self.schedule):
             raise ConfigError(f"schedule divisors must be finite and > 0, got {self.schedule}")
 
+    def lr_at(self, epoch: int) -> float:
+        """lr divided by every schedule divisor whose epoch is <= ``epoch``."""
+        lr = self.lr
+        for at_epoch, divisor in self.schedule:
+            if epoch >= at_epoch:
+                lr /= divisor
+        return lr
+
 
 FINE_TUNE_LR = 0.001
 
@@ -142,21 +148,6 @@ def default_task_weights(n_tasks: int) -> dict[str, float]:
     """The MSCConfig task weights for ``n_tasks`` that differ from its
     defaults: one task trains the main task alone (mu_g 1, mu_m 0)."""
     return {} if n_tasks == 2 else {"mu_g": 1.0, "mu_m": 0.0}
-
-
-@dataclass
-class FeaturePyramid:
-    f1: T.Tensor
-    f2: T.Tensor
-    f3: T.Tensor
-
-
-@dataclass
-class AttentionWeights:
-    """1x1 conv mapping deep channels onto the shallow stream's channels."""
-
-    reduce_conv: T.Tensor
-    bias: T.Tensor
 
 
 def param_shapes(cfg: BackboneConfig) -> dict[str, tuple[int, ...]]:
@@ -201,18 +192,19 @@ def _stage(x: T.Tensor, params: dict[str, T.Tensor], i: int, stride: int) -> T.T
     return T.relu(T.bias_add(T.conv2d(x, params[f"stage{i}.conv2.w"], stride), params[f"stage{i}.conv2.b"]))
 
 
-def backbone_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor]) -> FeaturePyramid:
+def backbone_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor]) -> list[T.Tensor]:
+    """The stage outputs [F1, F2, F3], shallow to deep."""
     shape = image.shape
     if shape[1:] != (3, cfg.input_size, cfg.input_size):
         raise ShapeError(f"expected [N,3,{cfg.input_size},{cfg.input_size}] images, got {shape}")
-    f1 = _stage(image, params, 1, cfg.stage_strides[0])
-    f2 = _stage(f1, params, 2, cfg.stage_strides[1])
-    f3 = _stage(f2, params, 3, cfg.stage_strides[2])
-    return FeaturePyramid(f1, f2, f3)
+    feats = [image]
+    for i, stride in enumerate(cfg.stage_strides, start=1):
+        feats.append(_stage(feats[-1], params, i, stride))
+    return feats[1:]
 
 
-def attention_fuse(sf: T.Tensor, df: T.Tensor, aw: AttentionWeights) -> T.Tensor:
-    """AF = SF + SF * sigmoid(reduce_conv(upsample(DF))).
+def attention_fuse(sf: T.Tensor, df: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """AF = SF + SF * sigmoid(conv1x1(upsample(DF), w) + b).
 
     The 1x1 conv, its bias and the sigmoid act pixel by pixel, so they
     commute with nearest upsampling: they run at the deep map's resolution
@@ -221,23 +213,19 @@ def attention_fuse(sf: T.Tensor, df: T.Tensor, aw: AttentionWeights) -> T.Tensor
     dh, dw = df.shape[-2:]
     if dh < 1 or sh % dh != 0 or sw % dw != 0 or sh // dh != sw // dw:
         raise ShapeError(f"deep {dh}x{dw} does not divide shallow {sh}x{sw}")
-    gate = T.sigmoid(T.bias_add(T.conv2d(df, aw.reduce_conv), aw.bias))
+    gate = T.sigmoid(T.bias_add(T.conv2d(df, w), b))
     sam = T.upsample_nearest(gate, sh // dh)
     if sam.shape != sf.shape:
         raise ShapeError(f"attention map {sam.shape} does not match shallow {sf.shape}")
     return sf + sf * sam
 
 
-def _attn(params, s: int) -> AttentionWeights:
-    return AttentionWeights(params[f"attn{s}.w"], params[f"attn{s}.b"])
-
-
-def han_forward(p: FeaturePyramid, params: dict[str, T.Tensor]) -> list[T.Tensor]:
+def han_forward(feats: list[T.Tensor], params: dict[str, T.Tensor]) -> list[T.Tensor]:
     """Chain attention deep to shallow: [AF1, AF2, AF3] with AF3 = F3."""
-    af3 = p.f3
-    af2 = attention_fuse(p.f2, af3, _attn(params, 2))
-    af1 = attention_fuse(p.f1, af2, _attn(params, 1))
-    return [af1, af2, af3]
+    f1, f2, f3 = feats
+    af2 = attention_fuse(f2, f3, params["attn2.w"], params["attn2.b"])
+    af1 = attention_fuse(f1, af2, params["attn1.w"], params["attn1.b"])
+    return [af1, af2, f3]
 
 
 def msc_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor]) -> list[list[T.Tensor]]:
@@ -251,26 +239,19 @@ def msc_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor
     ]
 
 
-def msc_loss(
-    logits_g: list[T.Tensor],
-    target_g,
-    logits_m: list[T.Tensor] | None,
-    target_m,
-    cfg: MSCConfig,
-) -> T.Tensor:
-    """mu_g * sum_s w_s CE(g) + mu_m * sum_s w_s CE(m)."""
+def msc_loss(logits: list[list[T.Tensor]], targets: list, cfg: MSCConfig) -> T.Tensor:
+    """sum_t mu_t sum_s w_s CE(logits[t][s], targets[t]) over the main task
+    (t = 0, weight mu_g) and, when given, the auxiliary one (t = 1, mu_m)."""
     w = cfg.stream_weights
-    if len(logits_g) != len(w):
-        raise ShapeError(f"{len(logits_g)} main streams but {len(w)} weights")
+    if not 1 <= len(logits) <= 2 or len(logits) != len(targets):
+        raise ShapeError(f"{len(logits)} tasks of logits and {len(targets)} of targets; 1 or 2 tasks supported")
     loss = None
-    for ws, z in zip(w, logits_g):
-        term = T.scale(T.cross_entropy(z, target_g), ws * cfg.mu_g)
-        loss = term if loss is None else T.add(loss, term)
-    if logits_m is not None:
-        if len(logits_m) != len(w):
-            raise ShapeError(f"{len(logits_m)} auxiliary streams but {len(w)} weights")
-        for ws, z in zip(w, logits_m):
-            loss = T.add(loss, T.scale(T.cross_entropy(z, target_m), ws * cfg.mu_m))
+    for t, (streams, y, mu) in enumerate(zip(logits, targets, (cfg.mu_g, cfg.mu_m))):
+        if len(streams) != len(w):
+            raise ShapeError(f"task {t} has {len(streams)} streams but {len(w)} weights")
+        for ws, z in zip(w, streams):
+            term = T.scale(T.cross_entropy(z, y), ws * mu)
+            loss = term if loss is None else T.add(loss, term)
     return loss
 
 
@@ -323,11 +304,6 @@ class Checkpoint:
     meta: dict = field(default_factory=dict)
 
 
-def _default_labels(cfg: BackboneConfig) -> tuple[list[str], list[int]]:
-    k = cfg.num_classes_per_task[0]
-    return [f"class_{i + 1}" for i in range(k)], [i + 1 for i in range(k)]
-
-
 def _trainable(values: np.ndarray) -> T.Tensor:
     """A float32 copy of ``values`` to train: SGD runs in the precision the
     checkpoint stores."""
@@ -345,7 +321,8 @@ def train(
     on_epoch: Callable[[int, float], None] | None = None,
 ) -> tuple[Checkpoint, list[float]]:
     """SGD training; one manifest trains the main task alone, two manifests
-    train main + auxiliary jointly (one batch of each per step).
+    train main + auxiliary jointly: each step takes the main task's next
+    batch positions in every task's permutation, wrapping around a smaller set.
 
     ``init_overrides`` replaces matching freshly-initialized parameters
     before the first step (used to warm-start from a checkpoint).
@@ -382,38 +359,24 @@ def train(
         init[name] = values
     params = {name: _trainable(values) for name, values in init.items()}
     plist = list(params.values())
-    state = T.OptimizerState(
-        lr=hyper.lr,
-        momentum=hyper.momentum,
-        weight_decay=hyper.weight_decay,
-        step_schedule=list(hyper.schedule),
-    )
+    state = T.OptimizerState(lr=hyper.lr, momentum=hyper.momentum, weight_decay=hyper.weight_decay)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((hyper.seed, 0x5CE))))
 
     trace: list[float] = []
+    n = len(data[0][0])
     for epoch in range(hyper.epochs):
-        state.lr = state.lr_for_epoch(epoch)
-        perm_g = rng.permutation(len(data[0][0]))
-        if len(data) == 2:
-            perm_m = rng.permutation(len(data[1][0]))
+        state.lr = hyper.lr_at(epoch)
+        perms = [rng.permutation(len(images)) for images, _ in data]
         losses = []
-        n_batches = (len(perm_g) + hyper.batch_size - 1) // hyper.batch_size
-        for bi in range(n_batches):
-            idx_g = perm_g[bi * hyper.batch_size : (bi + 1) * hyper.batch_size]
-            xg = data[0][0][idx_g]
-            if hyper.augment:
-                xg = _augment_batch(xg, rng)
-            logits = msc_forward(T.tensor(xg), cfg, params)
-            if len(data) == 2:
-                take = np.arange(bi * hyper.batch_size, bi * hyper.batch_size + len(idx_g)) % len(perm_m)
-                idx_m = perm_m[take]
-                xm = data[1][0][idx_m]
-                if hyper.augment:
-                    xm = _augment_batch(xm, rng)
-                logits_m = msc_forward(T.tensor(xm), cfg, params)[1]
-                loss = msc_loss(logits[0], data[0][1][idx_g], logits_m, data[1][1][idx_m], msc)
-            else:
-                loss = msc_loss(logits[0], data[0][1][idx_g], None, None, msc)
+        for bi, start in enumerate(range(0, n, hyper.batch_size)):
+            take = np.arange(start, min(start + hyper.batch_size, n))
+            logits, targets = [], []
+            for t, ((images, labels_t), perm) in enumerate(zip(data, perms)):
+                idx = perm[take % len(perm)]
+                x = _augment_batch(images[idx], rng) if hyper.augment else images[idx]
+                logits.append(msc_forward(T.tensor(x), cfg, params)[t])
+                targets.append(labels_t[idx])
+            loss = msc_loss(logits, targets, msc)
             if not np.isfinite(loss.data):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {bi}")
             T.backward(loss, plist)
@@ -424,10 +387,9 @@ def train(
             on_epoch(epoch, trace[-1])
 
     if labels is None:
-        labels, default_ids = _default_labels(cfg)
-        label_ids = label_ids if label_ids is not None else default_ids
-    elif label_ids is None:
-        label_ids = [i + 1 for i in range(len(labels))]
+        labels = [f"class_{i + 1}" for i in range(cfg.num_classes_per_task[0])]
+    if label_ids is None:
+        label_ids = list(range(1, len(labels) + 1))
     if len(labels) != cfg.num_classes_per_task[0] or len(label_ids) != len(labels):
         raise ConfigError("label table must cover the main task's classes")
     ckpt = Checkpoint(

@@ -26,6 +26,7 @@ child seed per tile from (master seed, tile index).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -82,8 +83,8 @@ class TextureSpec:
         for c in self.base_rgb + (self.alt_rgb or ()):
             if not 0 <= c <= 255:
                 raise ConfigError(f"color component {c} outside 8-bit range")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.pattern != "flat" and self.period < 1:
             raise ConfigError(f"{self.pattern} needs period >= 1")
         if self.orientation not in ("h", "v"):
@@ -257,6 +258,8 @@ def generate_scene_raster(spec: SceneSpec, seed: int) -> tuple[np.ndarray, np.nd
 
     Label values are 1-based class ids (layout class index + 1).
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     h, w, n = spec.height, spec.width, len(spec.classes)
     check_memory(SCENE_BYTES_PER_PX * h * w, f"a {h}x{w} scene")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -326,6 +329,8 @@ def generate_tile_dataset(
         raise ConfigError(f"need {n} non-negative counts, got {counts}")
     if tile_size < 1:
         raise ConfigError(f"tile_size must be >= 1, got {tile_size}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     check_memory(TILE_BYTES_PER_PX * tile_size**2, f"a {tile_size}x{tile_size} tile")
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -349,8 +354,8 @@ def long_tail_counts(n_classes: int, total: int, exponent: float) -> list[int]:
     rounded deterministically so they sum to total with every count >= 1."""
     if n_classes < 1:
         raise ConfigError("n_classes must be >= 1")
-    if exponent < 0:
-        raise ConfigError("exponent must be >= 0")
+    if not 0 <= exponent < math.inf:
+        raise ConfigError(f"exponent must be finite and >= 0, got {exponent}")
     if total < n_classes:
         raise ConfigError(f"total {total} cannot give {n_classes} classes >= 1 each")
     w = (np.arange(1, n_classes + 1, dtype=np.float64)) ** (-float(exponent))

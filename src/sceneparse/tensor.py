@@ -430,33 +430,17 @@ def backward(loss: Tensor, params: list[Tensor] | None = None) -> None:
 
 @dataclass
 class OptimizerState:
-    """SGD hyperparameters and velocity buffers.
-
-    ``step_schedule`` divides the base learning rate: at epoch e the
-    effective lr is ``base_lr`` divided by every divisor whose epoch <= e.
-    """
+    """SGD hyperparameters and velocity buffers.  The caller sets ``lr``
+    for each epoch."""
 
     lr: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    step_schedule: list[tuple[int, float]] = field(default_factory=list)
     velocities: list[np.ndarray] = field(default_factory=list)
-    base_lr: float = 0.0
-
-    def __post_init__(self):
-        if self.base_lr == 0.0:
-            self.base_lr = self.lr
 
     def ensure_velocities(self, params: list[Tensor]) -> None:
         if not self.velocities:
             self.velocities = [np.zeros_like(p.data) for p in params]
-
-    def lr_for_epoch(self, epoch: int) -> float:
-        lr = self.base_lr
-        for at_epoch, divisor in self.step_schedule:
-            if epoch >= at_epoch:
-                lr /= divisor
-        return lr
 
 
 def sgd_step(params: list[Tensor], grads: list[np.ndarray], state: OptimizerState) -> OptimizerState:

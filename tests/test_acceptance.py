@@ -85,7 +85,7 @@ def test_gradient_integrity():
     def loss_fn():
         lg = model.msc_forward(T.tensor(xg), cfg, params)[0]
         lm = model.msc_forward(T.tensor(xm), cfg, params)[1]
-        return model.msc_loss(lg, yg, lm, ym, msc)
+        return model.msc_loss([lg, lm], [yg, ym], msc)
 
     t0 = time.time()
     err = T.check_gradients(loss_fn, plist, eps=1e-5, max_samples=1500, seed=0)
@@ -114,18 +114,18 @@ def test_attention_algebra():
     for name in list(params):
         if name.startswith("attn"):
             params[name] = T.tensor(np.zeros_like(params[name].data))
-    pyr = model.backbone_forward(x, cfg, params)
-    streams = model.han_forward(pyr, params)
-    assert np.array_equal(streams[0].data, 1.5 * pyr.f1.data)
-    assert np.array_equal(streams[1].data, 1.5 * pyr.f2.data)
-    assert streams[2] is pyr.f3
+    feats = model.backbone_forward(x, cfg, params)
+    streams = model.han_forward(feats, params)
+    assert np.array_equal(streams[0].data, 1.5 * feats[0].data)
+    assert np.array_equal(streams[1].data, 1.5 * feats[1].data)
+    assert streams[2] is feats[2]
 
     params = model.init_params(cfg, seed=2)
-    pyr = model.backbone_forward(x, cfg, params)
-    streams = model.han_forward(pyr, params)
-    o3 = pyr.f3.data
-    o2 = _attention_oracle(pyr.f2.data, o3, params["attn2.w"].data, params["attn2.b"].data)
-    o1 = _attention_oracle(pyr.f1.data, o2, params["attn1.w"].data, params["attn1.b"].data)
+    feats = model.backbone_forward(x, cfg, params)
+    streams = model.han_forward(feats, params)
+    o3 = feats[2].data
+    o2 = _attention_oracle(feats[1].data, o3, params["attn2.w"].data, params["attn2.b"].data)
+    o1 = _attention_oracle(feats[0].data, o2, params["attn1.w"].data, params["attn1.b"].data)
     d2 = np.abs(streams[1].data - o2).max()
     d1 = np.abs(streams[0].data - o1).max()
     assert d2 <= 1e-12 and d1 <= 1e-12, f"oracle deltas {d1:.2e}, {d2:.2e}"

@@ -118,6 +118,23 @@ class TestSynth:
         assert run("synth", "--kind", kind, "--out-dir", str(tmp_path / "f"), *argv) == 3
         assert f"cannot create {tmp_path / 'f'}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--kind", "scene", "--seed", "-1"), "seed must be >= 0, got -1"),
+            (("--kind", "tiles", "--seed", "-1"), "seed must be >= 0, got -1"),
+            (("--kind", "scene", "--noise", "nan"), "noise_sigma must be finite and >= 0, got nan"),
+            (("--kind", "tiles", "--noise", "inf"), "noise_sigma must be finite and >= 0, got inf"),
+            (("--kind", "tiles", "--long-tail-exponent", "nan"), "exponent must be finite and >= 0, got nan"),
+        ],
+        ids=["seed-scene", "seed-tiles", "noise-nan", "noise-inf", "exponent-nan"],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, argv, message):
+        code = run("synth", "--out-dir", str(tmp_path), "--size", "16", "--per-class", "1", "--tile-size", "4", *argv)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
     def test_manifest_path_is_a_directory_exit_3(self, tmp_path, capsys):
         (tmp_path / "manifest.tsv").mkdir()
         argv = ["--classes", "2", "--per-class", "1", "--tile-size", "4"]
@@ -139,6 +156,16 @@ class TestTrain:
         assert "momentum = 0.9" in out
         assert "weight_decay = 0.005" in out
         assert "batch_size = 8" in out
+
+    def test_header_prints_model_section(self, workdir, tmp_path, capsys):
+        cfg = json.loads((workdir / "train.json").read_text())
+        cfg["out_checkpoint"] = str(tmp_path / "h.ckpt")
+        (tmp_path / "t.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", str(tmp_path / "t.json")) == 0
+        out = capsys.readouterr().out.splitlines()
+        for line in ("input_size = 8", "stage_channels = [2, 3, 4]", "stage_strides = [2, 2, 2]"):
+            assert f"  {line}" in out
+        assert "  num_classes_per_task = [3]" in out
 
     def test_epoch_lines_before_checkpoint(self, workdir, tmp_path, capsys):
         from sceneparse import model
@@ -276,6 +303,22 @@ class TestFinetune:
         want = [f"epoch {e}: mean loss {l:.6f}" for e, l in enumerate(trace)]
         assert [l for l in out if l.startswith("epoch ")] == want
         assert out.index(want[-1]) < out.index(f"checkpoint written: {tmp_path / 'ft.ckpt'}")
+
+    def test_header_prints_heads_and_base_that_loaded(self, workdir, tmp_path, capsys, monkeypatch):
+        # under SCENEPARSE_DATA_ROOT the header names the base file read, not the config's relative path
+        monkeypatch.setenv("SCENEPARSE_DATA_ROOT", str(workdir))
+        cfg = {
+            "base_checkpoint": "m.ckpt",
+            "num_classes_per_task": [3],
+            "manifests": ["tiles/manifest.tsv"],
+            "train": {"epochs": 1, "batch_size": 8, "seed": 1},
+            "out_checkpoint": str(tmp_path / "ft.ckpt"),
+        }
+        (tmp_path / "ft.json").write_text(json.dumps(cfg))
+        assert run("finetune", "--config", str(tmp_path / "ft.json")) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "  num_classes_per_task = [3]" in out
+        assert f"  base = {workdir / 'm.ckpt'}" in out
 
     def test_bad_base_exit_5(self, workdir, tmp_path):
         trunc = tmp_path / "trunc.ckpt"
@@ -628,6 +671,19 @@ class TestParse:
         assert "windows = [8, 16]" in out
         assert "stride = 4" in out
         assert "scale_weights = [1.0, 1.0]" in out
+
+    def test_header_prints_expected_labels(self, workdir, tmp_path, capsys):
+        (tmp_path / "p.json").write_text(json.dumps({"expected_labels": ["class_1", "class_2", "class_3"]}))
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--checkpoint", str(workdir / "m.ckpt"),
+                "--config", str(tmp_path / "p.json"),
+            )
+            == 0
+        )
+        assert "  expected_labels = ['class_1', 'class_2', 'class_3']" in capsys.readouterr().out.splitlines()
 
     def test_class_table_mismatch_exit_5(self, workdir, tmp_path):
         cfg = {"expected_labels": ["river", "urban", "forest"]}

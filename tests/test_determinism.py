@@ -25,6 +25,20 @@ model.save_checkpoint(ckpt, os.path.join(out, "m.ckpt"))
 with open(os.path.join(out, "m.ckpt"), "rb") as f:
     print(hashlib.sha256(f.read()).hexdigest())
 
+# two tasks, with an auxiliary set of 10 tiles, smaller than the batch
+spec2 = synthdata.SceneSpec(
+    classes=synthdata.default_texture_classes(2),
+    layout=synthdata.GridLayout(rows=1, cols=2),
+    height=16,
+    width=32,
+)
+aux = synthdata.generate_tile_dataset(spec2, 5, 16, 1, os.path.join(out, "aux"))
+cfg2 = model.BackboneConfig(input_size=16, stage_channels=(4, 8, 8), num_classes_per_task=(3, 2))
+ckpt, _ = model.train(cfg2, [man, aux], model.TrainConfig(epochs=1, batch_size=24, lr=0.01, schedule=(), seed=0))
+model.save_checkpoint(ckpt, os.path.join(out, "two.ckpt"))
+with open(os.path.join(out, "two.ckpt"), "rb") as f:
+    print(hashlib.sha256(f.read()).hexdigest())
+
 # one SGD step of the desk classifier: 32-px tiles of 8 classes at batch 32
 desk8 = model.BackboneConfig(input_size=32, stage_channels=(8, 16, 32), num_classes_per_task=(8,))
 spec8 = synthdata.SceneSpec(
@@ -64,5 +78,5 @@ def test_same_bytes_with_one_and_two_blas_threads(tmp_path):
     (tmp_path / "two").mkdir()
     one = run_with_threads(1, tmp_path / "one")
     two = run_with_threads(2, tmp_path / "two")
-    assert len(one) == 3
+    assert len(one) == 4
     assert one == two

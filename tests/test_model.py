@@ -30,11 +30,11 @@ def attention_oracle(sf, df, w, b):
     return sf * (1.0 + sam)
 
 
-def attention_fuse_upsample_first(sf, df, aw):
+def attention_fuse_upsample_first(sf, df, w, b):
     """attention_fuse as it ran before its gate moved to the deep map's
     resolution: upsample DF, then the 1x1 conv, bias and sigmoid."""
     up = T.upsample_nearest(df, sf.shape[-1] // df.shape[-1])
-    return sf + sf * T.sigmoid(T.bias_add(T.conv2d(up, aw.reduce_conv), aw.bias))
+    return sf + sf * T.sigmoid(T.bias_add(T.conv2d(up, w), b))
 
 
 def tile_dataset(tmp_path, n_classes=3, per_class=6, size=8, seed=0, sub="d"):
@@ -122,10 +122,10 @@ class TestForward:
     def test_pyramid_shapes(self, rng):
         params = model.init_params(SMALL, seed=0)
         x = T.tensor(rng.random(size=(2, 3, 8, 8)))
-        pyr = model.backbone_forward(x, SMALL, params)
-        assert pyr.f1.data.shape == (2, 2, 4, 4)
-        assert pyr.f2.data.shape == (2, 3, 2, 2)
-        assert pyr.f3.data.shape == (2, 4, 1, 1)
+        f1, f2, f3 = model.backbone_forward(x, SMALL, params)
+        assert f1.data.shape == (2, 2, 4, 4)
+        assert f2.data.shape == (2, 3, 2, 2)
+        assert f3.data.shape == (2, 4, 1, 1)
 
     def test_wrong_input_shape(self, rng):
         params = model.init_params(SMALL, seed=0)
@@ -147,8 +147,7 @@ class TestAttention:
     def test_zero_weights_give_three_halves(self, rng):
         sf = T.tensor(rng.random(size=(2, 3, 4, 4)))
         df = T.tensor(rng.random(size=(2, 5, 2, 2)))
-        aw = model.AttentionWeights(T.tensor(np.zeros((3, 5, 1, 1))), T.tensor(np.zeros(3)))
-        af = model.attention_fuse(sf, df, aw)
+        af = model.attention_fuse(sf, df, T.tensor(np.zeros((3, 5, 1, 1))), T.tensor(np.zeros(3)))
         assert np.array_equal(af.data, 1.5 * sf.data)
 
     def test_random_weights_match_oracle(self, rng):
@@ -157,29 +156,27 @@ class TestAttention:
             df = T.tensor(rng.normal(size=(2, 5, 3, 3)))
             w = rng.normal(size=(3, 5, 1, 1))
             b = rng.normal(size=(3,))
-            aw = model.AttentionWeights(T.tensor(w), T.tensor(b))
-            af = model.attention_fuse(sf, df, aw)
+            af = model.attention_fuse(sf, df, T.tensor(w), T.tensor(b))
             want = attention_oracle(sf.data, df.data, w, b)
             assert np.allclose(af.data, want, atol=1e-12)
 
     def test_non_divisible_shapes_rejected(self, rng):
         sf = T.tensor(rng.random(size=(1, 2, 5, 5)))
         df = T.tensor(rng.random(size=(1, 2, 2, 2)))
-        aw = model.AttentionWeights(T.tensor(np.zeros((2, 2, 1, 1))), T.tensor(np.zeros(2)))
         with pytest.raises(ShapeError):
-            model.attention_fuse(sf, df, aw)
+            model.attention_fuse(sf, df, T.tensor(np.zeros((2, 2, 1, 1))), T.tensor(np.zeros(2)))
 
     def test_chain_deep_to_shallow(self, rng):
         params = model.init_params(SMALL, seed=1)
         x = T.tensor(rng.random(size=(1, 3, 8, 8)))
-        pyr = model.backbone_forward(x, SMALL, params)
-        af1, af2, af3 = model.han_forward(pyr, params)
-        assert af3 is pyr.f3
+        f1, f2, f3 = feats = model.backbone_forward(x, SMALL, params)
+        af1, af2, af3 = model.han_forward(feats, params)
+        assert af3 is f3
         want2 = attention_oracle(
-            pyr.f2.data, af3.data, params["attn2.w"].data, params["attn2.b"].data
+            f2.data, af3.data, params["attn2.w"].data, params["attn2.b"].data
         )
         assert np.allclose(af2.data, want2, atol=1e-12)
-        want1 = attention_oracle(pyr.f1.data, want2, params["attn1.w"].data, params["attn1.b"].data)
+        want1 = attention_oracle(f1.data, want2, params["attn1.w"].data, params["attn1.b"].data)
         assert np.allclose(af1.data, want1, atol=1e-12)
 
 
@@ -193,7 +190,7 @@ class TestMscLoss:
         tg = np.array([0, 3])
         tm = np.array([4, 1])
         cfg = model.MSCConfig(stream_weights=(0.25, 0.5, 1.0), mu_g=0.3, mu_m=0.7)
-        got = float(model.msc_loss(zg, tg, zm, tm, cfg).data)
+        got = float(model.msc_loss([zg, zm], [tg, tm], cfg).data)
         want = 0.3 * sum(
             w * float(T.cross_entropy(z, tg).data) for w, z in zip((0.25, 0.5, 1.0), zg)
         ) + 0.7 * sum(w * float(T.cross_entropy(z, tm).data) for w, z in zip((0.25, 0.5, 1.0), zm))
@@ -204,21 +201,28 @@ class TestMscLoss:
         tg = np.array([0, 1])
         base = model.MSCConfig(stream_weights=(0.25, 0.5, 1.0), mu_g=1.0, mu_m=0.0)
         sc = model.MSCConfig(stream_weights=(0.75, 1.5, 3.0), mu_g=1.0, mu_m=0.0)
-        a = float(model.msc_loss(zg, tg, None, None, base).data)
-        b = float(model.msc_loss(zg, tg, None, None, sc).data)
+        a = float(model.msc_loss([zg], [tg], base).data)
+        b = float(model.msc_loss([zg], [tg], sc).data)
         assert b == pytest.approx(3 * a, rel=1e-12)
 
     def test_single_task_drops_auxiliary_term(self, rng):
         zg = self._logits(rng)
         tg = np.array([0, 1])
         cfg = model.MSCConfig(mu_g=1.0, mu_m=0.0)
-        got = float(model.msc_loss(zg, tg, None, None, cfg).data)
+        got = float(model.msc_loss([zg], [tg], cfg).data)
         want = sum(w * float(T.cross_entropy(z, tg).data) for w, z in zip((0.25, 0.5, 1.0), zg))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_stream_count_mismatch(self, rng):
         with pytest.raises(ShapeError):
-            model.msc_loss(self._logits(rng)[:2], np.array([0, 1]), None, None, model.MSCConfig(mu_g=1.0, mu_m=0.0))
+            model.msc_loss([self._logits(rng)[:2]], [np.array([0, 1])], model.MSCConfig(mu_g=1.0, mu_m=0.0))
+
+    def test_task_count_mismatch(self, rng):
+        # zip would otherwise drop the task without a target, or the third task's logits
+        z, y = self._logits(rng), np.array([0, 1])
+        for logits, targets in (([z, z], [y]), ([], []), ([z, z, z], [y, y, y])):
+            with pytest.raises(ShapeError):
+                model.msc_loss(logits, targets, model.MSCConfig())
 
 
 class TestGradientsThroughModel:
@@ -230,7 +234,7 @@ class TestGradientsThroughModel:
 
         def loss_fn():
             out = model.msc_forward(x, SMALL, params)
-            return model.msc_loss(out[0], tg, None, None, cfg)
+            return model.msc_loss(out, [tg], cfg)
 
         err = T.check_gradients(loss_fn, list(params.values()), max_samples=400, seed=0)
         assert err <= 1e-4
@@ -287,6 +291,32 @@ class TestTrain:
         assert ckpt.params["head.g0.s1.w"].shape == (3, 2)
         assert ckpt.params["head.g1.s1.w"].shape == (4, 2)
         assert len(trace) == 1
+
+    def test_auxiliary_batches_match_main_and_wrap(self, tmp_path, monkeypatch):
+        # 18 main tiles and 5 auxiliary tiles at batch 8: each step's auxiliary
+        # batch is as large as the main one, and the positions wrap around the
+        # auxiliary permutation, so every auxiliary tile is drawn 3 or 4 times
+        man_g = tile_dataset(tmp_path, n_classes=3, per_class=6, sub="g")
+        man_m = tile_dataset(tmp_path, n_classes=5, per_class=1, sub="m", seed=9)
+        aux = model.load_tiles(man_m, 8)[0]
+        cfg = model.BackboneConfig(input_size=8, stage_channels=(2, 3, 4), num_classes_per_task=(3, 5))
+        batches = []
+        forward = model.msc_forward
+
+        def spy(image, *args):
+            batches.append(image.data.copy())
+            return forward(image, *args)
+
+        monkeypatch.setattr(model, "msc_forward", spy)
+        hyper = model.TrainConfig(epochs=1, batch_size=8, schedule=(), augment=False)
+        model.train(cfg, [man_g, man_m], hyper)
+        main, drawn = batches[0::2], batches[1::2]
+        assert [len(b) for b in main] == [len(b) for b in drawn] == [8, 8, 2]
+        counts = np.zeros(len(aux), dtype=int)
+        for tile in np.concatenate(drawn):
+            (hit,) = [i for i, a in enumerate(aux) if np.array_equal(a, tile)]
+            counts[hit] += 1
+        assert sorted(counts.tolist(), reverse=True) == [4, 4, 4, 3, 3]
 
     def test_manifest_task_count_mismatch(self, tmp_path):
         man = tile_dataset(tmp_path)

@@ -171,6 +171,11 @@ class TestTextures:
         with pytest.raises(ConfigError):
             synthdata.TextureSpec((0, 0, 0), pattern="stripes", period=0)
 
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_noise_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ConfigError, match="noise_sigma must be finite and >= 0"):
+            synthdata.TextureSpec((0, 0, 0), noise_sigma=sigma)
+
     def test_flat_texture_is_constant(self):
         tex = synthdata.TextureSpec((10, 20, 30), noise_sigma=0.0)
         rng = np.random.Generator(np.random.PCG64(0))
@@ -350,6 +355,19 @@ class TestTileDataset:
         for s1, s2 in zip(m1.samples, m2.samples):
             assert (d1 / s1.raster_path).read_bytes() == (d2 / s2.raster_path).read_bytes()
 
+    def test_negative_seed_rejected(self, tmp_path):
+        spec = synthdata.SceneSpec(
+            classes=synthdata.default_texture_classes(2),
+            layout=synthdata.GridLayout(rows=1, cols=2),
+            height=8,
+            width=16,
+        )
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            synthdata.generate_tile_dataset(spec, 1, 8, seed=-1, out_dir=tmp_path / "d")
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            synthdata.generate_scene_raster(spec, seed=-1)
+        assert not (tmp_path / "d").exists()
+
 
 class TestLongTail:
     def test_worked_example(self):
@@ -371,6 +389,11 @@ class TestLongTail:
             got = synthdata.long_tail_counts(n, total, 1.5)
             assert sum(got) == total
             assert min(got) >= 1
+
+    @pytest.mark.parametrize("exponent", [-0.5, float("nan"), float("inf")])
+    def test_exponent_must_be_finite(self, exponent):
+        with pytest.raises(ConfigError, match="exponent must be finite and >= 0"):
+            synthdata.long_tail_counts(4, 8, exponent)
 
     def test_monotone_nonincreasing(self):
         counts = synthdata.long_tail_counts(8, 1000, 1.2)

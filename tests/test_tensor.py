@@ -627,12 +627,12 @@ class TestSgd:
         assert p.data[0] == pytest.approx(1.5)
 
     def test_schedule_divides_lr(self):
-        st = T.OptimizerState(lr=0.01, step_schedule=((20, 10.0), (40, 10.0)))
-        assert st.lr_for_epoch(0) == pytest.approx(0.01)
-        assert st.lr_for_epoch(19) == pytest.approx(0.01)
-        assert st.lr_for_epoch(20) == pytest.approx(0.001)
-        assert st.lr_for_epoch(39) == pytest.approx(0.001)
-        assert st.lr_for_epoch(40) == pytest.approx(0.0001)
+        hyper = model.TrainConfig(lr=0.01, schedule=((20, 10.0), (40, 10.0)))
+        assert hyper.lr_at(0) == pytest.approx(0.01)
+        assert hyper.lr_at(19) == pytest.approx(0.01)
+        assert hyper.lr_at(20) == pytest.approx(0.001)
+        assert hyper.lr_at(39) == pytest.approx(0.001)
+        assert hyper.lr_at(40) == pytest.approx(0.0001)
 
     def test_length_mismatch(self):
         p = T.tensor(np.zeros(2), requires_grad=True)
