@@ -1,10 +1,13 @@
 """The one place the package opens files: a file-system failure is an
-IoError that names the path, and every tab-separated text file (manifests,
-eval TSVs, the region-map sidecar) is read by one line rule."""
+IoError that names the path, every tab-separated text file (manifests,
+eval TSVs, the region-map sidecar) is read by one line rule, and a writer
+of many files checks the free space first."""
+
+import shutil
 
 from .errors import IoError, ParseError
 
-__all__ = ["read_file", "write_file", "read_records"]
+__all__ = ["read_file", "write_file", "read_records", "check_space"]
 
 
 def read_file(path) -> bytes:
@@ -26,6 +29,17 @@ def write_file(path, *parts) -> None:
                 f.write(part)
     except (OSError, ValueError) as e:
         raise IoError(f"cannot write {path}: {e}") from e
+
+
+def check_space(directory, need: int, what: str) -> None:
+    """IoError if ``what`` needs more than the free bytes of the file system
+    that holds ``directory``."""
+    try:
+        free = shutil.disk_usage(directory).free
+    except (OSError, ValueError) as e:
+        raise IoError(f"cannot read the free space of {directory}: {e}") from e
+    if need > free:
+        raise IoError(f"{what}: {need} bytes needed, {free} free in {directory}")
 
 
 def read_records(path, layout: str, record) -> list:

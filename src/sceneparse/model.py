@@ -61,6 +61,19 @@ FORMAT_VERSION = 1
 
 KERNEL = 3  # backbone convs are 3x3, pad 1
 
+# byte v -> float32(v / 255), the float64 quotient rounded once: tiles and
+# windows stay bytes until a batch is formed and mapped through this table
+BYTE_FLOATS = (np.arange(256) / 255.0).astype(np.float32)
+
+# Each training step frees its whole graph when its backward ends.  glibc
+# gives a free heap top back to the system once it exceeds twice the largest
+# mapped block freed so far (the dynamic M_MMAP_THRESHOLD rule of mallopt(3)),
+# so with only im2col matrices freed before, a desk step's memory went back
+# and was faulted in again on a third of the steps.  Freeing one untouched
+# block of this size, which maps address space only, raises that bound to
+# 32 MiB for the process; other allocators are unaffected.
+HEAP_KEEP_BYTES = 16 << 20
+
 
 @dataclass(frozen=True)
 class BackboneConfig:
@@ -256,12 +269,11 @@ def msc_loss(logits: list[list[T.Tensor]], targets: list, cfg: MSCConfig) -> T.T
 
 
 def load_tiles(manifest: DatasetManifest, input_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read every tile into [M,3,s,s] float32 in [0,1], the precision training
-    and the classifier run in, plus int64 labels.  Each value is the float64
-    quotient pixel / 255 rounded once to float32."""
+    """Read every tile's bytes into [M,3,s,s] uint8, plus int64 labels.
+    Training and the classifier map each batch through BYTE_FLOATS."""
     labels = np.empty(len(manifest.samples), dtype=np.int64)
     if not manifest.samples:
-        return np.empty((0, 3, input_size, input_size), dtype=np.float32), labels
+        return np.empty((0, 3, input_size, input_size), dtype=np.uint8), labels
     for i, s in enumerate(manifest.samples):
         try:
             rgb = read_ppm(s.raster_path)
@@ -270,28 +282,36 @@ def load_tiles(manifest: DatasetManifest, input_size: int) -> tuple[np.ndarray, 
         if rgb.shape != (input_size, input_size, 3):
             raise DataError(f"sample {s.sample_id}: tile is {rgb.shape[:2]}, expected {input_size}x{input_size}")
         if i == 0:  # after the first shape check, so a wrong input_size is a DataError, not a huge allocation
-            images = np.empty((len(manifest.samples), 3, input_size, input_size), dtype=np.float32)
-        images[i] = rgb.transpose(2, 0, 1) / 255.0
+            images = np.empty((len(manifest.samples), 3, input_size, input_size), dtype=np.uint8)
+        images[i] = rgb.transpose(2, 0, 1)
         labels[i] = s.fine_label
     return images, labels
 
 
+def _orientations(side: int) -> np.ndarray:
+    """[16, side*side] flat pixel indices of a square tile after a horizontal
+    flip (code // 8), then a vertical flip (code // 4 % 2), then code % 4
+    quarter turns."""
+    out = []
+    for code in range(16):
+        idx = np.arange(side * side).reshape(side, side)
+        if code // 8:
+            idx = idx[:, ::-1]
+        if code // 4 % 2:
+            idx = idx[::-1, :]
+        out.append(np.rot90(idx, k=code % 4).ravel())
+    return np.stack(out)
+
+
 def _augment_batch(batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random horizontal/vertical flips and quarter-turn rotations per tile."""
-    out = batch.copy()
-    flips_h = rng.integers(0, 2, size=len(batch))
-    flips_v = rng.integers(0, 2, size=len(batch))
-    quarters = rng.integers(0, 4, size=len(batch))
-    for i in range(len(batch)):
-        x = out[i]
-        if flips_h[i]:
-            x = x[:, :, ::-1]
-        if flips_v[i]:
-            x = x[:, ::-1, :]
-        if quarters[i]:
-            x = np.rot90(x, k=int(quarters[i]), axes=(1, 2))
-        out[i] = x
-    return out
+    """Random horizontal/vertical flips and quarter-turn rotations per tile,
+    moved by one gather over each tile's orientation."""
+    n, c, h, w = batch.shape
+    flips_h = rng.integers(0, 2, size=n)
+    flips_v = rng.integers(0, 2, size=n)
+    quarters = rng.integers(0, 4, size=n)
+    idx = _orientations(h)[flips_h * 8 + flips_v * 4 + quarters]
+    return np.take_along_axis(batch.reshape(n, c, h * w), idx[:, None, :], axis=2).reshape(batch.shape)
 
 
 @dataclass
@@ -329,7 +349,9 @@ def train(
     ``on_epoch(epoch, mean_loss)`` is called as each epoch ends.  Returns
     the checkpoint and the per-epoch mean loss trace.  The parameters train
     in float32, the precision the checkpoint stores; each loss is a float64
-    scalar.  Fully deterministic for a fixed (seed, config, data).
+    scalar.  The tiles stay bytes: each batch is augmented as uint8 and then
+    mapped through BYTE_FLOATS.  Fully deterministic for a fixed (seed,
+    config, data).
     """
     if not manifests or any(not m.samples for m in manifests):
         raise ConfigError("training needs at least one non-empty manifest")
@@ -362,6 +384,7 @@ def train(
     state = T.OptimizerState(lr=hyper.lr, momentum=hyper.momentum, weight_decay=hyper.weight_decay)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((hyper.seed, 0x5CE))))
 
+    np.empty(HEAP_KEEP_BYTES, dtype=np.uint8)  # freed at once: see HEAP_KEEP_BYTES
     trace: list[float] = []
     n = len(data[0][0])
     for epoch in range(hyper.epochs):
@@ -374,7 +397,7 @@ def train(
             for t, ((images, labels_t), perm) in enumerate(zip(data, perms)):
                 idx = perm[take % len(perm)]
                 x = _augment_batch(images[idx], rng) if hyper.augment else images[idx]
-                logits.append(msc_forward(T.tensor(x), cfg, params)[t])
+                logits.append(msc_forward(T.tensor(BYTE_FLOATS[x]), cfg, params)[t])
                 targets.append(labels_t[idx])
             loss = msc_loss(logits, targets, msc)
             if not np.isfinite(loss.data):
@@ -571,15 +594,19 @@ class TileClassifier:
         return self.config.num_classes_per_task[0]
 
     def probs_batch(self, patches: np.ndarray, centers: np.ndarray | None = None) -> np.ndarray:
-        """[B,3,s,s] float tiles in [0,1] -> [B,N] fused probabilities,
-        in the parser's chunks of windows, so a large batch holds one
-        chunk's activations at a time.  The window centers are not used."""
+        """[B,3,s,s] uint8 tiles, or float tiles in [0,1], -> [B,N] fused
+        probabilities, in the parser's chunks of windows, so a large batch
+        holds one chunk's activations at a time.  Each chunk runs in float32:
+        bytes map through BYTE_FLOATS, as a float64 v / 255 would round.
+        The window centers are not used."""
         del centers
         if patches.ndim != 4 or patches.shape[1:] != (3, self.input_size, self.input_size):
             raise ShapeError(f"expected [B,3,{self.input_size},{self.input_size}], got {patches.shape}")
         parts = []
         for a, b in window_chunks(len(patches)):
-            logits = msc_forward(T.tensor(patches[a:b].astype(np.float32)), self.config, self._params)[0]
+            chunk = patches[a:b]
+            x = BYTE_FLOATS[chunk] if chunk.dtype == np.uint8 else chunk.astype(np.float32, copy=False)
+            logits = msc_forward(T.tensor(x), self.config, self._params)[0]
             probs = np.stack([T.softmax(z.data.astype(np.float64)) for z in logits], axis=-2)
             parts.append(fuse(probs, self.msc.stream_weights))
         return np.concatenate(parts)

@@ -155,9 +155,10 @@ def build_grid_map(raster: np.ndarray, classifier, config: ParseConfig = ParseCo
     classifier, and fuse across scales.
 
     The classifier answers probs_batch(windows, centers) -> [B,N]
-    probabilities, where windows is a [B,3,s,s] float64 batch in [0,1], s the
-    classifier's input_size or else the smallest window, and centers the
-    [B,2] int64 (row, col) of each window's cell center.
+    probabilities, where windows is a [B,3,s,s] batch, s the classifier's
+    input_size or else the smallest window, and centers the [B,2] int64
+    (row, col) of each window's cell center.  A uint8 raster's windows are
+    its bytes, as gathered; any other raster's are float64 in [0,1].
     Cells are independent; evaluation order never changes the result.
     """
     if raster.ndim != 3 or raster.shape[2] != 3:
@@ -175,12 +176,14 @@ def build_grid_map(raster: np.ndarray, classifier, config: ParseConfig = ParseCo
     n_scales, side = len(sizes), getattr(classifier, "input_size", None) or sizes[0]
     n_windows = gh * gw * n_scales
     chunk = min(n_windows, WINDOW_BATCH + 1)
-    # one chunk's windows, their float64 copy and its two int64 index tables,
-    # then every window's float64 probabilities, once per chunk and once
-    # concatenated, and the fused map of every cell
+    # one chunk's windows as gathered, a float64 copy of them unless they are
+    # bytes, the classifier's float32 batch and the chunk's two int64 index
+    # tables, then every window's float64 probabilities, once per chunk and
+    # once concatenated, and the fused map of every cell
     n_classes = len(class_ids)
+    window_bytes = raster.itemsize + (0 if raster.dtype == np.uint8 else 8) + 4
     check_memory(
-        chunk * side * (3 * side * (raster.itemsize + 8) + 16) + 8 * n_classes * (2 * n_windows + gh * gw),
+        chunk * side * (3 * side * window_bytes + 16) + 8 * n_classes * (2 * n_windows + gh * gw),
         f"{side}x{side}-px windows, {chunk} to a classifier call, and {n_classes}-class probabilities of {n_windows} windows",
     )
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -194,7 +197,9 @@ def build_grid_map(raster: np.ndarray, classifier, config: ParseConfig = ParseCo
             gy, gx = np.divmod(cell, gw)
             rows = _window_index_table(cys[gy], sizes[scale], h, side)
             cols = _window_index_table(cxs[gx], sizes[scale], width, side)
-            windows = raster[rows[:, :, None], cols[:, None, :]].transpose(0, 3, 1, 2).astype(np.float64) / 255.0
+            windows = raster[rows[:, :, None], cols[:, None, :]].transpose(0, 3, 1, 2)
+            if windows.dtype != np.uint8:
+                windows = windows.astype(np.float64) / 255.0
             parts.append(classifier.probs_batch(windows, np.stack([cys[gy], cxs[gx]], 1)))
     except SceneParseError as e:
         raise ClassifierError(str(e)) from e

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IoError, check_memory
+from .files import check_space
 from .netpbm import write_ppm
 from .taxonomy import DatasetManifest, SceneSample
 
@@ -336,6 +337,9 @@ def generate_tile_dataset(
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:
         raise IoError(f"cannot create {out_dir}: {e}") from e
+    total = sum(counts)
+    p6_bytes = len(f"P6\n{tile_size} {tile_size}\n255\n") + 3 * tile_size**2  # as write_ppm writes it
+    check_space(out_dir, total * p6_bytes, f"{total} {tile_size}x{tile_size} tiles")
     samples = []
     index = 0
     for ci, (tex, count) in enumerate(zip(spec.classes, counts)):

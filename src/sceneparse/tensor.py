@@ -7,7 +7,8 @@ precision; the gradient checks run in float64.  An operation builds the
 backward graph eagerly when one of its inputs requires a gradient, and
 otherwise records nothing and does no gradient-only work, as in the
 classifier's forward; :func:`backward` runs the reverse sweep from a
-scalar loss.  Non-finite values (NaN/Inf) are an error state -- they are
+scalar loss and then releases the graph, so a training step holds one
+step's graph at a time.  Non-finite values (NaN/Inf) are an error state -- they are
 not checked op-by-op for speed, callers guard loss values.
 
 The image ops (:func:`conv2d`, :func:`bias_add`, :func:`upsample_nearest`,
@@ -53,7 +54,7 @@ __all__ = [
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -406,23 +407,42 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _released(node: Tensor) -> None:
+    """The backward of a node whose graph an earlier sweep released."""
+    raise GraphError("the graph was released by an earlier backward")
+
+
 def backward(loss: Tensor, params: list[Tensor] | None = None) -> None:
-    """Reverse sweep from a scalar loss.
+    """Reverse sweep from a scalar loss, which then releases the graph.
 
     Gradients of every tensor reached in this sweep are reset and then
     populated, each allocated when its first contribution arrives;
-    parameters in ``params`` that received none get a zero gradient.
+    parameters in ``params`` that received none get a zero gradient.  Only
+    leaves (parameters and inputs) keep their gradient: an interior node
+    drops its gradient once its own backward has run, and its backward and
+    parents when the sweep ends, which frees the activations and im2col
+    matrices the graph held.  A later sweep from or through a released node
+    is a :class:`GraphError`.
     """
     if loss.data.shape != ():
         raise GraphError(f"backward root must be scalar, got shape {loss.data.shape}")
     order = _topo_order(loss)
+    if any(node._backward is _released for node in order):
+        _released(loss)
     params = list(params or ())
     for node in order + params:
         node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node)
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node)
+            node.grad = None
+    # the nodes are let go together: releasing each as it ran made glibc
+    # trim the heap top and fault it back in on every step
+    for node in order:
+        if node._backward is not None:
+            node._backward, node._parents = _released, ()
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)

@@ -135,11 +135,78 @@ class TestSynth:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert os.listdir(tmp_path) == []
 
+    def test_tile_count_checked_against_free_space(self, tmp_path, capsys, monkeypatch):
+        # 3 classes x 5 tiles of 4 px: 15 P6 files of an 11-byte header and 48 pixel bytes
+        import types
+
+        from sceneparse import files
+
+        need = 15 * (len("P6\n4 4\n255\n") + 48)
+        out = tmp_path / "t"
+        argv = ["synth", "--kind", "tiles", "--out-dir", str(out), "--classes", "3", "--per-class", "5", "--tile-size", "4"]
+        monkeypatch.setattr(files.shutil, "disk_usage", lambda p: types.SimpleNamespace(free=need - 1))
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == f"error: 15 4x4 tiles: {need} bytes needed, {need - 1} free in {out}\n"
+        assert os.listdir(out) == []
+        monkeypatch.setattr(files.shutil, "disk_usage", lambda p: types.SimpleNamespace(free=need))
+        assert run(*argv) == 0
+        assert sum(f.stat().st_size for f in out.glob("*.ppm")) == need
+
+    def test_huge_per_class_exit_3_before_writing(self, tmp_path, capsys):
+        # no disk holds 10^15 tiles, and none is written before the check
+        code = run("synth", "--kind", "tiles", "--out-dir", str(tmp_path), "--per-class", "1000000000000000", "--tile-size", "4")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: 4000000000000000 4x4 tiles: ")
+        assert os.listdir(tmp_path) == []
+
     def test_manifest_path_is_a_directory_exit_3(self, tmp_path, capsys):
         (tmp_path / "manifest.tsv").mkdir()
         argv = ["--classes", "2", "--per-class", "1", "--tile-size", "4"]
         assert run("synth", "--kind", "tiles", "--out-dir", str(tmp_path), *argv) == 3
         assert f"cannot write {tmp_path / 'manifest.tsv'}" in capsys.readouterr().err
+
+
+# synth's integer flags, each with a range of values that it accepts
+SYNTH_INTEGER_FLAGS = {
+    "--size": (1, 64),
+    "--tile-size": (1, 16),
+    "--per-class": (0, 8),
+    "--classes": (1, 10),
+    "--points": (1, 16),
+    "--rows": (1, 6),
+    "--cols": (1, 6),
+}
+
+
+def test_synth_integer_arguments_never_escape(tmp_path_factory):
+    """Any integers for synth's integer flags run, or exit 2 or 3; none ends
+    in a traceback.  This machine's memory reads 4 MiB and the disk's free
+    space 64 KiB, so that no example allocates or writes much."""
+    import contextlib
+    import io
+    import types
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from sceneparse import errors, files
+
+    ints = [st.integers(lo, hi) | st.integers(-(2**70), 2**70) for lo, hi in SYNTH_INTEGER_FLAGS.values()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["scene", "tiles"]), st.sampled_from(["voronoi", "grid"]), st.tuples(*ints))
+    def check(kind, layout, values):
+        argv = ["synth", "--kind", kind, "--layout", layout, "--out-dir", str(tmp_path_factory.mktemp("synth"))]
+        for flag, value in zip(SYNTH_INTEGER_FLAGS, values):
+            argv += [flag, str(value)]
+        quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
+        with pytest.MonkeyPatch.context() as mp, quiet[0], quiet[1]:
+            mp.setattr(errors, "_physical_memory", lambda: 2**22)
+            mp.setattr(files.shutil, "disk_usage", lambda p: types.SimpleNamespace(free=2**16))
+            code = cli.main(argv)
+        assert code in (0, 2, 3), (argv, code)
+
+    check()
 
 
 class TestTrain:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -16,6 +17,8 @@ from sceneparse.errors import (
     ShapeError,
 )
 from sceneparse.fusion import fuse
+from sceneparse.netpbm import read_ppm
+from sceneparse.taxonomy import DatasetManifest
 
 SMALL = model.BackboneConfig(input_size=8, stage_channels=(2, 3, 4), num_classes_per_task=(3,))
 F32_TRAIN_LOSS_TOLERANCE = 1e-5  # per-epoch mean loss, float32 training against float64
@@ -298,7 +301,7 @@ class TestTrain:
         # auxiliary permutation, so every auxiliary tile is drawn 3 or 4 times
         man_g = tile_dataset(tmp_path, n_classes=3, per_class=6, sub="g")
         man_m = tile_dataset(tmp_path, n_classes=5, per_class=1, sub="m", seed=9)
-        aux = model.load_tiles(man_m, 8)[0]
+        aux = model.BYTE_FLOATS[model.load_tiles(man_m, 8)[0]]  # the float32 tiles training sees
         cfg = model.BackboneConfig(input_size=8, stage_channels=(2, 3, 4), num_classes_per_task=(3, 5))
         batches = []
         forward = model.msc_forward
@@ -662,7 +665,8 @@ class TestTileClassifier:
     def test_float32_within_tolerance_trained_small(self, tmp_path):
         ckpt, man = self._trained(tmp_path)
         model.save_checkpoint(ckpt, str(tmp_path / "m.ckpt"))
-        self._check_float32(model.load_checkpoint(str(tmp_path / "m.ckpt")), model.load_tiles(man, 8)[0])
+        x = model.BYTE_FLOATS[model.load_tiles(man, 8)[0]]  # probs_float64 casts its input, so bytes go as floats
+        self._check_float32(model.load_checkpoint(str(tmp_path / "m.ckpt")), x)
 
     def test_probs_batch_runs_in_window_chunks(self, monkeypatch):
         params = {name: t.data for name, t in model.init_params(DESK, seed=3).items()}
@@ -685,6 +689,35 @@ class TestTileClassifier:
             got = clf.probs_batch(x[:n])
             assert seen == sizes
             assert got.tobytes() == whole[n].tobytes()
+
+    @pytest.mark.parametrize("cfg", [SMALL, DESK], ids=["small", "desk"])
+    def test_bytes_give_the_float64_quotients_probabilities(self, cfg):
+        params = {name: t.data for name, t in model.init_params(cfg, seed=4).items()}
+        k = cfg.num_classes_per_task[0]
+        clf = model.TileClassifier(model.Checkpoint(cfg, model.MSCConfig(mu_g=1.0, mu_m=0.0), list("abcdefgh")[:k], list(range(1, k + 1)), params))
+        s = cfg.input_size
+        # [B,s,s,3] bytes seen as [B,3,s,s], as build_grid_map gathers them
+        x = np.random.Generator(np.random.PCG64(4)).integers(0, 256, size=(130, s, s, 3), dtype=np.uint8).transpose(0, 3, 1, 2)
+        assert clf.probs_batch(x).tobytes() == clf.probs_batch(x.astype(np.float64) / 255.0).tobytes()
+
+    def test_byte_table_is_the_rounded_quotient(self):
+        assert model.BYTE_FLOATS.dtype == np.float32
+        assert model.BYTE_FLOATS.tolist() == [float(np.float32(v / 255.0)) for v in range(256)]
+
+    def test_float32_chunk_not_copied(self, monkeypatch):
+        params = {name: t.data for name, t in model.init_params(SMALL, seed=0).items()}
+        clf = model.TileClassifier(model.Checkpoint(SMALL, model.MSCConfig(mu_g=1.0, mu_m=0.0), ["a", "b", "c"], [1, 2, 3], params))
+        x = np.random.Generator(np.random.PCG64(0)).random((5, 3, 8, 8)).astype(np.float32)
+        seen = []
+        forward = model.msc_forward
+
+        def recording(image, *args):
+            seen.append(image.data)
+            return forward(image, *args)
+
+        monkeypatch.setattr(model, "msc_forward", recording)
+        clf.probs_batch(x)
+        assert len(seen) == 1 and np.shares_memory(seen[0], x)
 
     def test_properties(self, tmp_path):
         ckpt, _ = self._trained(tmp_path)
@@ -748,7 +781,78 @@ class TestAttentionAtDeepResolution:
         assert np.array_equal(*pick)
 
 
+def augment_loop(batch, rng):
+    """_augment_batch as it ran before its one gather, kept as a bit-exact
+    oracle: a copy of the batch, then each tile flipped and turned in turn."""
+    out = batch.copy()
+    flips_h = rng.integers(0, 2, size=len(batch))
+    flips_v = rng.integers(0, 2, size=len(batch))
+    quarters = rng.integers(0, 4, size=len(batch))
+    for i in range(len(batch)):
+        x = out[i]
+        if flips_h[i]:
+            x = x[:, :, ::-1]
+        if flips_v[i]:
+            x = x[:, ::-1, :]
+        if quarters[i]:
+            x = np.rot90(x, k=int(quarters[i]), axes=(1, 2))
+        out[i] = x
+    return out
+
+
+AUGMENT_SEEDS = range(5)
+
+
+class TestAugmentBatch:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    @pytest.mark.parametrize("seed", AUGMENT_SEEDS)
+    def test_bytes_equal_loop_oracle(self, seed, dtype):
+        batch = np.random.Generator(np.random.PCG64(100 + seed)).integers(0, 256, size=(64, 3, 8, 8)).astype(dtype)
+        got_rng, want_rng = np.random.Generator(np.random.PCG64(seed)), np.random.Generator(np.random.PCG64(seed))
+        got, want = model._augment_batch(batch, got_rng), augment_loop(batch, want_rng)
+        assert got.dtype == want.dtype == dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state  # the same draws
+
+    def test_seeds_draw_every_code(self):
+        # over AUGMENT_SEEDS the oracle comparison meets each of the 16
+        # (flip h, flip v, quarter turns) codes
+        codes = set()
+        for seed in AUGMENT_SEEDS:
+            rng = np.random.Generator(np.random.PCG64(seed))
+            h, v, q = (rng.integers(0, k, size=64) for k in (2, 2, 4))
+            codes |= set((h * 8 + v * 4 + q).tolist())
+        assert codes == set(range(16))
+
+
+class TestTrainingMemory:
+    def test_peak_does_not_grow_with_steps(self, tmp_path, monkeypatch):
+        # backward releases each step's graph, so three steps peak where one
+        # does; a loop that holds step t's graph through step t+1's forward
+        # read 1.65 times the one-step peak
+        man = tile_dataset(tmp_path, n_classes=8, per_class=12, size=32)
+        first = DatasetManifest(man.samples[:32])
+        monkeypatch.setattr(model, "HEAP_KEEP_BYTES", 0)  # its block is freed at once, and not the graph
+        hyper = model.TrainConfig(epochs=1, batch_size=32, lr=0.002, schedule=(), seed=0)
+        peaks = []
+        for m in (first, man):
+            tracemalloc.start()
+            try:
+                model.train(DESK, [m], hyper)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
 class TestLoadTiles:
+    def test_tiles_stay_bytes(self, tmp_path):
+        man = tile_dataset(tmp_path)
+        x, y = model.load_tiles(man, 8)
+        assert x.dtype == np.uint8 and x.shape == (18, 3, 8, 8)
+        for tile, label, s in zip(x, y, man.samples):
+            assert np.array_equal(tile, read_ppm(s.raster_path).transpose(2, 0, 1)) and label == s.fine_label
+
     def test_missing_file(self, tmp_path):
         from sceneparse.taxonomy import DatasetManifest, SceneSample
 

@@ -318,7 +318,8 @@ class TestBuildGridMap:
             [win for cy in cys for cx in cxs for win in extract_context_windows(raster, (int(cy), int(cx)), sizes, sizes[0])]
         )
         got = np.concatenate(seen)
-        assert got.tobytes() == (want.transpose(0, 3, 1, 2).astype(np.float64) / 255.0).tobytes()
+        assert got.dtype == np.uint8  # a byte raster's windows go to the classifier as bytes
+        assert got.tobytes() == want.transpose(0, 3, 1, 2).tobytes()
         want_centers = [[int(cy), int(cx)] for cy in cys for cx in cxs for _ in sizes]
         got_centers = np.concatenate(seen_centers)
         assert got_centers.dtype == np.int64
@@ -361,11 +362,11 @@ class TestBuildGridMap:
 
     def test_window_memory_counted_against_the_machine(self, monkeypatch):
         # 32 x 32 cells x 2 scales = 2048 windows of 4x4x3 bytes, 96 KiB for
-        # the all-cells gather; one chunk of 65 needs its windows, their
-        # float64 copy and two int64 index tables of 65 x 4
+        # the all-cells gather; one chunk of 65 needs its windows, the
+        # classifier's float32 batch and two int64 index tables of 65 x 4
         oc = Counting(np.ones((128, 128), dtype=np.int32), n_classes=2)
         args = (np.zeros((128, 128, 3), dtype=np.uint8), oc, parser.ParseConfig(window_sizes=(4, 8), stride=4))
-        windows = 65 * (48 + 48 * 8 + 2 * 4 * 8)
+        windows = 65 * (48 + 48 * 4 + 2 * 4 * 8)
         assert windows < 2048 * 48
         # then 2 float64 probabilities for each window, per chunk and
         # concatenated, and for each of the 1024 cells once fused
@@ -383,7 +384,7 @@ class TestBuildGridMap:
         # 4 cells x 1 scale of 4x4 windows; 1000 classes outweigh the windows
         oc = Counting(np.ones((8, 8), dtype=np.int32), n_classes=1000)
         args = (np.zeros((8, 8, 3), dtype=np.uint8), oc, parser.ParseConfig(window_sizes=(4,), stride=4))
-        windows = 4 * (48 + 48 * 8 + 2 * 4 * 8)
+        windows = 4 * (48 + 48 * 4 + 2 * 4 * 8)
         need = windows + 8 * 1000 * (2 * 4 + 4)
         monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
         with pytest.raises(ConfigError, match="^4x4-px windows, 4 to a classifier call, and 1000-class probabilities of 4 windows: "):
@@ -393,11 +394,12 @@ class TestBuildGridMap:
         assert parser.build_grid_map(*args).cell_probs.shape == (2, 2, 1000)
 
     def test_window_memory_counts_the_raster_itemsize(self, monkeypatch):
-        # 4 cells x 2 scales: one chunk of 8 float64 windows and their copy,
-        # then 2 probabilities for each window twice and for each cell once
+        # 4 cells x 2 scales: one chunk of 8 float64 windows, their float64
+        # [0, 1] copy and its float32 batch, then 2 probabilities for each
+        # window twice and for each cell once
         cfg = parser.ParseConfig(window_sizes=(4, 8), stride=4)
         args = (np.zeros((8, 8, 3)), Counting(np.ones((8, 8)), n_classes=2), cfg)
-        need = 8 * (48 * 8 + 48 * 8 + 2 * 4 * 8) + 8 * 2 * (2 * 8 + 4)
+        need = 8 * (48 * 8 + 48 * 8 + 48 * 4 + 2 * 4 * 8) + 8 * 2 * (2 * 8 + 4)
         monkeypatch.setattr(errors, "_physical_memory", lambda: need - 1)
         with pytest.raises(ConfigError, match="GiB needed"):
             parser.build_grid_map(*args)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -538,6 +539,48 @@ class TestBackwardSemantics:
         y = T.tsum(T.add(T.mul(x, x), x))
         T.backward(y, [x])
         assert x.grad == pytest.approx(np.array([7.0]))
+
+
+class TestGraphRelease:
+    """backward releases the graph it swept: interior nodes drop their
+    backward, parents and gradient, and leaves keep their gradient."""
+
+    @staticmethod
+    def _graph(seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x = T.tensor(rng.normal(size=(2, 1, 4, 4)), requires_grad=True)
+        w = T.tensor(rng.normal(size=(3, 1, 3, 3)), requires_grad=True)
+        b = T.tensor(rng.normal(size=(3,)), requires_grad=True)
+        h = T.relu(T.bias_add(T.conv2d(x, w, 2), b))
+        head = T.tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        loss = T.cross_entropy(T.linear(T.global_avg_pool(h), head, T.tensor(np.zeros(4))), np.array([0, 3]))
+        return [x, w, b, head], h, loss
+
+    def test_interior_nodes_freed_and_leaf_gradients_kept(self):
+        leaves, h, loss = self._graph(0)
+        conv = weakref.ref(h._parents[0]._parents[0])  # held only by the graph
+        T.backward(loss, leaves[1:])
+        assert conv() is None
+        assert h.grad is None and h._parents == () and loss.grad is None
+        want_leaves, _, want_loss = self._graph(0)
+        backward_zero_prefill(want_loss, want_leaves[1:])
+        for got, want in zip(leaves, want_leaves):  # the input x requires a gradient, so it is a leaf too
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+    def test_second_sweep_from_released_root_raises(self):
+        leaves, _, loss = self._graph(1)
+        T.backward(loss, leaves)
+        with pytest.raises(GraphError, match="released"):
+            T.backward(loss, leaves)
+
+    def test_sweep_through_released_node_raises_before_resetting(self):
+        leaves, h, loss = self._graph(2)
+        T.backward(loss, leaves)
+        grads = [p.grad.copy() for p in leaves]
+        # without the check this sweep would stop at h and leave w and b a zero gradient
+        with pytest.raises(GraphError, match="released"):
+            T.backward(T.tsum(T.mul(h, h)), leaves)
+        assert all(np.array_equal(p.grad, g) for p, g in zip(leaves, grads))
 
 
 class TestDtypeRule:
