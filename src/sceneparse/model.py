@@ -9,6 +9,7 @@ same order, so the deepest stream carries the largest default weight.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import zlib
@@ -288,10 +289,11 @@ def load_tiles(manifest: DatasetManifest, input_size: int) -> tuple[np.ndarray, 
     return images, labels
 
 
+@functools.cache
 def _orientations(side: int) -> np.ndarray:
-    """[16, side*side] flat pixel indices of a square tile after a horizontal
-    flip (code // 8), then a vertical flip (code // 4 % 2), then code % 4
-    quarter turns."""
+    """Read-only [16, side*side] flat pixel indices of a square tile after a
+    horizontal flip (code // 8), then a vertical flip (code // 4 % 2), then
+    code % 4 quarter turns."""
     out = []
     for code in range(16):
         idx = np.arange(side * side).reshape(side, side)
@@ -300,18 +302,22 @@ def _orientations(side: int) -> np.ndarray:
         if code // 4 % 2:
             idx = idx[::-1, :]
         out.append(np.rot90(idx, k=code % 4).ravel())
-    return np.stack(out)
+    table = np.stack(out)
+    table.flags.writeable = False
+    return table
 
 
 def _augment_batch(batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random horizontal/vertical flips and quarter-turn rotations per tile,
-    moved by one gather over each tile's orientation."""
+    moved by one gather: each tile channel's pixels are taken through its
+    orientation's flat indices."""
     n, c, h, w = batch.shape
     flips_h = rng.integers(0, 2, size=n)
     flips_v = rng.integers(0, 2, size=n)
     quarters = rng.integers(0, 4, size=n)
-    idx = _orientations(h)[flips_h * 8 + flips_v * 4 + quarters]
-    return np.take_along_axis(batch.reshape(n, c, h * w), idx[:, None, :], axis=2).reshape(batch.shape)
+    pixels = _orientations(h)[flips_h * 8 + flips_v * 4 + quarters]
+    starts = np.arange(n * c).reshape(n, c, 1) * (h * w)  # of each tile channel in the flat batch
+    return np.take(batch, starts + pixels[:, None, :]).reshape(batch.shape)
 
 
 @dataclass
@@ -397,7 +403,7 @@ def train(
             for t, ((images, labels_t), perm) in enumerate(zip(data, perms)):
                 idx = perm[take % len(perm)]
                 x = _augment_batch(images[idx], rng) if hyper.augment else images[idx]
-                logits.append(msc_forward(T.tensor(BYTE_FLOATS[x]), cfg, params)[t])
+                logits.append(msc_forward(T.tensor(np.take(BYTE_FLOATS, x)), cfg, params)[t])
                 targets.append(labels_t[idx])
             loss = msc_loss(logits, targets, msc)
             if not np.isfinite(loss.data):
@@ -605,7 +611,7 @@ class TileClassifier:
         parts = []
         for a, b in window_chunks(len(patches)):
             chunk = patches[a:b]
-            x = BYTE_FLOATS[chunk] if chunk.dtype == np.uint8 else chunk.astype(np.float32, copy=False)
+            x = np.take(BYTE_FLOATS, chunk) if chunk.dtype == np.uint8 else chunk.astype(np.float32, copy=False)
             logits = msc_forward(T.tensor(x), self.config, self._params)[0]
             probs = np.stack([T.softmax(z.data.astype(np.float64)) for z in logits], axis=-2)
             parts.append(fuse(probs, self.msc.stream_weights))

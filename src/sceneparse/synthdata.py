@@ -362,6 +362,8 @@ def long_tail_counts(n_classes: int, total: int, exponent: float) -> list[int]:
         raise ConfigError(f"exponent must be finite and >= 0, got {exponent}")
     if total < n_classes:
         raise ConfigError(f"total {total} cannot give {n_classes} classes >= 1 each")
+    if total >= 2**53:  # float64 shares of it are not exact, and from 2**63 they overflow int64
+        raise ConfigError(f"total {total} must be below 2**53")
     w = (np.arange(1, n_classes + 1, dtype=np.float64)) ** (-float(exponent))
     raw = total * w / w.sum()
     counts = np.maximum(np.floor(raw).astype(np.int64), 1)

@@ -8,8 +8,8 @@ backward graph eagerly when one of its inputs requires a gradient, and
 otherwise records nothing and does no gradient-only work, as in the
 classifier's forward; :func:`backward` runs the reverse sweep from a
 scalar loss and then releases the graph, so a training step holds one
-step's graph at a time.  Non-finite values (NaN/Inf) are an error state -- they are
-not checked op-by-op for speed, callers guard loss values.
+step's graph at a time.  Non-finite values (NaN/Inf) are an error state --
+they are not checked op-by-op for speed, callers guard loss values.
 
 The image ops (:func:`conv2d`, :func:`bias_add`, :func:`upsample_nearest`,
 :func:`global_avg_pool`) take ``[N, C, H, W]`` batches only; :func:`linear`
@@ -427,7 +427,7 @@ def backward(loss: Tensor, params: list[Tensor] | None = None) -> None:
     if loss.data.shape != ():
         raise GraphError(f"backward root must be scalar, got shape {loss.data.shape}")
     order = _topo_order(loss)
-    if any(node._backward is _released for node in order):
+    if any(node._backward is _released for node in order):  # before any gradient is reset
         _released(loss)
     params = list(params or ())
     for node in order + params:
@@ -438,8 +438,9 @@ def backward(loss: Tensor, params: list[Tensor] | None = None) -> None:
             if node.grad is not None:
                 node._backward(node)
             node.grad = None
-    # the nodes are let go together: releasing each as it ran made glibc
-    # trim the heap top and fault it back in on every step
+    # let go once the sweep has ended, while order still holds every node,
+    # rather than node by node during it, which made glibc give the heap
+    # top back and fault it in again on every step
     for node in order:
         if node._backward is not None:
             node._backward, node._parents = _released, ()

@@ -126,8 +126,11 @@ class TestSynth:
             (("--kind", "scene", "--noise", "nan"), "noise_sigma must be finite and >= 0, got nan"),
             (("--kind", "tiles", "--noise", "inf"), "noise_sigma must be finite and >= 0, got inf"),
             (("--kind", "tiles", "--long-tail-exponent", "nan"), "exponent must be finite and >= 0, got nan"),
+            # 2 x 2**53 tiles: the float shares would no longer be exact; past 2**63 they looped for ever
+            (("--kind", "tiles", "--classes", "2", "--per-class", str(2**52), "--long-tail-exponent", "1"),
+             f"total {2**53} must be below 2**53"),
         ],
-        ids=["seed-scene", "seed-tiles", "noise-nan", "noise-inf", "exponent-nan"],
+        ids=["seed-scene", "seed-tiles", "noise-nan", "noise-inf", "exponent-nan", "long-tail-total"],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, argv, message):
         code = run("synth", "--out-dir", str(tmp_path), "--size", "16", "--per-class", "1", "--tile-size", "4", *argv)
@@ -192,15 +195,21 @@ def test_synth_integer_arguments_never_escape(tmp_path_factory):
     from sceneparse import errors, files
 
     ints = [st.integers(lo, hi) | st.integers(-(2**70), 2**70) for lo, hi in SYNTH_INTEGER_FLAGS.values()]
+    exponents = st.none() | st.floats(0, 4)  # --long-tail-exponent, which turns --per-class into a total
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(["scene", "tiles"]), st.sampled_from(["voronoi", "grid"]), st.tuples(*ints))
-    def check(kind, layout, values):
+    @given(st.sampled_from(["scene", "tiles"]), st.sampled_from(["voronoi", "grid"]), st.tuples(*ints), exponents)
+    def check(kind, layout, values, exponent):
         argv = ["synth", "--kind", kind, "--layout", layout, "--out-dir", str(tmp_path_factory.mktemp("synth"))]
         for flag, value in zip(SYNTH_INTEGER_FLAGS, values):
             argv += [flag, str(value)]
-        quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
-        with pytest.MonkeyPatch.context() as mp, quiet[0], quiet[1]:
+        if exponent is not None:
+            argv += ["--long-tail-exponent", str(exponent)]
+        with (
+            pytest.MonkeyPatch.context() as mp,
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(io.StringIO()),
+        ):
             mp.setattr(errors, "_physical_memory", lambda: 2**22)
             mp.setattr(files.shutil, "disk_usage", lambda p: types.SimpleNamespace(free=2**16))
             code = cli.main(argv)

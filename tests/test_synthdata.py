@@ -395,6 +395,12 @@ class TestLongTail:
         with pytest.raises(ConfigError, match="exponent must be finite and >= 0"):
             synthdata.long_tail_counts(4, 8, exponent)
 
+    def test_largest_total_exact(self):
+        counts = synthdata.long_tail_counts(3, 2**53 - 1, 1.0)
+        assert sum(counts) == 2**53 - 1 and counts == sorted(counts, reverse=True)
+        with pytest.raises(ConfigError, match=r"total 9007199254740992 must be below 2\*\*53"):
+            synthdata.long_tail_counts(3, 2**53, 1.0)
+
     def test_monotone_nonincreasing(self):
         counts = synthdata.long_tail_counts(8, 1000, 1.2)
         assert all(a >= b for a, b in zip(counts, counts[1:]))
