@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import zlib
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
@@ -96,9 +97,7 @@ class BackboneConfig:
             raise ConfigError(f"bad stage channels {self.stage_channels}")
         if any(s < 1 for s in self.stage_strides):
             raise ConfigError(f"bad stage strides {self.stage_strides}")
-        total = 1
-        for s in self.stage_strides:
-            total *= s
+        total = math.prod(self.stage_strides)
         if self.input_size < 1 or self.input_size % total != 0:
             raise ConfigError(
                 f"input_size {self.input_size} not divisible by cumulative stride {total}"
@@ -242,15 +241,13 @@ def han_forward(feats: list[T.Tensor], params: dict[str, T.Tensor]) -> list[T.Te
     return [af1, af2, f3]
 
 
-def msc_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor]) -> list[list[T.Tensor]]:
-    """Logits per task per stream: out[t][s] from GAP(AF_{s+1}) -> linear head.
-    Training and the classifier both run it; with parameters that require
-    no gradient, as the classifier holds them, it records no graph."""
+def msc_forward(image: T.Tensor, cfg: BackboneConfig, params: dict[str, T.Tensor], task: int) -> list[T.Tensor]:
+    """One task's logits per stream, out[s] from GAP(AF_{s+1}) -> its linear
+    head.  Training and the classifier both run it; with parameters that
+    require no gradient, as the classifier holds them, it records no graph."""
     pooled = [T.global_avg_pool(af) for af in han_forward(backbone_forward(image, cfg, params), params)]
-    return [
-        [T.linear(pooled[s], params[f"head.g{t}.s{s + 1}.w"], params[f"head.g{t}.s{s + 1}.b"]) for s in range(3)]
-        for t in range(len(cfg.num_classes_per_task))
-    ]
+    head = f"head.g{task}.s"
+    return [T.linear(z, params[f"{head}{s}.w"], params[f"{head}{s}.b"]) for s, z in enumerate(pooled, start=1)]
 
 
 def msc_loss(logits: list[list[T.Tensor]], targets: list, cfg: MSCConfig) -> T.Tensor:
@@ -330,6 +327,17 @@ class Checkpoint:
     meta: dict = field(default_factory=dict)
 
 
+def _label_table(labels, label_ids, n_classes: int, error=ConfigError) -> tuple[list[str], list[int]]:
+    """The label table as lists: one name per main-task class, one id per name,
+    each an integer in [0, 2**31) (grid cells hold int32) as a Python int."""
+    labels, label_ids = list(labels), list(label_ids)
+    if len(labels) != n_classes or len(label_ids) != len(labels):
+        raise error("label table does not cover the main task's classes")
+    if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < 2**31 for i in label_ids):
+        raise error(f"label ids must lie in [0, 2**31), got {label_ids}")
+    return labels, [int(i) for i in label_ids]
+
+
 def _trainable(values: np.ndarray) -> T.Tensor:
     """A float32 copy of ``values`` to train: SGD runs in the precision the
     checkpoint stores."""
@@ -371,6 +379,9 @@ def train(
         msc = MSCConfig(**default_task_weights(len(manifests)))
     if len(manifests) == 1 and msc.mu_m != 0.0:
         raise ConfigError("auxiliary weight is non-zero but no auxiliary manifest given")
+    labels = [f"class_{i + 1}" for i in range(cfg.num_classes_per_task[0])] if labels is None else labels
+    label_ids = range(1, len(labels) + 1) if label_ids is None else label_ids
+    labels, label_ids = _label_table(labels, label_ids, cfg.num_classes_per_task[0])
 
     data = []
     for t, m in enumerate(manifests):
@@ -403,7 +414,7 @@ def train(
             for t, ((images, labels_t), perm) in enumerate(zip(data, perms)):
                 idx = perm[take % len(perm)]
                 x = _augment_batch(images[idx], rng) if hyper.augment else images[idx]
-                logits.append(msc_forward(T.tensor(np.take(BYTE_FLOATS, x)), cfg, params)[t])
+                logits.append(msc_forward(T.tensor(np.take(BYTE_FLOATS, x)), cfg, params, t))
                 targets.append(labels_t[idx])
             loss = msc_loss(logits, targets, msc)
             if not np.isfinite(loss.data):
@@ -415,17 +426,11 @@ def train(
         if on_epoch is not None:
             on_epoch(epoch, trace[-1])
 
-    if labels is None:
-        labels = [f"class_{i + 1}" for i in range(cfg.num_classes_per_task[0])]
-    if label_ids is None:
-        label_ids = list(range(1, len(labels) + 1))
-    if len(labels) != cfg.num_classes_per_task[0] or len(label_ids) != len(labels):
-        raise ConfigError("label table must cover the main task's classes")
     ckpt = Checkpoint(
         config=cfg,
         msc=msc,
-        labels=list(labels),
-        label_ids=list(label_ids),
+        labels=labels,
+        label_ids=label_ids,
         params={name: p.data.copy() for name, p in params.items()},
         meta={**asdict(hyper), "loss_trace": trace},
     )
@@ -479,14 +484,15 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     for name, shape in expected.items():
         if tuple(ckpt.params[name].shape) != shape:
             raise ConfigError(f"parameter {name} has shape {ckpt.params[name].shape}, expected {shape}")
+    labels, label_ids = _label_table(ckpt.labels, ckpt.label_ids, ckpt.config.num_classes_per_task[0])
     payload = b"".join(ckpt.params[name].astype("<f4").tobytes() for name in expected)
     n_floats = len(payload) // 4
     header = {
         "format_version": FORMAT_VERSION,
         "config": asdict(ckpt.config),
         "msc": asdict(ckpt.msc),
-        "labels": list(ckpt.labels),
-        "label_ids": list(ckpt.label_ids),
+        "labels": labels,
+        "label_ids": label_ids,
         "meta": ckpt.meta,
         "params": [[name, list(shape)] for name, shape in expected.items()],
         "payload_floats": n_floats,
@@ -557,10 +563,7 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     if manifest != list(param_shapes(cfg).items()):
         raise FormatVersionError("parameter manifest does not match the declared config")
-    if len(labels) != cfg.num_classes_per_task[0] or len(label_ids) != len(labels):
-        raise FormatVersionError("label table does not cover the main task's classes")
-    if any(not 0 <= i < 2**31 for i in label_ids):  # grid cells hold them as int32
-        raise FormatVersionError(f"label ids must lie in [0, 2**31), got {label_ids}")
+    labels, label_ids = _label_table(labels, label_ids, cfg.num_classes_per_task[0], FormatVersionError)
 
     flat = np.frombuffer(payload, dtype="<f4").astype(np.float32)  # native and writable
     params = {}
@@ -612,7 +615,7 @@ class TileClassifier:
         for a, b in window_chunks(len(patches)):
             chunk = patches[a:b]
             x = np.take(BYTE_FLOATS, chunk) if chunk.dtype == np.uint8 else chunk.astype(np.float32, copy=False)
-            logits = msc_forward(T.tensor(x), self.config, self._params)[0]
+            logits = msc_forward(T.tensor(x), self.config, self._params, 0)
             probs = np.stack([T.softmax(z.data.astype(np.float64)) for z in logits], axis=-2)
             parts.append(fuse(probs, self.msc.stream_weights))
         return np.concatenate(parts)

@@ -83,8 +83,8 @@ def test_gradient_integrity():
     msc = model.MSCConfig()
 
     def loss_fn():
-        lg = model.msc_forward(T.tensor(xg), cfg, params)[0]
-        lm = model.msc_forward(T.tensor(xm), cfg, params)[1]
+        lg = model.msc_forward(T.tensor(xg), cfg, params, 0)
+        lm = model.msc_forward(T.tensor(xm), cfg, params, 1)
         return model.msc_loss([lg, lm], [yg, ym], msc)
 
     t0 = time.time()

@@ -331,6 +331,23 @@ class TestTrain:
         assert f"unknown config field {name!r}" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
 
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            ({"label_ids": [-1, 2, 3]}, "label ids must lie in [0, 2**31)"),
+            ({"labels": ["a", "b"]}, "label table does not cover the main task's classes"),
+        ],
+    )
+    def test_bad_label_table_exit_2_before_training(self, workdir, tmp_path, capsys, table, message):
+        cfg = {**json.loads((workdir / "train.json").read_text()), **table}
+        cfg["out_checkpoint"] = str(tmp_path / "x.ckpt")
+        (tmp_path / "t.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", str(tmp_path / "t.json")) == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert not any(line.startswith("epoch ") for line in out.splitlines())
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_missing_manifest_exit_3(self, workdir, tmp_path):
         cfg = {
             "model": {"input_size": 8, "stage_channels": [2, 3, 4], "num_classes_per_task": [3]},

@@ -140,9 +140,9 @@ class TestForward:
     def test_logits_shapes(self, rng):
         params = model.init_params(SMALL, seed=0)
         x = T.tensor(rng.random(size=(5, 3, 8, 8)))
-        out = model.msc_forward(x, SMALL, params)
-        assert len(out) == 1 and len(out[0]) == 3
-        for z in out[0]:
+        out = model.msc_forward(x, SMALL, params, 0)
+        assert len(out) == 3
+        for z in out:
             assert z.data.shape == (5, 3)
 
 
@@ -236,8 +236,8 @@ class TestGradientsThroughModel:
         cfg = model.MSCConfig(mu_g=1.0, mu_m=0.0)
 
         def loss_fn():
-            out = model.msc_forward(x, SMALL, params)
-            return model.msc_loss(out, [tg], cfg)
+            out = model.msc_forward(x, SMALL, params, 0)
+            return model.msc_loss([out], [tg], cfg)
 
         err = T.check_gradients(loss_fn, list(params.values()), max_samples=400, seed=0)
         assert err <= 1e-4
@@ -343,6 +343,42 @@ class TestTrain:
         hyper = model.TrainConfig(epochs=8, batch_size=8, lr=1e6, schedule=(), seed=0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
             model.train(SMALL, [man], hyper)
+
+    @pytest.mark.parametrize(
+        "table", [{"label_ids": [-1, 2, 3]}, {"labels": ["a", "b"]}, {"label_ids": [1, 2]}, {"label_ids": [1.0, 2, 3]}]
+    )
+    def test_label_table_checked_before_tiles_load(self, tmp_path, monkeypatch, table):
+        man = tile_dataset(tmp_path)
+        loads = []
+        monkeypatch.setattr(model, "load_tiles", lambda *args: loads.append(args))
+        with pytest.raises(ConfigError, match="label"):
+            model.train(SMALL, [man], model.TrainConfig(epochs=1), **table)
+        assert loads == []
+
+    def test_numpy_label_ids_kept_as_ints(self, tmp_path):
+        man = tile_dataset(tmp_path)
+        ids = np.array([4, 7, 9], dtype=np.int64)
+        ckpt, _ = model.train(SMALL, [man], model.TrainConfig(epochs=1, batch_size=8), label_ids=ids)
+        assert ckpt.label_ids == [4, 7, 9] and {type(i) for i in ckpt.label_ids} == {int}
+        model.save_checkpoint(ckpt, tmp_path / "a.ckpt")
+        assert model.load_checkpoint(tmp_path / "a.ckpt").label_ids == [4, 7, 9]
+
+    def test_two_task_step_runs_each_task_heads_once(self, tmp_path, monkeypatch):
+        # 16 main tiles at batch 8: two steps, each one forward per task
+        man_g = tile_dataset(tmp_path, n_classes=4, per_class=4, sub="g")
+        man_m = tile_dataset(tmp_path, n_classes=3, per_class=2, sub="m", seed=9)
+        cfg = model.BackboneConfig(input_size=8, stage_channels=(2, 3, 4), num_classes_per_task=(4, 3))
+        heads = []
+        linear = T.linear
+
+        def spy(x, w, b):
+            heads.append(w)
+            return linear(x, w, b)
+
+        monkeypatch.setattr(T, "linear", spy)
+        model.train(cfg, [man_g, man_m], model.TrainConfig(epochs=1, batch_size=8, schedule=()))
+        assert len(heads) == 2 * 6
+        assert [w.shape[0] for w in heads] == [4, 4, 4, 3, 3, 3] * 2
 
     def test_trace_in_meta(self, tmp_path):
         man = tile_dataset(tmp_path)
@@ -559,6 +595,20 @@ class TestCheckpointFormat:
         with pytest.raises(FormatVersionError):
             model.load_checkpoint(p)
 
+    @pytest.mark.parametrize("ids", [[1, 2, 2**31], [1, 2, -1], [1, 2], [1, 2, 3.0], [1, 2, True]])
+    def test_save_rejects_bad_label_ids(self, tmp_path, ids):
+        ckpt = make_checkpoint()
+        ckpt.label_ids = ids
+        with pytest.raises(ConfigError, match="label"):
+            model.save_checkpoint(ckpt, tmp_path / "x.ckpt")
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_save_writes_numpy_label_ids_as_ints(self, tmp_path):
+        ckpt = make_checkpoint()
+        ckpt.label_ids = list(np.array([0, 5, 2**31 - 1], dtype=np.int64))
+        model.save_checkpoint(ckpt, tmp_path / "a.ckpt")
+        assert model.load_checkpoint(tmp_path / "a.ckpt").label_ids == [0, 5, 2**31 - 1]
+
     def test_save_rejects_wrong_params(self, tmp_path):
         ckpt = make_checkpoint()
         ckpt.params["stage1.conv1.w"] = np.zeros((9, 9))
@@ -570,7 +620,7 @@ def stream_fusion_loops(clf, patches):
     """The stream fusion TileClassifier.probs_batch ran before it called
     fusion.fuse: softmax per stream, zeros, += each weighted stream, over
     the logits of the classifier's own float32 forward."""
-    logits = model.msc_forward(T.tensor(patches.astype(np.float32)), clf.config, clf._params)[0]
+    logits = model.msc_forward(T.tensor(patches.astype(np.float32)), clf.config, clf._params, 0)
     w = np.asarray(clf.msc.stream_weights)
     fused = np.zeros((patches.shape[0], clf.n_classes))
     for ws, z in zip(w, logits):
@@ -586,7 +636,7 @@ def probs_float64(ckpt, patches):
     """The classifier's probabilities from the float64 autodiff forward;
     a tensor keeps float32 data in float32, so every input is cast."""
     params = {name: T.tensor(v.astype(np.float64)) for name, v in ckpt.params.items()}
-    logits = model.msc_forward(T.tensor(patches.astype(np.float64)), ckpt.config, params)[0]
+    logits = model.msc_forward(T.tensor(patches.astype(np.float64)), ckpt.config, params, 0)
     return fuse(np.stack([T.softmax(z.data) for z in logits], axis=-2), ckpt.msc.stream_weights)
 
 
@@ -628,7 +678,7 @@ class TestTileClassifier:
         monkeypatch.setattr(model, "msc_forward", recording)
         clf.probs_batch(np.random.Generator(np.random.PCG64(0)).random((5, 3, 8, 8)))
         assert len(outs) == 1
-        for z in outs[0][0]:
+        for z in outs[0]:
             assert z.data.dtype == np.float32
             assert not z.requires_grad and z._backward is None and z._parents == ()
 
@@ -642,9 +692,9 @@ class TestTileClassifier:
         x = np.random.Generator(np.random.PCG64(batch)).random((batch, 3, cfg.input_size, cfg.input_size))
         x = x.astype(np.float32)
         traced = {name: T.tensor(v, requires_grad=True) for name, v in params.items()}
-        want = model.msc_forward(T.tensor(x), cfg, traced)[0]
+        want = model.msc_forward(T.tensor(x), cfg, traced, 0)
         bare = {name: T.tensor(v) for name, v in params.items()}
-        got = model.msc_forward(T.tensor(x), cfg, bare)[0]
+        got = model.msc_forward(T.tensor(x), cfg, bare, 0)
         for z_got, z_want in zip(got, want):
             assert z_want.requires_grad and z_want._backward is not None
             assert not z_got.requires_grad and z_got._backward is None
@@ -741,7 +791,7 @@ class TestAttentionAtDeepResolution:
     @staticmethod
     def _logits(cfg, params, x, graph):
         traced = {n: T.tensor(v, requires_grad=graph) for n, v in params.items()}
-        return [z.data for z in model.msc_forward(T.tensor(x), cfg, traced)[0]]
+        return [z.data for z in model.msc_forward(T.tensor(x), cfg, traced, 0)]
 
     @pytest.mark.parametrize("cfg", [SMALL, model.BackboneConfig(input_size=16, stage_channels=(4, 8, 8)), DESK],
                              ids=["small", "16px", "desk"])

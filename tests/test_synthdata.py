@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sceneparse import errors, synthdata
 from sceneparse.errors import ConfigError
 from sceneparse.netpbm import read_ppm
+from sceneparse.synthdata import TextureSpec
 
 
 def nearest_seed_loops(points, h, w):
@@ -72,6 +73,33 @@ def _layout_classes_running_min(spec, rng):
     return out
 
 
+def _pattern_field(tex: TextureSpec, h: int, w: int, phase: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Noise-free color field for one texture, float64 [h, w, 3]."""
+    base = np.asarray(tex.base_rgb, dtype=np.float64)
+    if tex.pattern == "flat":
+        return np.broadcast_to(base, (h, w, 3)).copy()
+    alt = np.asarray(tex.alt_rgb if tex.alt_rgb is not None else (0, 0, 0), dtype=np.float64)
+    ys = (np.arange(h) + phase[0]) // tex.period
+    xs = (np.arange(w) + phase[1]) // tex.period
+    if tex.pattern == "stripes":
+        stripe = ys if tex.orientation == "h" else xs
+        mask = (stripe % 2).astype(bool)
+        mask = np.broadcast_to(mask[:, None] if tex.orientation == "h" else mask[None, :], (h, w))
+    else:
+        mask = ((ys[:, None] + xs[None, :]) % 2).astype(bool)
+    out = np.where(mask[..., None], alt, base)
+    return out
+
+
+def render_tile_field(tex, tile_size, rng):
+    """The tile renderer that painted through _pattern_field: a float64
+    colour field plus the scaled noise, rounded and clipped."""
+    phase = (int(rng.integers(0, 4 * max(1, tex.period))), int(rng.integers(0, 4 * max(1, tex.period))))
+    clean = _pattern_field(tex, tile_size, tile_size, phase)
+    noisy = clean + rng.standard_normal((tile_size, tile_size, 3)) * tex.noise_sigma
+    return np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
+
+
 def generate_scene_fields(spec, seed):
     """The renderer that the banded one replaced: one float64 [H, W, 3]
     colour field per class scattered through boolean masks, a float64 sigma
@@ -85,7 +113,7 @@ def generate_scene_fields(spec, seed):
         mask = cls == i
         if not mask.any():
             continue
-        clean[mask] = synthdata._pattern_field(tex, h, w)[mask]
+        clean[mask] = _pattern_field(tex, h, w)[mask]
         sigma[mask] = tex.noise_sigma
     noisy = clean + rng.standard_normal((h, w, 3)) * sigma[..., None]
     rgb = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
@@ -137,6 +165,22 @@ def scene_specs(draw):
         labels = draw(st.permutations(labels))
         layout = synthdata.VoronoiLayout(points=tuple((y, x, c) for (y, x), c in zip(yx, labels)))
     return synthdata.SceneSpec(classes=classes, layout=layout, height=h, width=w)
+
+
+@st.composite
+def textures(draw, noise=(0.0, 12.0)):
+    """Every pattern and orientation, periods 1 to 8 (flat also 0), alt
+    colour set or None, and the given noise levels."""
+    rgb = st.tuples(*[st.integers(0, 255)] * 3)
+    pattern = draw(st.sampled_from(synthdata.PATTERNS))
+    return TextureSpec(
+        base_rgb=draw(rgb),
+        noise_sigma=draw(st.sampled_from(noise)),
+        pattern=pattern,
+        period=draw(st.integers(0 if pattern == "flat" else 1, 8)),
+        alt_rgb=draw(st.none() | rgb),
+        orientation=draw(st.sampled_from("hv")),
+    )
 
 
 def largest_remainder_loops(n, total, exponent):
@@ -322,6 +366,38 @@ class TestSceneRaster:
             synthdata.generate_scene_raster(spec, seed=0)
         monkeypatch.setattr(errors, "_physical_memory", lambda: need)
         assert synthdata.generate_scene_raster(spec, seed=0)[0].shape == (6, 10, 3)
+
+
+class TestTile:
+    @settings(max_examples=150)
+    @given(tex=textures(), size=st.integers(1, 8) | st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_matches_field_renderer(self, tex, size, seed):
+        got = synthdata.render_tile(tex, size, np.random.Generator(np.random.PCG64(seed)))
+        want = render_tile_field(tex, size, np.random.Generator(np.random.PCG64(seed)))
+        assert got.dtype == np.uint8 and got.shape == (size, size, 3)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60)
+    @given(tex=textures(noise=(0.0,)), size=st.integers(1, 8) | st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
+    def test_noise_free_tile_is_a_crop_of_its_scene(self, tex, size, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        copy = np.random.Generator(np.random.PCG64(seed))
+        py, px = (int(copy.integers(0, 4 * max(1, tex.period))) for _ in range(2))  # the tile's phase
+        spec = synthdata.SceneSpec(classes=(tex,), layout=synthdata.GridLayout(1, 1), height=py + size, width=px + size)
+        scene, _ = synthdata.generate_scene_raster(spec, seed=0)
+        assert synthdata.render_tile(tex, size, rng).tobytes() == scene[py:, px:].tobytes()
+
+    @pytest.mark.parametrize("pattern", synthdata.PATTERNS)
+    def test_peak_memory_within_bytes_per_px(self, pattern):
+        tex = TextureSpec((200, 45, 45), noise_sigma=12.0, pattern=pattern, period=4, alt_rgb=(140, 0, 0))
+        rng = np.random.Generator(np.random.PCG64(1))
+        tracemalloc.start()
+        try:
+            synthdata.render_tile(tex, 512, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= synthdata.TILE_BYTES_PER_PX * 512 * 512
 
 
 class TestTileDataset:
