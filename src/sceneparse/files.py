@@ -1,13 +1,14 @@
 """The one place the package opens files: a file-system failure is an
 IoError that names the path, every tab-separated text file (manifests,
-eval TSVs, the region-map sidecar) is read by one line rule, and a writer
-of many files checks the free space first."""
+eval TSVs, the region-map sidecar) is read by one line rule, a count that
+the package's own formats write is read back by one digits rule, and a
+writer of many files checks the free space first."""
 
 import shutil
 
 from .errors import IoError, ParseError
 
-__all__ = ["read_file", "write_file", "read_records", "check_space"]
+__all__ = ["read_file", "write_file", "read_records", "read_count", "check_space"]
 
 
 def read_file(path) -> bytes:
@@ -40,6 +41,15 @@ def check_space(directory, need: int, what: str) -> None:
         raise IoError(f"cannot read the free space of {directory}: {e}") from e
     if need > free:
         raise IoError(f"{what}: {need} bytes needed, {free} free in {directory}")
+
+
+def read_count(text: str) -> int:
+    """A count written as ASCII digits only, as the package writes counts;
+    ValueError otherwise.  int() alone would also read signs, underscores,
+    surrounding whitespace and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(text)
 
 
 def read_records(path, layout: str, record) -> list:

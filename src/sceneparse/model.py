@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .files import read_file, write_file
+from .files import read_count, read_file, write_file
 from .fusion import DEFAULT_SCALE_WEIGHTS, check_weights, fuse
 from .netpbm import read_ppm
 from .parser import window_chunks
@@ -327,14 +327,15 @@ class Checkpoint:
     meta: dict = field(default_factory=dict)
 
 
-def _label_table(labels, label_ids, n_classes: int, error=ConfigError) -> tuple[list[str], list[int]]:
+def _label_table(labels, label_ids, n_classes: int) -> tuple[list[str], list[int]]:
     """The label table as lists: one name per main-task class, one id per name,
-    each an integer in [0, 2**31) (grid cells hold int32) as a Python int."""
+    each an integer in [0, 2**31) (grid cells hold int32) as a Python int;
+    ConfigError otherwise."""
     labels, label_ids = list(labels), list(label_ids)
     if len(labels) != n_classes or len(label_ids) != len(labels):
-        raise error("label table does not cover the main task's classes")
+        raise ConfigError("label table does not cover the main task's classes")
     if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < 2**31 for i in label_ids):
-        raise error(f"label ids must lie in [0, 2**31), got {label_ids}")
+        raise ConfigError(f"label ids must lie in [0, 2**31), got {label_ids}")
     return labels, [int(i) for i in label_ids]
 
 
@@ -510,6 +511,19 @@ def _read_line(buf: bytes, pos: int) -> tuple[str, int]:
     return buf[pos:end].decode("ascii", errors="replace"), end + 1
 
 
+def _count_record(buf: bytes, pos: int, key: str) -> tuple[int, int]:
+    """The count of the ``key N`` line at ``pos``, N in ASCII digits as
+    save_checkpoint writes it, and the position after the line."""
+    line, pos = _read_line(buf, pos)
+    fields = line.split(" ")
+    if len(fields) != 2 or fields[0] != key:
+        raise FormatVersionError(f"expected {key} record, got {line!r}")
+    try:
+        return read_count(fields[1]), pos
+    except ValueError as e:
+        raise FormatVersionError(f"bad {key} count in {line!r}") from e
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     buf = read_file(path)
     line, pos = _read_line(buf, 0)
@@ -518,13 +532,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise FormatVersionError(f"not a checkpoint file: {line!r}")
     if fields[1] != str(FORMAT_VERSION):
         raise FormatVersionError(f"unsupported format version {fields[1]}")
-    line, pos = _read_line(buf, pos)
-    if not line.startswith("header "):
-        raise FormatVersionError(f"expected header record, got {line!r}")
-    try:
-        header_len = int(line.split(" ")[1])
-    except (IndexError, ValueError) as e:
-        raise FormatVersionError(f"bad header length in {line!r}") from e
+    header_len, pos = _count_record(buf, pos, "header")
     if pos + header_len + 1 > len(buf):
         raise ChecksumError("truncated header")
     try:
@@ -536,13 +544,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     pos += header_len + 1
     if header.get("format_version") != FORMAT_VERSION:
         raise FormatVersionError(f"header declares version {header.get('format_version')}")
-    line, pos = _read_line(buf, pos)
-    if not line.startswith("payload "):
-        raise FormatVersionError(f"expected payload record, got {line!r}")
-    try:
-        n_floats = int(line.split(" ")[1])
-    except (IndexError, ValueError) as e:
-        raise FormatVersionError(f"bad payload count in {line!r}") from e
+    n_floats, pos = _count_record(buf, pos, "payload")
     payload = buf[pos:]
     if len(payload) != 4 * n_floats or n_floats != header.get("payload_floats"):
         raise ChecksumError(f"payload is {len(payload)} bytes, expected {4 * n_floats}")
@@ -553,8 +555,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         cfg = BackboneConfig(**header["config"])
         msc = MSCConfig(**header["msc"])
         manifest = [(name, tuple(shape)) for name, shape in header["params"]]
-        labels = list(header["labels"])
-        label_ids = [int(i) for i in header["label_ids"]]
+        labels, label_ids = _label_table(header["labels"], header["label_ids"], cfg.num_classes_per_task[0])
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as e:
         raise FormatVersionError(f"malformed header: {e}") from e
     meta = header.get("meta", {})
@@ -563,7 +564,6 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     if manifest != list(param_shapes(cfg).items()):
         raise FormatVersionError("parameter manifest does not match the declared config")
-    labels, label_ids = _label_table(labels, label_ids, cfg.num_classes_per_task[0], FormatVersionError)
 
     flat = np.frombuffer(payload, dtype="<f4").astype(np.float32)  # native and writable
     params = {}

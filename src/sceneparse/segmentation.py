@@ -45,7 +45,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptyImageError, IoError, ParseError, check_memory
-from .files import read_records, write_file
+from .files import read_count, read_records, write_file
 from .netpbm import read_pgm, write_pgm
 
 __all__ = [
@@ -587,7 +587,7 @@ def _region_count(fields) -> int:
     key, count = fields
     if key != "region_count":
         raise ValueError(f"unknown key {key!r}")
-    return int(count)
+    return read_count(count)
 
 
 def read_region_map(path) -> RegionMap:

@@ -106,13 +106,28 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _accum_fresh(t: Tensor, g: np.ndarray) -> None:
+    """:func:`_accum` for a ``g`` that no one else will read or write and
+    that holds no -0.0: it becomes the gradient, uncopied, when ``t`` has
+    none yet and ``g`` is in the data's dtype and layout.
+
+    Every gradient array a sweep makes has one holder and no -0.0, as sums
+    that start from a zero-filled buffer would.  So an op may hand over, or
+    update in place, its output's gradient, which the sweep drops once the
+    op's backward returns, and a sum of gradients is such a ``g`` too."""
+    if t.requires_grad and t.grad is None and g.dtype == t.data.dtype and g.strides == t.data.strides:
+        t.grad = g
+    else:
+        _accum(t, g)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add shapes differ: {a.data.shape} vs {b.data.shape}")
 
     def bwd(out):
         _accum(a, out.grad)
-        _accum(b, out.grad)
+        _accum_fresh(b, out.grad)  # out drops its gradient when this returns
 
     return _result(a.data + b.data, (a, b), bwd)
 
@@ -140,7 +155,10 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     def bwd(out):
-        _accum(a, out.grad * (a.data > 0))
+        g = out.grad  # out drops it when this returns
+        g *= a.data > 0
+        g += 0.0  # a negative gradient times False is -0.0
+        _accum_fresh(a, g)
 
     out = np.fmax(a.data, 0.0)
     out += 0.0  # -0.0 becomes +0.0, as a select on x > 0 gives
@@ -279,6 +297,12 @@ def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
 
     ``inp`` is [N,C,H,W]; ``kernel`` is [C_out,C,k,k].  Any other kernel or
     stride is a :class:`ShapeError`.
+
+    The backward takes the kernel gradient from the forward's im2col matrix
+    as ``(cols @ gm.T).T``: the entries and bytes of ``gm @ cols.T`` in about
+    half the BLAS time, which runs a long reduction into a tiny output
+    slowly in that orientation.  The input gradient is one GEMM and a
+    col2im whose sums start at +0.0, handed to ``inp`` uncopied.
     """
     out, cols = _conv2d_cols(inp.data, kernel.data, stride)
 
@@ -287,31 +311,70 @@ def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         n, _, h_out, w_out = out.shape
         gm = res.grad.transpose(1, 0, 2, 3).reshape(c_out, n * h_out * w_out)
         if kernel.requires_grad:
-            _accum(kernel, (gm @ cols.T).reshape(kernel.data.shape))  # the forward's im2col matrix
+            _accum(kernel, (cols @ gm.T).T.reshape(kernel.data.shape))
         if inp.requires_grad:
             dcols = (kernel.data.reshape(c_out, -1).T.copy() @ gm).reshape(c, kh, kw, n, h_out, w_out)
-            g = _col2im(dcols, stride).transpose(1, 0, 2, 3)
-            if inp.grad is None and g.dtype == inp.data.dtype and g.strides == inp.data.strides:
-                # a fresh buffer of sums that start at +0.0 holds no -0.0, so
-                # _accum's copy would give the same bytes in the same layout
-                inp.grad = g
-            else:
-                _accum(inp, g)
+            _accum_fresh(inp, _col2im(dcols, stride).transpose(1, 0, 2, 3))
 
     return _result(out, (inp, kernel), bwd)
 
 
 def upsample_nearest(inp: Tensor, factor: int) -> Tensor:
-    """Nearest-neighbor upsampling: out[.., y, x] = in[.., y // factor, x // factor]."""
+    """Nearest-neighbor upsampling: out[.., y, x] = in[.., y // factor, x // factor].
+
+    The backward sums each factor x factor block of output gradients by
+    strided-slice adds over whole maps (:func:`_tap_sum`), in the order and
+    bytes of numpy's sum over the block's two axes."""
     if factor < 1:
         raise ShapeError(f"factor must be >= 1, got {factor}")
     _check_nchw(inp.data, "upsample_nearest")
 
     def bwd(res):
-        n, c, fh, fw = res.grad.shape
-        _accum(inp, res.grad.reshape(n, c, fh // factor, factor, fw // factor, factor).sum(axis=(3, 5)))
+        _accum_fresh(inp, _tap_sum(res.grad, factor))
 
     return _result(np.repeat(np.repeat(inp.data, factor, axis=2), factor, axis=3), (inp,), bwd)
+
+
+def _pairwise(terms: list) -> np.ndarray:
+    """numpy's pairwise summation, the inner loop of its add reduction,
+    applied elementwise to a non-empty list of arrays: below 8 terms a
+    sequential sum that starts at +0.0, up to 128 eight running sums
+    combined as a tree and then the remainder, and above that the two
+    halves, split at a multiple of 8."""
+    n = len(terms)
+    if n < 8:
+        acc = terms[0] + 0.0
+        for t in terms[1:]:
+            acc += t
+        return acc
+    if n <= 128:
+        r = [t.copy(order="K") for t in terms[:8]]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            for j in range(8):
+                r[j] += terms[i + j]
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for t in terms[end:]:
+            acc += t
+        return acc
+    half = n // 2
+    half -= half % 8
+    return _pairwise(terms[:half]) + _pairwise(terms[half:])
+
+
+def _tap_sum(g: np.ndarray, f: int) -> np.ndarray:
+    """g.reshape(N, C, H, f, W, f).sum(axis=(3, 5)) for an [N, C, f*H, f*W]
+    g, in the bytes numpy gives, by strided-slice adds over whole maps.
+    numpy starts from +0.0 and adds each row of taps as one pairwise sum:
+    (a00 + a01) + (a10 + a11) at f = 2.  When W is 1 it merges the two tap
+    axes and adds all f*f taps as one pairwise sum."""
+    taps = [g[:, :, i::f, j::f] for i in range(f) for j in range(f)]
+    rows = [taps] if g.shape[3] == f else [taps[i : i + f] for i in range(0, f * f, f)]
+    out = _pairwise(rows[0])
+    out += 0.0  # the reduction's +0.0 start
+    for row in rows[1:]:
+        out += _pairwise(row)
+    return out
 
 
 def global_avg_pool(inp: Tensor) -> Tensor:
@@ -322,7 +385,7 @@ def global_avg_pool(inp: Tensor) -> Tensor:
         raise ShapeError("empty spatial extent")
 
     def bwd(res):
-        _accum(inp, np.broadcast_to(res.grad[:, :, None, None] / (x.shape[2] * x.shape[3]), x.shape).copy())
+        _accum(inp, np.broadcast_to(res.grad[:, :, None, None] / (x.shape[2] * x.shape[3]), x.shape))
 
     return _result(x.mean(axis=(2, 3)), (inp,), bwd)
 
@@ -351,8 +414,8 @@ def bias_add(inp: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"bias {b.shape} does not match {inp.data.shape[1]} channels")
 
     def bwd(res):
-        _accum(inp, res.grad)
         _accum(bias, res.grad.sum(axis=(0, 2, 3)))
+        _accum_fresh(inp, res.grad)  # res drops its gradient when this returns
 
     return _result(inp.data + b[:, None, None], (inp, bias), bwd)
 

@@ -833,6 +833,51 @@ class TestParse:
         assert "manifest" in capsys.readouterr().err
         assert not (tmp_path / "x.pgm").exists()
 
+    # ids that save_checkpoint refuses; int() read the first three as 3, 2 and 1
+    @pytest.mark.parametrize("ids", [["3", 2, 1], [3, 2.9, 1], [3, 2, True], [1.0, 2, 3]])
+    def test_non_integer_label_ids_exit_5(self, workdir, tmp_path, capsys, ids):
+        from tests.test_model import rewrite_header
+
+        bad = tmp_path / "ids.ckpt"
+        bad.write_bytes((workdir / "m.ckpt").read_bytes())
+        rewrite_header(bad, lambda h: h.update(label_ids=ids))
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--checkpoint", str(bad),
+            )
+            == 5
+        )
+        assert "malformed header" in capsys.readouterr().err
+        assert not (tmp_path / "x.pgm").exists()
+
+    # save_checkpoint writes each count in ASCII digits; int() also read an
+    # underscore, a sign, surrounding spaces and other scripts' digits
+    @pytest.mark.parametrize("record", ["header", "payload"])
+    @pytest.mark.parametrize(
+        "spell",
+        [lambda s: s[0] + "_" + s[1:], lambda s: "+" + s, lambda s: " " + s, lambda s: s + " ",
+         lambda s: s.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))],
+        ids=["underscore", "sign", "leading-space", "trailing-space", "arabic-indic"],
+    )
+    def test_counts_take_ascii_digits_only_exit_5(self, workdir, tmp_path, capsys, record, spell):
+        buf = (workdir / "m.ckpt").read_bytes()
+        start = buf.index(f"\n{record} ".encode()) + len(record) + 2
+        end = buf.index(b"\n", start)
+        bad = tmp_path / "count.ckpt"
+        bad.write_bytes(buf[:start] + spell(buf[start:end].decode()).encode() + buf[end:])
+        assert (
+            run(
+                "parse", "--input", str(workdir / "scene" / "scene.ppm"),
+                "--output", str(tmp_path / "x.pgm"),
+                "--checkpoint", str(bad),
+            )
+            == 5
+        )
+        assert record in capsys.readouterr().err
+        assert not (tmp_path / "x.pgm").exists()
+
 
 class TestEval:
     def test_pixel_perfect(self, workdir, tmp_path, capsys):

@@ -62,12 +62,34 @@ print(hashlib.sha256(grid.cell_probs.tobytes()).hexdigest())
 """
 
 
-def run_with_threads(n: int, out_dir) -> list[str]:
+# conv2d's backward computes the kernel gradient as (cols @ gm.T).T; it must
+# hold the bytes of gm @ cols.T, the product it replaced, at the desk convs
+GEMM_SCRIPT = r"""
+import numpy as np
+from sceneparse import tensor as T
+
+# (C, C_out, H, k, stride): the six convs of the 32-px desk classifier and
+# its two attention 1x1 convs
+SHAPES = [(3, 8, 32, 3, 1), (8, 8, 32, 3, 2), (8, 16, 16, 3, 1), (16, 16, 16, 3, 2),
+          (16, 32, 8, 3, 1), (32, 32, 8, 3, 2), (32, 16, 4, 1, 1), (16, 8, 8, 1, 1)]
+rng = np.random.Generator(np.random.PCG64(0))
+for c, c_out, h, k, stride in SHAPES:
+    for n in (32, 64):
+        for dtype in (np.float32, np.float64):
+            x = rng.normal(size=(n, c, h, h)).astype(dtype)
+            _, cols = T._conv2d_cols(x, rng.normal(size=(c_out, c, k, k)).astype(dtype), stride)
+            gm = rng.normal(size=(c_out, cols.shape[1])).astype(dtype)
+            same = (cols @ gm.T).T.tobytes() == (gm @ cols.T).tobytes()
+            print(f"{c},{c_out},{h},{k},{stride},{n},{np.dtype(dtype).name}:{'equal' if same else 'DIFFERENT'}")
+"""
+
+
+def run_with_threads(n: int, out_dir, script: str = SCRIPT) -> list[str]:
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n), OMP_NUM_THREADS=str(n), MKL_NUM_THREADS=str(n))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(out_dir)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, str(out_dir)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
@@ -80,3 +102,10 @@ def test_same_bytes_with_one_and_two_blas_threads(tmp_path):
     two = run_with_threads(2, tmp_path / "two")
     assert len(one) == 4
     assert one == two
+
+
+def test_swapped_kernel_gradient_product_keeps_bytes(tmp_path):
+    for threads in (1, 2):
+        lines = run_with_threads(threads, tmp_path, GEMM_SCRIPT)
+        assert len(lines) == 32
+        assert [line for line in lines if not line.endswith(":equal")] == [], f"{threads} BLAS threads"

@@ -1123,6 +1123,18 @@ class TestRegionMapIo:
         with pytest.raises(ParseError):
             segmentation.read_region_map(p)
 
+    # write_region_map writes the count in ASCII digits; int() also read these as 10
+    @pytest.mark.parametrize("count", ["1_0", "+10", " 10", "10 ", "١٠"])
+    def test_sidecar_count_takes_ascii_digits_only(self, tmp_path, count):
+        p = tmp_path / "r.pgm"
+        segmentation.write_region_map(p, segmentation.RegionMap(np.arange(10).reshape(2, 5), 10))
+        (tmp_path / "r.pgm.meta").write_text(f"region_count\t{count}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            segmentation.read_region_map(p)
+        assert err.value.exit_code == 3
+        (tmp_path / "r.pgm.meta").write_text("region_count\t10\n")
+        assert segmentation.read_region_map(p).region_count == 10
+
     def test_second_sidecar_record_rejected(self, tmp_path, rng):
         img = _random_image(rng)
         rm = segmentation.graph_segment(img, k=150.0, min_size=8)

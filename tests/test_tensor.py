@@ -151,6 +151,13 @@ def backward_zero_prefill(loss, params=None):
                 p.grad = np.zeros_like(p.data)
 
 
+def upsample_backward_reshape_sum(grad, factor):
+    """The upsample_nearest backward that summed each factor x factor block
+    of output gradients through a reshape, kept as a bit-exact oracle."""
+    n, c, fh, fw = grad.shape
+    return grad.reshape(n, c, fh // factor, factor, fw // factor, factor).sum(axis=(3, 5))
+
+
 def relu_select(x):
     """The relu forward before the branch-free kernel."""
     return np.where(x > 0, x, 0.0)
@@ -407,6 +414,55 @@ class TestUpsampleAndPool:
 
         (gx,) = analytic_grad(loss, [x])
         assert np.allclose(gx, finite_diff(loss, x), atol=1e-7)
+
+    @settings(max_examples=200)
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 3),
+        h=st.integers(1, 4),
+        w=st.integers(1, 4),
+        factor=st.integers(1, 4),
+        channel_major=st.booleans(),
+        f32=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    # deep maps 1 px wide, where numpy sums all f*f taps as one pairwise run
+    # (8 and 15 terms past the first at f = 3 and 4), and 1 px high
+    @example(n=2, c=2, h=2, w=1, factor=2, channel_major=True, f32=True, seed=0)
+    @example(n=2, c=3, h=1, w=1, factor=3, channel_major=False, f32=True, seed=1)
+    @example(n=3, c=2, h=3, w=1, factor=4, channel_major=True, f32=False, seed=2)
+    @example(n=2, c=2, h=1, w=3, factor=4, channel_major=False, f32=True, seed=3)
+    @example(n=2, c=2, h=1, w=2, factor=3, channel_major=True, f32=False, seed=4)
+    # the desk attention's 2x upsampling of a channel-major gate
+    @example(n=3, c=2, h=4, w=4, factor=2, channel_major=True, f32=True, seed=5)
+    def test_backward_bytes_equal_reshape_sum(self, n, c, h, w, factor, channel_major, f32, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        dtype = np.float32 if f32 else np.float64
+        shape = (n, c, h * factor, w * factor)
+        # magnitudes over six decades, so the sums round, and signed zeros
+        vals = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        draw = rng.random(shape)
+        vals[draw < 0.15] = -0.0
+        vals[(draw >= 0.15) & (draw < 0.25)] = 0.0
+        grad = vals.astype(dtype)
+        if channel_major:  # [C, N, H, W] in memory, as conv2d's outputs are
+            grad = np.ascontiguousarray(grad.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        want = upsample_backward_reshape_sum(grad, factor)
+        got = T._tap_sum(grad, factor)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        # all taps -0.0: numpy's sum starts at +0.0, so it reads +0.0
+        negative_zeros = np.full_like(grad, -0.0)
+        assert T._tap_sum(negative_zeros, factor).tobytes() == want.dtype.type(0).tobytes() * want.size
+        # through the op: the input's gradient holds those sums in its own layout
+        x = np.empty_like(want)
+        x[...] = rng.normal(size=x.shape)
+        xt = T.tensor(x, requires_grad=True)
+        up = T.upsample_nearest(xt, factor)
+        up.grad = grad
+        up._backward(up)
+        assert xt.grad.strides == x.strides
+        assert xt.grad.tobytes() == (want + 0.0).tobytes()
 
     def test_gap_values(self, rng):
         x = rng.normal(size=(2, 3, 4, 5))
