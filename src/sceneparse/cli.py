@@ -18,14 +18,12 @@ import argparse
 import json
 import os
 import sys
-import types
-import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import model, parser, segmentation, synthdata, taxonomy
-from .errors import ConfigError, DataError, ExtentMismatchError, IoError, SceneParseError
+from .errors import ConfigError, DataError, ExtentMismatchError, IoError, SceneParseError, check_fields
 from .files import read_file, read_records, write_file
 from .metrics import (
     ConfusionMatrix,
@@ -63,50 +61,27 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _check(value, kind, where: str):
-    """value as the annotated type ``kind``, if the JSON value fits it: int,
-    float (which takes an int too), bool, str, dict, ``X | None``, or a tuple
-    read from a list.  A tuple of one repeated type takes a list of any
-    length, which the dataclass checks; the mixed (epoch, divisor) pair
-    takes exactly two."""
-    args = typing.get_args(kind)
-    if isinstance(kind, types.UnionType):
-        return None if value is None else _check(value, args[0], where)
-    if typing.get_origin(kind) is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"config field {where!r} must be a list, got {value!r}")
-        if len(set(args) - {...}) == 1:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ConfigError(f"config field {where!r} must be a list of {len(args)}, got {value!r}")
-        return tuple(_check(v, a, f"{where}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
-        name = "an object" if kind is dict else kind.__name__
-        raise ConfigError(f"config field {where!r} must be {name}, got {value!r}")
-    if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ConfigError(f"config field {where!r} is beyond the float range, got {value!r}")
-    return value
-
-
 def _config(cls, raw, where: str, **defaults):
     """cls built from the JSON object ``raw``, the config section ``where``
     ("" for the top level).
 
-    Its keys are the fields of cls, and each value is checked against its
-    field's type.  An absent key takes ``defaults``, else the field's own
-    default.  Errors name a key as ``where.key``."""
+    Its keys are the fields of cls, which checks their types itself.  An
+    absent key takes ``defaults``, else the field's own default.  Errors
+    name a key as ``where.key``."""
     prefix = f"{where}." if where else ""
     known = fields(cls)
     unknown = sorted(set(raw) - {f.name for f in known})
     if unknown:
         names = ", ".join(repr(prefix + key) for key in unknown)
         raise ConfigError(f"unknown config field {names}; known: {', '.join(sorted(f.name for f in known))}")
-    hints = typing.get_type_hints(cls)
-    values = {**defaults, **{key: _check(value, hints[key], prefix + key) for key, value in raw.items()}}
+    values = {**defaults, **raw}
     for f in known:
         if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"config field {prefix + f.name!r} is missing")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as e:  # check_fields names the field without its section
+        raise ConfigError(str(e).replace("config field '", f"config field '{prefix}", 1)) from e
 
 
 @dataclass(frozen=True)
@@ -122,6 +97,9 @@ class _TrainFile:
     label_ids: tuple[int, ...] | None = None
     out_trace: str | None = None
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 @dataclass(frozen=True)
 class _FinetuneFile:
@@ -135,6 +113,9 @@ class _FinetuneFile:
     msc: dict = field(default_factory=dict)
     labels: tuple[str, ...] | None = None
     label_ids: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def _write_json(path: str, obj, **dump_args) -> None:
@@ -311,25 +292,44 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
+def _read_rows(path: str, layout: str, record) -> dict:
+    """sample_id -> value for each (sample_id, value) = record(fields) of an
+    eval TSV; ParseError naming path:line where a sample_id repeats."""
+    rows = {}
+
+    def unique(fields):
+        sample_id, value = record(fields)
+        if sample_id in rows:
+            raise ValueError(f"sample_id {sample_id!r} repeats an earlier line")
+        rows[sample_id] = value
+
+    read_records(path, layout, unique)
+    return rows
+
+
 def _read_label_tsv(path: str) -> dict[str, int]:
     def record(fields):
         sample_id, label = fields
         return sample_id, taxonomy.label_id(label)
 
-    return dict(read_records(path, "sample_id<TAB>label", record))
+    return _read_rows(path, "sample_id<TAB>label", record)
 
 
 def _read_scores_tsv(path: str) -> tuple[list[str], np.ndarray]:
     def record(fields):
         sample_id, first, *rest = fields
-        return sample_id, [float(x) for x in (first, *rest)]
+        scores = [float(x) for x in (first, *rest)]
+        if any(np.isnan(scores)):
+            raise ValueError("a score is nan")
+        return sample_id, scores
 
-    rows = read_records(path, "sample_id<TAB>score...", record)
+    rows = _read_rows(path, "sample_id<TAB>score...", record)
     if not rows:
         raise DataError(f"{path}: no score rows")
-    if any(len(r) != len(rows[0][1]) for _, r in rows):
+    scores = list(rows.values())
+    if any(len(r) != len(scores[0]) for r in scores):
         raise DataError(f"{path}: ragged score rows")
-    return [i for i, _ in rows], np.asarray([r for _, r in rows])
+    return list(rows), np.asarray(scores)
 
 
 def _read_labelsets_tsv(path: str) -> dict[str, list[int]]:
@@ -337,7 +337,7 @@ def _read_labelsets_tsv(path: str) -> dict[str, list[int]]:
         sample_id, labels = fields
         return sample_id, [taxonomy.label_id(x) for x in labels.split(",") if x != ""]
 
-    return dict(read_records(path, "sample_id<TAB>l1,l2,...", record))
+    return _read_rows(path, "sample_id<TAB>l1,l2,...", record)
 
 
 def _print_metrics(report: dict) -> None:

@@ -1,7 +1,12 @@
-"""Exception types shared across the package, and the memory check that
-raises one before a size read from input reaches an allocation."""
+"""Exception types shared across the package, the one type rule for config
+fields, and a memory check run before a size read from input is allocated."""
 
+import dataclasses
+import numbers
 import os
+import sys
+import types
+import typing
 
 
 class SceneParseError(Exception):
@@ -99,3 +104,37 @@ def check_memory(need: int, what: str) -> None:
     memory = _physical_memory()
     if memory is not None and need > memory:
         raise ConfigError(f"{what}: {need / 2**30:.3g} GiB needed, more than this machine's {memory / 2**30:.3g} GiB")
+
+
+def _fit(value, kind, where: str):
+    """value as the annotated type ``kind`` if it fits: int (a numpy integer as
+    an int), float (an int too, kept as given), bool, str, dict, ``X | None``,
+    or a tuple from a list or a tuple.  A tuple of one repeated type takes any
+    length, which the dataclass checks; the (epoch, divisor) pair takes two."""
+    args = typing.get_args(kind)
+    if isinstance(kind, types.UnionType):
+        return None if value is None else _fit(value, args[0], where)
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"config field {where!r} must be a list, got {value!r}")
+        if len(set(args) - {...}) == 1:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"config field {where!r} must be a list of {len(args)}, got {value!r}")
+        return tuple(_fit(v, a, f"{where}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
+    if kind is int and isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+        name = "an object" if kind is dict else kind.__name__
+        raise ConfigError(f"config field {where!r} must be {name}, got {value!r}")
+    if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"config field {where!r} is beyond the float range, got {value!r}")
+    return value
+
+
+def check_fields(obj) -> None:
+    """Set each field of the dataclass ``obj`` to its value as the field's
+    type; ConfigError naming the first field whose value does not fit."""
+    hints = typing.get_type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        object.__setattr__(obj, f.name, _fit(getattr(obj, f.name), hints[f.name], f.name))

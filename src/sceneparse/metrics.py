@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyError, LabelRangeError, LengthMismatchError, ShapeError
+from .errors import ConfigError, EmptyError, LabelRangeError, LengthMismatchError, ShapeError
 
 __all__ = [
     "ConfusionMatrix",
@@ -156,7 +156,7 @@ def multilabel_metrics(scores, truths, tau: float = 0.5) -> dict:
     if s.ndim != 2:
         raise ShapeError(f"scores must be [images, labels], got {s.shape}")
     if not 0.0 < tau < 1.0:
-        raise ShapeError(f"tau must be in (0,1), got {tau}")
+        raise ConfigError(f"tau must be in (0,1), got {tau}")
     hot = _as_multihot(truths, s.shape[1])
     if hot.shape != s.shape:
         raise ShapeError(f"truth shape {hot.shape} vs scores {s.shape}")

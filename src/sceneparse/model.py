@@ -30,6 +30,7 @@ from .errors import (
     NumericError,
     ParseError,
     ShapeError,
+    check_fields,
 )
 from .files import read_count, read_file, write_file
 from .fusion import DEFAULT_SCALE_WEIGHTS, check_weights, fuse
@@ -85,9 +86,7 @@ class BackboneConfig:
     num_classes_per_task: tuple[int, ...] = (8,)
 
     def __post_init__(self):
-        object.__setattr__(self, "stage_channels", tuple(self.stage_channels))
-        object.__setattr__(self, "stage_strides", tuple(self.stage_strides))
-        object.__setattr__(self, "num_classes_per_task", tuple(self.num_classes_per_task))
+        check_fields(self)
         if len(self.stage_channels) != 3 or len(self.stage_strides) != 3:
             raise ConfigError(
                 f"exactly 3 stages required, got stage_channels {self.stage_channels}"
@@ -114,6 +113,7 @@ class MSCConfig:
     mu_m: float = 0.5
 
     def __post_init__(self):
+        check_fields(self)
         weights = check_weights(self.stream_weights, 3, "stream weights")
         object.__setattr__(self, "stream_weights", tuple(weights.tolist()))
         if not (self.mu_g >= 0 and self.mu_m >= 0 and abs(self.mu_g + self.mu_m - 1.0) <= 1e-12):
@@ -134,7 +134,8 @@ class TrainConfig:
     augment: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "schedule", tuple((int(e), float(d)) for e, d in self.schedule))
+        check_fields(self)
+        object.__setattr__(self, "schedule", tuple((e, float(d)) for e, d in self.schedule))
         if self.epochs < 0 or self.batch_size < 1 or self.seed < 0:
             raise ConfigError(f"bad epochs/batch_size/seed {self.epochs}/{self.batch_size}/{self.seed}")
         if not all(0 <= v < math.inf for v in (self.lr, self.momentum, self.weight_decay)):
@@ -451,13 +452,10 @@ def fine_tune(
     """Re-initialize the heads for new tasks, keep the base backbone and
     attention parameters, and resume training (default lr 0.001).
     ``on_epoch`` is passed to :func:`train`."""
-    new_classes_per_task = tuple(int(k) for k in new_classes_per_task)
     if len(new_classes_per_task) != len(manifests):
         raise IncompatibleCheckpointError(
             f"{len(new_classes_per_task)} head tasks for {len(manifests)} manifests"
         )
-    if not new_classes_per_task or any(k < 1 for k in new_classes_per_task):
-        raise IncompatibleCheckpointError(f"bad class counts {new_classes_per_task}")
     if hyper is None:
         hyper = TrainConfig(lr=FINE_TUNE_LR, schedule=())
     cfg = replace(base.config, num_classes_per_task=new_classes_per_task)

@@ -21,6 +21,7 @@ from .errors import (
     IncompatibleCheckpointError,
     SceneParseError,
     ShapeError,
+    check_fields,
     check_memory,
 )
 from .fusion import DEFAULT_SCALE_WEIGHTS, check_weights, fuse
@@ -120,10 +121,9 @@ class ParseConfig:
     expected_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        check_fields(self)
         sizes = self.window_sizes
         if sizes is not None:
-            sizes = tuple(int(s) for s in sizes)
-            object.__setattr__(self, "window_sizes", sizes)
             if not sizes or any(not 1 <= s < 2**63 for s in sizes):
                 raise ConfigError(f"window sizes must be >= 1 and fit int64, got {sizes}")
             if any(a >= b for a, b in zip(sizes, sizes[1:])):
@@ -131,7 +131,6 @@ class ParseConfig:
         if self.stride is not None and not 1 <= self.stride < 2**63:
             raise ConfigError(f"stride must be >= 1 and fit int64, got {self.stride}")
         if self.scale_weights is not None:
-            object.__setattr__(self, "scale_weights", tuple(self.scale_weights))
             check_weights(self.scale_weights, len(sizes or self.scale_weights), "scale weights")
         check_settings(self.k, self.min_size, self.target_count)
 
@@ -281,12 +280,9 @@ def parse_image(
     Returns (label raster, grid map, region map).  Deterministic for a
     fixed classifier and config.
     """
-    if config.expected_labels is not None:
-        have = tuple(getattr(classifier, "labels", ()))
-        if have != tuple(config.expected_labels):
-            raise IncompatibleCheckpointError(
-                f"checkpoint labels {have} do not match expected {tuple(config.expected_labels)}"
-            )
+    have = tuple(getattr(classifier, "labels", ()))
+    if config.expected_labels not in (None, have):
+        raise IncompatibleCheckpointError(f"checkpoint labels {have} do not match expected {config.expected_labels}")
     check_segment_memory(raster.shape)  # before the classifier pass, which takes seconds
     with _stage("grid"):
         grid = build_grid_map(raster, classifier, config)

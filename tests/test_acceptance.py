@@ -47,10 +47,12 @@ def desk(tmp_path_factory):
     hyper = model.TrainConfig(
         epochs=20, batch_size=32, lr=0.01, schedule=((2, 10.0), (12, 10.0)), seed=0
     )
-    t0 = time.time()
+    # this process's CPU time over all its threads, so another job sharing
+    # the machine does not count against the bound
+    t0 = time.process_time()
     ck1, trace = model.train(cfg, [train_man], hyper)
     ck2, _ = model.train(cfg, [train_man], hyper)
-    elapsed = time.time() - t0
+    elapsed = time.process_time() - t0
 
     model.save_checkpoint(ck1, str(d / "a.ckpt"))
     model.save_checkpoint(ck2, str(d / "b.ckpt"))
@@ -326,11 +328,11 @@ def test_oracle_pipeline():
 def test_desk_scale_learning(desk):
     assert desk["held_oa"] >= 0.95, f"held-out OA {desk['held_oa']:.4f}"
     assert desk["identical"], "repeated training did not give a bit-identical checkpoint"
-    assert desk["elapsed"] < 300.0, f"two training runs took {desk['elapsed']:.0f}s"
+    assert desk["elapsed"] < 300.0, f"two training runs took {desk['elapsed']:.0f} CPU s"
     note(
         "desk-scale learning",
         f"held-out OA {desk['held_oa']:.4f}, repeat bit-identical, "
-        f"loss {desk['trace'][0]:.2f}->{desk['trace'][-1]:.3f}, {desk['elapsed']:.0f}s",
+        f"loss {desk['trace'][0]:.2f}->{desk['trace'][-1]:.3f}, {desk['elapsed']:.0f} CPU s",
     )
 
 

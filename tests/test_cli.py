@@ -1,7 +1,7 @@
 import json
 import os
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -438,6 +438,21 @@ class TestFinetune:
             assert run("finetune", "--config", str(tmp_path / "ft.json")) == 2
             assert bad in capsys.readouterr().err
             cfg["num_classes_per_task"] = [3]
+
+    @pytest.mark.parametrize("counts", [[0], [3, 0]])
+    def test_zero_class_count_exit_2(self, workdir, tmp_path, capsys, counts):
+        # a config error, as in train, not a checkpoint mismatch
+        cfg = {
+            "base_checkpoint": str(workdir / "m.ckpt"),
+            "num_classes_per_task": counts,
+            "manifests": [str(workdir / "tiles" / "manifest.tsv")] * len(counts),
+            "train": {"epochs": 1, "batch_size": 8},
+            "out_checkpoint": str(tmp_path / "x.ckpt"),
+        }
+        (tmp_path / "ft.json").write_text(json.dumps(cfg))
+        assert run("finetune", "--config", str(tmp_path / "ft.json")) == 2
+        assert "num_classes_per_task" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
 
     @pytest.mark.parametrize("section,key", [(None, "model"), (None, "out_trace"), ("train", "lr_decay")])
     def test_unknown_key_exit_2(self, workdir, tmp_path, capsys, section, key):
@@ -1043,6 +1058,14 @@ class TestEval:
         assert rep2["OR"] < rep["OR"]
         assert "mAP" in rep2
 
+    @pytest.mark.parametrize("tau", ["nan", "2", "1", "0", "-1"])
+    def test_tau_outside_unit_interval_exit_2(self, tmp_path, capsys, tau):
+        (tmp_path / "scores.tsv").write_text("a\t0.9\t0.6\nb\t0.2\t0.8\n")
+        (tmp_path / "truth.tsv").write_text("a\t0,1\nb\t1\n")
+        argv = ["eval", "--mode", "multilabel", "--scores", str(tmp_path / "scores.tsv")]
+        assert run(*argv, "--truth", str(tmp_path / "truth.tsv"), "--tau", tau) == 2
+        assert "tau must be in (0,1)" in capsys.readouterr().err
+
 
 class TestHelp:
     def test_exit_codes_documented(self, capsys):
@@ -1122,6 +1145,14 @@ class TestMalformedInputs:
             ("multilabel", "scores", b"a\t0.9\t0.6\n\xffb\t0.2\t0.8\n"),
             ("multilabel", "truth", b"a\t0,1\nb\t1,y\n"),
             ("multilabel", "truth", b"a\t0,1\nb\t\xff\n"),
+            # a repeated sample_id once kept the last row, or counted a score row twice
+            ("tile", "pred", b"a\t0\na\t1\n"),
+            ("tile", "truth", b"a\t0\na\t1\n"),
+            ("multilabel", "scores", b"a\t0.9\t0.6\na\t0.2\t0.8\n"),
+            ("multilabel", "truth", b"a\t0,1\na\t1\n"),
+            # a nan score was once ranked
+            ("multilabel", "scores", b"a\t0.9\t0.6\nb\tnan\t0.8\n"),
+            ("multilabel", "scores", b"a\t0.9\t0.6\nb\t0.2\t-NaN\n"),
         ],
     )
     def test_eval_tsv_exit_3(self, tmp_path, capsys, mode, name, text):
@@ -1465,5 +1496,37 @@ class TestConfigProperties:
             ]
             code, err = _read_only(argv, [(parser, "parse_image")])
             assert code == 0 or (code == 2 and _named(key, err)), (key, value, code, err)
+
+        check()
+
+    def test_library_config(self):
+        # the same values passed straight to each dataclass: the type rule is
+        # the dataclasses' own, so a library caller meets the CLI's errors
+        from hypothesis import given
+        from hypothesis import strategies as st
+
+        from sceneparse import model, parser
+        from sceneparse.errors import ConfigError
+
+        required = {
+            model.BackboneConfig: {"input_size": 8},
+            cli._TrainFile: {"model": {}, "manifests": ["m.tsv"], "out_checkpoint": "m.ckpt"},
+            cli._FinetuneFile: {
+                "base_checkpoint": "m.ckpt", "num_classes_per_task": [3], "manifests": ["m.tsv"],
+                "out_checkpoint": "f.ckpt",
+            },
+        }
+        classes = (model.BackboneConfig, model.TrainConfig, model.MSCConfig, parser.ParseConfig, *required)
+        keys = [(cls, f.name) for cls in dict.fromkeys(classes) for f in fields(cls)]
+
+        @given(st.sampled_from(keys), _json_values())
+        def check(where, value):
+            cls, key = where
+            try:
+                built = cls(**{**required.get(cls, {}), key: value})
+            except ConfigError as e:
+                assert _named(key, str(e)), (cls, key, value, e)
+            else:
+                assert not isinstance(getattr(built, key), list), (cls, key, value)
 
         check()

@@ -3,6 +3,7 @@ import pytest
 
 from sceneparse import metrics
 from sceneparse.errors import (
+    ConfigError,
     EmptyError,
     LabelRangeError,
     LengthMismatchError,
@@ -23,7 +24,7 @@ def per_class_recall(scores, truths, tau: float = 0.5) -> np.ndarray:
     if s.ndim != 2:
         raise ShapeError(f"scores must be [images, labels], got {s.shape}")
     if not 0.0 < tau < 1.0:
-        raise ShapeError(f"tau must be in (0,1), got {tau}")
+        raise ConfigError(f"tau must be in (0,1), got {tau}")
     hot = metrics._as_multihot(truths, s.shape[1])
     pred = s > tau
     tp = (pred & hot).sum(axis=0).astype(np.float64)
@@ -235,7 +236,7 @@ class TestThresholdBehavior:
         assert got["OR"] == pytest.approx(0.5)
 
     def test_tau_out_of_range(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             metrics.multilabel_metrics(np.array([[0.5]]), [{0}], tau=0.0)
 
     def test_recall_monotone_in_tau(self, rng):

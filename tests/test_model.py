@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import zlib
 
@@ -93,6 +94,52 @@ class TestConfigs:
     def test_train_config_rejects_bad_numbers(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             model.TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: model.BackboneConfig(input_size=32.0), "input_size"),
+            (lambda: model.BackboneConfig(input_size=8, stage_channels=[2.0, 3, 4]), "stage_channels[0]"),
+            (lambda: parser.ParseConfig(window_sizes=[8.7, 16]), "window_sizes[0]"),
+            (lambda: model.TrainConfig(epochs=2.5), "epochs"),
+            (lambda: model.TrainConfig(augment=1), "augment"),
+            (lambda: parser.ParseConfig(min_size=2.5), "min_size"),
+            (lambda: model.MSCConfig(stream_weights=[1, "0.5", 1]), "stream_weights[1]"),
+            (lambda: model.TrainConfig(lr="0.1"), "lr"),
+            (lambda: parser.ParseConfig(k="1"), "k"),
+            (lambda: model.TrainConfig(schedule=[(2.0, 10.0)]), "schedule[0][0]"),
+            (lambda: model.MSCConfig(mu_g=10**400, mu_m=0.0), "mu_g"),
+        ],
+    )
+    def test_field_types_checked_for_library_callers(self, build, field):
+        # the rule a JSON config goes through: no truncation, no bare TypeError
+        with pytest.raises(ConfigError, match=rf"config field '{re.escape(field)}'"):
+            build()
+
+    def test_lists_become_tuples_and_numbers_keep_their_type(self):
+        cfg = model.BackboneConfig(input_size=8, stage_channels=[2, 3, 4], num_classes_per_task=[3])
+        assert cfg == SMALL and isinstance(cfg.stage_channels, tuple)
+        hyper = model.TrainConfig(lr=1, schedule=[[2, 10]])
+        assert hyper.lr == 1 and type(hyper.lr) is int  # written to checkpoints as given
+        assert hyper.schedule == ((2, 10.0),) and type(hyper.schedule[0][1]) is float
+        assert parser.ParseConfig(window_sizes=[4, 8], scale_weights=[1, 2]).window_sizes == (4, 8)
+
+    def test_numpy_integers_build_and_save(self, tmp_path):
+        cfg = model.BackboneConfig(
+            input_size=np.int64(8), stage_channels=(np.int32(2), 3, 4), num_classes_per_task=[np.uint8(3)]
+        )
+        assert cfg == SMALL and all(type(v) is int for v in (cfg.input_size, *cfg.stage_channels))
+        ckpt = make_checkpoint()
+        model.save_checkpoint(ckpt, tmp_path / "a.ckpt")
+        ckpt.config = cfg
+        model.save_checkpoint(ckpt, tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+        assert model.load_checkpoint(tmp_path / "b.ckpt").config == SMALL
+
+    @pytest.mark.parametrize("value", [np.float64(8.0), np.bool_(True), True])
+    def test_numpy_and_bool_non_integers_refused(self, value):
+        with pytest.raises(ConfigError, match="config field 'input_size' must be int"):
+            model.BackboneConfig(input_size=value)
 
     def test_param_shapes_order_and_sizes(self):
         shapes = model.param_shapes(SMALL)
@@ -438,6 +485,14 @@ class TestFineTune:
         with pytest.raises(IncompatibleCheckpointError):
             model.fine_tune(base, (4, 2), [man])
 
+    @pytest.mark.parametrize("counts", [(0,), (-2,), (2.0,)])
+    def test_bad_class_counts_are_config_errors(self, tmp_path, counts):
+        # the backbone's own check, as for train
+        base = self._base(tmp_path)
+        man = tile_dataset(tmp_path, n_classes=4, sub="new")
+        with pytest.raises(ConfigError, match="num_classes_per_task"):
+            model.fine_tune(base, counts, [man])
+
     def test_architecture_mismatch(self, tmp_path):
         base = self._base(tmp_path)
         # drop a backbone parameter the new architecture needs
@@ -564,7 +619,20 @@ class TestCheckpointFormat:
         p = tmp_path / "a.ckpt"
         model.save_checkpoint(ckpt, p)
         rewrite_header(p, lambda h: h["msc"].update(stream_weights=weights))
-        with pytest.raises(FormatVersionError, match="stream weights"):
+        # a weight that is not a number is named as the field, stream_weights[0]
+        with pytest.raises(FormatVersionError, match="stream[ _]weights"):
+            model.load_checkpoint(p)
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("config", "input_size", 8.0), ("config", "stage_channels", [2.0, 3, 4]), ("msc", "mu_g", True)],
+    )
+    def test_wrong_typed_config_in_header(self, tmp_path, section, key, value):
+        # the dataclasses' type rule, as for a train config
+        p = tmp_path / "a.ckpt"
+        model.save_checkpoint(make_checkpoint(), p)
+        rewrite_header(p, lambda h: h[section].update({key: value}))
+        with pytest.raises(FormatVersionError, match=f"malformed header: config field '{key}"):
             model.load_checkpoint(p)
 
     def test_non_integer_label_ids_in_header(self, tmp_path):

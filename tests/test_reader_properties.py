@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneparse import cli, model, taxonomy
-from sceneparse.errors import SceneParseError
+from sceneparse.errors import FormatVersionError, SceneParseError
 from sceneparse.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 from sceneparse.segmentation import RegionMap, read_region_map, write_region_map
 from tests.test_cli import _json_values
@@ -36,6 +36,23 @@ def mangled(draw, data: bytes, alphabet=BYTES) -> bytes:
         else:
             del buf[at : at + draw(st.integers(1, 3))]
     return bytes(buf[: draw(st.just(len(buf)) | st.integers(0, len(buf)))])
+
+
+def with_header(raw: bytes, mutate) -> bytes:
+    """The checkpoint ``raw`` with its header replaced by mutate(header), and
+    the header's length record kept right."""
+    start = raw.index(b"\n") + 1
+    body = raw.index(b"\n", start) + 1
+    size = int(raw[start:body].split()[1])
+    blob = json.dumps(mutate(json.loads(raw[body : body + size]))).encode()
+    return raw[:start] + b"header %d\n" % len(blob) + blob + raw[body + size :]
+
+
+def as_floats(value):
+    """value with each int in it as a float."""
+    if isinstance(value, list):
+        return [as_floats(v) for v in value]
+    return float(value) if type(value) is int else value
 
 
 def read_or_reject(reader, path, exit_code: int) -> None:
@@ -103,22 +120,61 @@ class TestBinaryReaders:
         # any JSON value in place of the header or one of its fields, with
         # the header's length record kept right
         d, files = valid
-        raw = files["m.ckpt"]
-        start = raw.index(b"\n") + 1
-        body = raw.index(b"\n", start) + 1
-        size = int(raw[start:body].split()[1])
-        header = json.loads(raw[body : body + size])
-        if where:
+
+        def mutate(header):
+            if not where:
+                return value
             *path, key = where
             node = header
             for k in path:
                 node = node[k]
             node[key] = value
-        else:
-            header = value
-        blob = json.dumps(header).encode()
-        (d / "x.ckpt").write_bytes(raw[:start] + b"header %d\n" % len(blob) + blob + raw[body + size :])
+            return header
+
+        (d / "x.ckpt").write_bytes(with_header(files["m.ckpt"], mutate))
         read_or_reject(model.load_checkpoint, str(d / "x.ckpt"), 5)
+
+    @settings(max_examples=200)
+    @given(
+        where=st.sampled_from(
+            [("config", k) for k in ("input_size", "stage_channels", "stage_strides", "num_classes_per_task")]
+            + [("msc", k) for k in ("stream_weights", "mu_g", "mu_m")]
+        ),
+        data=st.data(),
+    )
+    def test_checkpoint_config_round_trip(self, valid, where, data):
+        # a config or msc value that loads re-saves to the same bytes and
+        # configs on every later save; any other is a FormatVersionError,
+        # exit 5 through parse --checkpoint
+        d, files = valid
+        section, key = where
+
+        def mutate(header):
+            saved = header[section][key]
+            value = data.draw(
+                _json_values()
+                | st.sampled_from([saved, as_floats(saved)])
+                | st.integers(-8, 64)
+                | st.floats(0, 1)
+                | st.lists(st.integers(0, 6) | st.floats(0, 4), min_size=3, max_size=3)
+            )
+            header[section][key] = value
+            if key == "mu_g" and isinstance(value, (int, float)) and not isinstance(value, bool):
+                header["msc"]["mu_m"] = 1 - value  # so that a number can load
+            return header
+
+        (d / "x.ckpt").write_bytes(with_header(files["m.ckpt"], mutate))
+        try:
+            first = model.load_checkpoint(str(d / "x.ckpt"))
+        except FormatVersionError:
+            argv = ["parse", "--input", str(d / "t.ppm"), "--output", str(d / "x.pgm"), "--checkpoint", str(d / "x.ckpt")]
+            assert cli.main(argv) == 5
+            return
+        model.save_checkpoint(first, str(d / "y.ckpt"))
+        second = model.load_checkpoint(str(d / "y.ckpt"))
+        model.save_checkpoint(second, str(d / "z.ckpt"))
+        assert (d / "y.ckpt").read_bytes() == (d / "z.ckpt").read_bytes()
+        assert (second.config, second.msc) == (first.config, first.msc)
 
 
 class TestTextReaders:
